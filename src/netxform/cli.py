@@ -9,18 +9,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import csvio
-from .dynamics import propagate_state_through, simulation_steps
+from .dynamics import DynamicsError, propagate_state_through, simulation_steps
 from .graph import GraphError, graph_from_json_dict, mask
 from .lie_algebra import check_feasible
-from .optimal_control import (BvpProblem, OptimalControlError,
-                              homotopy_singularity_scan, solve_bvp,
-                              solve_with_waypoints)
+from .optimal_control import (BvpProblem, OptimalControlError, SettingsError,
+                              homotopy_singularity_scan, solve_with_waypoints)
 from .scenarios import (DensifyScenario, ScenarioError, SwapScenario,
                         run_densify, run_swap)
 
@@ -60,20 +60,32 @@ def _matrix(value, name: str) -> np.ndarray:
         raise ConfigError(f"field {name!r} is not a numeric matrix: {exc}") from exc
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ConfigError(f"field {name!r} must be a square row-major matrix")
+    if not np.all(np.isfinite(M)):
+        raise ConfigError(f"field {name!r} has non-finite entries")
     return M
+
+
+def _number(value, name: str, kind=float):
+    """A finite number (a whole one for kind=int); ranges are BvpProblem's."""
+    try:
+        x = float(value)
+        ok = math.isfinite(x) and (kind is float or x.is_integer())
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"field {name!r} must be a finite "
+                          f"{'integer' if kind is int else 'number'}, got {value!r}")
+    return kind(x)
 
 
 def _solver_params(cfg: dict, args, max_iter_default: int = 50) -> dict:
     solver = cfg.get("solver", {})
     if not isinstance(solver, dict):
         raise ConfigError("field 'solver' must be an object")
-    params = {
-        "steps": int(solver.get("steps", 200)),
-        "newton_tol": float(solver.get("newton_tol", 1e-8)),
-        "max_iter": int(solver.get("max_iter", max_iter_default)),
-        "restarts": int(solver.get("restarts", 8)),
-        "seed": int(solver.get("seed", 0)),
-    }
+    defaults = {"steps": (200, int), "newton_tol": (1e-8, float),
+                "max_iter": (max_iter_default, int), "restarts": (8, int), "seed": (0, int)}
+    params = {key: _number(solver.get(key, default), f"solver.{key}", kind)
+              for key, (default, kind) in defaults.items()}
     if getattr(args, "seed", None) is not None:
         params["seed"] = args.seed
     if getattr(args, "steps", None) is not None:
@@ -90,8 +102,8 @@ def _parse_problem(cfg: dict, args):
     if target.shape[0] != g.n:
         raise ConfigError(f"target is {target.shape[0]}x{target.shape[1]} "
                           f"but the graph has {g.n} nodes")
-    t0 = float(cfg.get("t0", 0.0))
-    tf = float(cfg.get("tf", 1.0))
+    t0 = _number(cfg.get("t0", 0.0), "t0")
+    tf = _number(cfg.get("tf", 1.0), "tf")
     waypoints = [_matrix(W, f"waypoints[{k}]") for k, W in enumerate(cfg.get("waypoints", []))]
     return g, target, t0, tf, waypoints, _solver_params(cfg, args)
 
@@ -148,7 +160,7 @@ def cmd_solve(args) -> int:
                   f"(min |det| = {min_det:.3e} at s = {argmin_s}); "
                   f"consider supplying waypoints", file=sys.stderr)
     prob = BvpProblem(graph=g, target=target, t0=t0, tf=tf, **params)
-    sol = solve_with_waypoints(prob, waypoints) if waypoints else solve_bvp(prob)
+    sol = solve_with_waypoints(prob, waypoints)
     write_solution_bundle(sol, Path(args.out))
     if not sol.converged:
         print(f"solver did not converge (residual {sol.residual_norm:.3e}); "
@@ -186,7 +198,10 @@ def cmd_simulate(args) -> int:
     xi = _parse_xi(args, n)
     # default step count tracks the schedule grid (see simulation_steps)
     steps = args.steps if args.steps is not None else simulation_steps(schedules[0])
-    grid, xs = propagate_state_through(schedules, xi, steps)
+    try:
+        grid, xs = propagate_state_through(schedules, xi, steps)
+    except DynamicsError as exc:  # --steps < 1, or a schedule that overflows
+        raise ConfigError(str(exc)) from exc
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     csvio.write_vector_trajectory_csv(outdir / "nodes.csv", grid, xs)
@@ -202,9 +217,8 @@ def cmd_scenario(args) -> int:
             scen = DensifyScenario(
                 sparse_graph=graph_from_json_dict(_require(cfg, "sparse_graph")),
                 dense_graph=graph_from_json_dict(_require(cfg, "dense_graph")),
-                t0=float(cfg.get("t0", 0.0)), tf=float(cfg.get("tf", 1.0)),
-                initial_state=(np.array(cfg["initial_state"], dtype=float)
-                               if "initial_state" in cfg else None))
+                t0=_number(cfg.get("t0", 0.0), "t0"), tf=_number(cfg.get("tf", 1.0), "tf"),
+                initial_state=cfg.get("initial_state"))
         except (GraphError, ScenarioError) as exc:
             raise ConfigError(str(exc)) from exc
         # waypoint segment solves need a larger budget than the direct default
@@ -220,9 +234,8 @@ def cmd_scenario(args) -> int:
                 pairs=tuple(tuple(int(v) for v in p) for p in _require(cfg, "pairs")),
                 waypoints=tuple(_matrix(W, f"waypoints[{k}]")
                                 for k, W in enumerate(cfg.get("waypoints", []))),
-                initial_state=(np.array(cfg["initial_state"], dtype=float)
-                               if "initial_state" in cfg else None),
-                t0=float(cfg.get("t0", 0.0)), tf=float(cfg.get("tf", 1.0)))
+                initial_state=cfg.get("initial_state"),
+                t0=_number(cfg.get("t0", 0.0), "t0"), tf=_number(cfg.get("tf", 1.0), "tf"))
         except (GraphError, ScenarioError) as exc:
             raise ConfigError(str(exc)) from exc
         report = run_swap(scen, **_solver_params(cfg, args))
@@ -279,7 +292,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, GraphError, ScenarioError, csvio.CsvFormatError) as exc:
+    except (ConfigError, GraphError, ScenarioError, csvio.CsvFormatError,
+            SettingsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OptimalControlError as exc:

@@ -9,11 +9,12 @@ jump at segment joins); a repeated time value marks a segment boundary.
 from __future__ import annotations
 
 import csv
-from pathlib import Path
+import math
+import re
 
 import numpy as np
 
-from .dynamics import WeightSchedule
+from .dynamics import DynamicsError, WeightSchedule
 from .graph import SparsityMask
 
 
@@ -51,43 +52,56 @@ def read_schedule_csv(path) -> list:
     """Parse a schedule file back into its segments.
 
     The sparsity mask is reconstructed from the header; a non-increasing time
-    step between consecutive rows starts a new segment.
+    step between consecutive rows starts a new segment. Every row must hold
+    one finite number per header column.
     """
     rows = _read_rows(path)
-    if not rows or rows[0][0] != "t":
+    if not rows or rows[0][:1] != ["t"]:
         raise CsvFormatError(f"{path}: expected a 't,w_i_j,...' header")
     pairs = []
     for name in rows[0][1:]:
-        parts = name.split("_")
-        if len(parts) != 3 or parts[0] != "w":
+        m = re.fullmatch(r"w_([1-9][0-9]*)_([1-9][0-9]*)", name)
+        if m is None:
             raise CsvFormatError(f"{path}: bad schedule column {name!r}")
-        pairs.append((int(parts[1]), int(parts[2])))
-    n = max(max(i, j) for (i, j) in pairs)
+        pairs.append((int(m[1]) - 1, int(m[2]) - 1))
+    if not pairs:
+        raise CsvFormatError(f"{path}: header has no w_i_j columns")
+    n = max(max(p) for p in pairs) + 1
+    idx = tuple(np.array(pairs).T)
     entries = np.zeros((n, n), dtype=bool)
-    for (i, j) in pairs:
-        entries[i - 1, j - 1] = True
+    entries[idx] = True
     msk = SparsityMask(entries=entries)
 
     segments = []
     times, mats = [], []
 
     def flush():
-        if times:
+        try:
             segments.append(WeightSchedule(grid=np.array(times), W_seq=np.array(mats), mask=msk))
+        except DynamicsError as exc:
+            raise CsvFormatError(f"{path}: {exc}") from exc
         times.clear()
         mats.clear()
 
-    for row in rows[1:]:
+    for line, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        t = float(row[0])
-        if times and t <= times[-1]:
+        if len(row) != len(rows[0]):
+            raise CsvFormatError(f"{path}:{line}: {len(row)} cells, header has {len(rows[0])}")
+        try:
+            vals = [float(v) for v in row]
+        except ValueError as exc:
+            raise CsvFormatError(f"{path}:{line}: {exc}") from exc
+        if not all(map(math.isfinite, vals)):
+            raise CsvFormatError(f"{path}:{line}: non-finite value")
+        if times and vals[0] <= times[-1]:
             flush()
         W = np.zeros((n, n))
-        for (i, j), val in zip(pairs, row[1:]):
-            W[i - 1, j - 1] = float(val)
-        times.append(t)
+        W[idx] = vals[1:]
+        times.append(vals[0])
         mats.append(W)
+    if not times:
+        raise CsvFormatError(f"{path}: no schedule rows")
     flush()
     return segments
 

@@ -8,7 +8,7 @@ keeps the state and costate integrations in the shooting solver consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -61,9 +61,9 @@ class SparsityMask:
         return bool(np.all(W[~self.entries] == 0.0))
 
     def apply(self, W: np.ndarray) -> np.ndarray:
-        """Zero out all off-pattern entries of W."""
+        """Zero out all off-pattern entries of W, or of each matrix of a stack."""
         out = np.array(W, dtype=float)
-        out[~self.entries] = 0.0
+        out[..., ~self.entries] = 0.0
         return out
 
     def index_pairs(self) -> list:

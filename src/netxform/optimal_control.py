@@ -9,13 +9,12 @@ condition lambda0 until the terminal transition matrix hits the target.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import WeightSchedule, determinant, solve_linear
+from .dynamics import DynamicsError, WeightSchedule, _rk4, determinant, solve_linear
 from .graph import Graph, SparsityMask, mask
 from .lie_algebra import check_feasible
 
@@ -26,15 +25,8 @@ class OptimalControlError(ValueError):
     """Infeasible problem or invalid solver input."""
 
 
-def worker_count() -> int:
-    """Parallelism cap: NETXFORM_THREADS if set, else machine parallelism."""
-    env = os.environ.get("NETXFORM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+class SettingsError(OptimalControlError):
+    """Solver settings out of range."""
 
 
 @dataclass(frozen=True)
@@ -51,8 +43,18 @@ class BvpProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
-        if not self.tf > self.t0:
-            raise OptimalControlError(f"need tf > t0, got [{self.t0}, {self.tf}]")
+        rules = {
+            "finite t0": np.isfinite(self.t0),
+            "finite tf > t0": np.isfinite(self.tf) and self.tf > self.t0,
+            "steps >= 1": self.steps >= 1,
+            "finite newton_tol > 0": np.isfinite(self.newton_tol) and self.newton_tol > 0,
+            "max_iter >= 1": self.max_iter >= 1,
+            "restarts >= 0": self.restarts >= 0,
+            "seed >= 0": self.seed >= 0,
+        }
+        broken = [rule for rule, ok in rules.items() if not ok]
+        if broken:
+            raise SettingsError(f"solver settings need {', '.join(broken)}")
         report = check_feasible(self.graph, self.target)
         if not report.feasible:
             raise OptimalControlError(f"infeasible problem: {report.reason}")
@@ -130,89 +132,65 @@ def hamiltonian(X: np.ndarray, lam: np.ndarray, W: np.ndarray) -> float:
 
 
 def weights_from_costate(lam: np.ndarray, X: np.ndarray, msk: SparsityMask) -> np.ndarray:
-    """Stationarity condition: W = -(lam X^T) restricted to the edge pattern."""
+    """Stationarity condition: W = -(lam X^T) restricted to the edge pattern.
+
+    lam and X are single (n, n) matrices or equal-shaped stacks (..., n, n).
+    """
     lam = np.asarray(lam, dtype=float)
     X = np.asarray(X, dtype=float)
     n = msk.n
-    if lam.shape != (n, n) or X.shape != (n, n):
+    if lam.shape[-2:] != (n, n) or X.shape != lam.shape:
         raise OptimalControlError("weights_from_costate: dimension mismatch")
-    return msk.apply(-(lam @ X.T))
+    return msk.apply(-(lam @ np.swapaxes(X, -1, -2)))
 
 
 def extremal_rhs(X: np.ndarray, lam: np.ndarray, msk: SparsityMask):
-    """State and costate rates along an extremal: (W X, -W^T lam)."""
+    """State and costate rates along an extremal: (W X, -W^T lam), per matrix
+    of a stack."""
     W = weights_from_costate(lam, X, msk)
-    return W @ X, -W.T @ lam
+    return W @ X, -np.swapaxes(W, -1, -2) @ lam
 
 
 def _shoot_batch(prob: BvpProblem, lam0s: np.ndarray, record: bool = False):
     """RK4 over a batch of costate initial conditions at once.
 
-    lam0s has shape (B, n, n). Returns (X_tf, diverged, trajectories) where
-    trajectories is None unless record=True (then a pair of (B, K+1, n, n)
-    arrays). Batching keeps the finite-difference Jacobian to a single
-    integration pass.
+    The stacked state Y = (X, lam) of shape (B, 2, n, n) starts from
+    (I, lam0s[b]). Returns (X_tf, diverged, points), where points is the
+    list of (t, Y) on every grid point if record=True and the last one
+    otherwise. A member diverges when any entry of its final Y is beyond the
+    blow-up limit or not finite. Batching keeps the finite-difference
+    Jacobian to a single integration pass.
     """
-    B, n, _ = lam0s.shape
-    off = ~mask(prob.graph).entries
-    steps = prob.steps
-    h = (prob.tf - prob.t0) / steps
-    X = np.broadcast_to(np.eye(n), (B, n, n)).copy()
-    lam = np.array(lam0s, dtype=float)
-    alive = np.ones(B, dtype=bool)
-    if record:
-        X_seq = np.full((B, steps + 1, n, n), np.nan)
-        lam_seq = np.full((B, steps + 1, n, n), np.nan)
-        X_seq[:, 0], lam_seq[:, 0] = X, lam
-    else:
-        X_seq = lam_seq = None
+    n = lam0s.shape[-1]
+    msk = mask(prob.graph)
+    Y0 = np.stack([np.broadcast_to(np.eye(n), lam0s.shape), lam0s], axis=1)
 
-    def rhs(X, lam):
-        W = -(lam @ X.transpose(0, 2, 1))
-        W[:, off] = 0.0
-        return W @ X, -W.transpose(0, 2, 1) @ lam
+    def f(t, Y):
+        return np.stack(extremal_rhs(Y[:, 0], Y[:, 1], msk), axis=1)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            k1x, k1l = rhs(X, lam)
-            k2x, k2l = rhs(X + h / 2 * k1x, lam + h / 2 * k1l)
-            k3x, k3l = rhs(X + h / 2 * k2x, lam + h / 2 * k2l)
-            k4x, k4l = rhs(X + h * k3x, lam + h * k3l)
-            Xn = X + h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-            ln = lam + h / 6 * (k1l + 2 * k2l + 2 * k3l + k4l)
-            ok = (np.isfinite(Xn).all(axis=(1, 2)) & np.isfinite(ln).all(axis=(1, 2)))
-            with np.errstate(invalid="ignore"):
-                mag = np.maximum(np.abs(np.where(np.isfinite(Xn), Xn, np.inf)).max(axis=(1, 2)),
-                                 np.abs(np.where(np.isfinite(ln), ln, np.inf)).max(axis=(1, 2)))
-            ok &= mag <= DIVERGENCE_LIMIT
-            upd = alive & ok
-            X[upd] = Xn[upd]
-            lam[upd] = ln[upd]
-            alive &= ok
-            if record:
-                X_seq[upd, k + 1] = Xn[upd]
-                lam_seq[upd, k + 1] = ln[upd]
-            if not alive.any():
-                break
-    return X, ~alive, (X_seq, lam_seq)
+        stepper = _rk4(f, Y0, prob.t0, prob.tf, prob.steps)
+        points = list(stepper) if record else deque(stepper, maxlen=1)
+        Y = points[-1][1]
+        diverged = ~(np.abs(Y).max(axis=(1, 2, 3)) <= DIVERGENCE_LIMIT)
+    return Y[:, 0], diverged, points
 
 
 def shoot(prob: BvpProblem, lambda0: np.ndarray):
     """Integrate the coupled extremal system from (I, lambda0).
 
     Returns (X_tf, info) where info carries the gridded trajectories and a
-    `diverged` flag; divergence (any entry beyond the blow-up limit) is
-    reported, not raised.
+    `diverged` flag; divergence (any entry beyond the blow-up limit at tf)
+    is reported, not raised.
     """
     n = prob.graph.n
     lam0 = np.asarray(lambda0, dtype=float)
     if lam0.shape != (n, n):
         raise OptimalControlError(f"lambda0 has shape {lam0.shape}, expected ({n},{n})")
-    X_tf, diverged, (X_seq, lam_seq) = _shoot_batch(prob, lam0[None], record=True)
-    h = (prob.tf - prob.t0) / prob.steps
-    grid = prob.t0 + h * np.arange(prob.steps + 1)
-    info = {"grid": grid, "X_seq": X_seq[0], "lambda_seq": lam_seq[0],
-            "diverged": bool(diverged[0])}
+    X_tf, diverged, points = _shoot_batch(prob, lam0[None], record=True)
+    Y_seq = np.array([Y[0] for _, Y in points])
+    info = {"grid": np.array([t for t, _ in points]), "X_seq": Y_seq[:, 0],
+            "lambda_seq": Y_seq[:, 1], "diverged": bool(diverged[0])}
     return X_tf[0], info
 
 
@@ -223,22 +201,15 @@ def cost(sched: WeightSchedule) -> float:
     return float(np.sum(h * (vals[:-1] + vals[1:]) / 2.0))
 
 
-def _residual(prob: BvpProblem, lam0: np.ndarray):
-    X_tf, info = shoot(prob, lam0)
-    if info["diverged"]:
-        return None, info
-    return (X_tf - prob.target).ravel(), info
+def _residual(prob: BvpProblem, lam0: np.ndarray) -> np.ndarray | None:
+    """Flattened X(tf) - T, or None when the shoot diverged."""
+    X_tf, diverged, _ = _shoot_batch(prob, lam0[None])
+    return None if diverged[0] else (X_tf[0] - prob.target).ravel()
 
 
-def _jacobian(prob: BvpProblem, lam0: np.ndarray, workers: int) -> np.ndarray | None:
+def _jacobian(prob: BvpProblem, lam0: np.ndarray) -> np.ndarray | None:
     """Central finite-difference Jacobian of the terminal residual w.r.t.
-    the costate initial condition.
-
-    All 2 m perturbed shoots are integrated as one batch; with more than one
-    worker the batch is split into contiguous chunks evaluated concurrently.
-    Either way each column comes from the same two shoots, so the result is
-    bitwise independent of the worker count.
-    """
+    the costate initial condition; all 2 m perturbed shoots form one batch."""
     n = prob.graph.n
     flat = lam0.ravel()
     m = flat.size
@@ -246,22 +217,7 @@ def _jacobian(prob: BvpProblem, lam0: np.ndarray, workers: int) -> np.ndarray | 
     pert = np.repeat(flat[None, :], 2 * m, axis=0)
     pert[np.arange(m), np.arange(m)] += hs
     pert[m + np.arange(m), np.arange(m)] -= hs
-    batch = pert.reshape(2 * m, n, n)
-    if workers > 1:
-        chunks = np.array_split(np.arange(2 * m), min(workers, 2 * m))
-        X_tf = np.empty((2 * m, n, n))
-        diverged = np.empty(2 * m, dtype=bool)
-
-        def run(idx):
-            Xc, dc, _ = _shoot_batch(prob, batch[idx])
-            return idx, Xc, dc
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for idx, Xc, dc in pool.map(run, chunks):
-                X_tf[idx] = Xc
-                diverged[idx] = dc
-    else:
-        X_tf, diverged, _ = _shoot_batch(prob, batch)
+    X_tf, diverged, _ = _shoot_batch(prob, pert.reshape(2 * m, n, n))
     if diverged.any():
         return None
     up = X_tf[:m].reshape(m, n * n)
@@ -269,44 +225,45 @@ def _jacobian(prob: BvpProblem, lam0: np.ndarray, workers: int) -> np.ndarray | 
     return ((up - dn) / (2.0 * hs[:, None])).T
 
 
-def _build_solution(prob: BvpProblem, lam0: np.ndarray, info: dict,
-                    iterations: int, restart_used: int, converged: bool) -> ExtremalSolution:
+def _build_solution(prob: BvpProblem, lam0: np.ndarray, iterations: int,
+                    restart_used: int, converged: bool) -> ExtremalSolution:
+    """Re-shoot the chosen costate with recording on and package the result."""
+    X_tf, info = shoot(prob, lam0)
     msk = mask(prob.graph)
-    X_seq, lam_seq, grid = info["X_seq"], info["lambda_seq"], info["grid"]
-    W_seq = np.array([weights_from_costate(lam_seq[k], X_seq[k], msk)
-                      for k in range(grid.size)])
-    sched = WeightSchedule(grid=grid, W_seq=W_seq, mask=msk)
-    res = float(np.linalg.norm(X_seq[-1] - prob.target))
+    W_seq = weights_from_costate(info["lambda_seq"], info["X_seq"], msk)
+    sched = WeightSchedule(grid=info["grid"], W_seq=W_seq, mask=msk)
     return ExtremalSolution(
         lambda0=np.asarray(lam0, dtype=float).copy(),
-        grid=grid, X_seq=X_seq, lambda_seq=lam_seq, schedule=sched,
-        cost=cost(sched), residual_norm=res,
+        grid=info["grid"], X_seq=info["X_seq"], lambda_seq=info["lambda_seq"],
+        schedule=sched, cost=cost(sched),
+        residual_norm=float(np.linalg.norm(X_tf - prob.target)),
         converged=converged, iterations=iterations, restart_used=restart_used)
 
 
-def _newton_from(prob: BvpProblem, lam0: np.ndarray, workers: int):
+def _newton_from(prob: BvpProblem, lam0: np.ndarray):
     """Damped Gauss-Newton (Levenberg-style) from one starting costate.
 
     Each accepted step is corrected with a geodesic acceleration term (a
     second directional derivative of the residual along the step); without
     it the iteration crawls through the curved, nearly flat valleys that
-    strongly contracting targets produce.
+    strongly contracting targets produce. Only steps that lower the residual
+    are accepted, so the current costate is always the best one seen.
 
-    Returns (best_lam0, best_info, best_norm, iterations, converged).
+    Returns (lam0, residual_norm, iterations, converged); a diverging start
+    has residual norm inf.
     """
     n = prob.graph.n
     lam = np.asarray(lam0, dtype=float).copy()
-    r, info = _residual(prob, lam)
+    r = _residual(prob, lam)
     if r is None:
-        return lam, info, np.inf, 0, False
+        return lam, np.inf, 0, False
     rnorm = float(np.linalg.norm(r))
-    best = (lam.copy(), info, rnorm)
     mu = 1e-3
     iterations = 0
     for _ in range(prob.max_iter):
         if rnorm < prob.newton_tol:
-            return best[0], best[1], best[2], iterations, True
-        J = _jacobian(prob, lam, workers)
+            break
+        J = _jacobian(prob, lam)
         if J is None:
             break
         g = J.T @ r
@@ -317,25 +274,25 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray, workers: int):
             A = JTJ + mu * tr * np.eye(g.size)
             try:
                 delta = solve_linear(A, -g)
-            except Exception:
+            except DynamicsError:
                 mu *= 10.0
                 continue
             h = 0.1
-            rp, _ = _residual(prob, lam + h * delta.reshape(n, n))
-            rm, _ = _residual(prob, lam - h * delta.reshape(n, n))
+            rp = _residual(prob, lam + h * delta.reshape(n, n))
+            rm = _residual(prob, lam - h * delta.reshape(n, n))
             step = delta
             if rp is not None and rm is not None:
                 rpp = (rp - 2.0 * r + rm) / (h * h)
                 try:
                     accel = solve_linear(A, -(J.T @ rpp) / 2.0)
-                except Exception:
+                except DynamicsError:
                     accel = None
                 if accel is not None and np.linalg.norm(accel) <= 0.75 * np.linalg.norm(delta):
                     step = delta + 0.5 * accel
             cand = lam + step.reshape(n, n)
-            rc, infoc = _residual(prob, cand)
+            rc = _residual(prob, cand)
             if rc is not None and np.linalg.norm(rc) < rnorm:
-                lam, r, info = cand, rc, infoc
+                lam, r = cand, rc
                 rnorm = float(np.linalg.norm(rc))
                 mu = max(mu / 3.0, 1e-14)
                 accepted = True
@@ -346,10 +303,7 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray, workers: int):
         iterations += 1
         if not accepted:
             break
-        if rnorm < best[2]:
-            best = (lam.copy(), info, rnorm)
-    converged = best[2] < prob.newton_tol
-    return best[0], best[1], best[2], iterations, converged
+    return lam, rnorm, iterations, rnorm < prob.newton_tol
 
 
 def solve_bvp(prob: BvpProblem, initial_guess: np.ndarray | None = None) -> ExtremalSolution:
@@ -358,11 +312,10 @@ def solve_bvp(prob: BvpProblem, initial_guess: np.ndarray | None = None) -> Extr
     An optional warm-start costate is tried first, then the zero costate
     (exact for T = I); on stall the solver restarts from seeded random
     costates, each restart drawing its own RNG stream from seed + restart
-    index. The first converged start wins, which is independent of worker
-    parallelism.
+    index. The first converged start wins; otherwise the start with the
+    smallest residual is reported.
     """
     n = prob.graph.n
-    workers = worker_count()
     total_iters = 0
     starts = [(0, np.zeros((n, n)))]
     if initial_guess is not None:
@@ -373,18 +326,17 @@ def solve_bvp(prob: BvpProblem, initial_guess: np.ndarray | None = None) -> Extr
     for ridx in range(1, prob.restarts + 1):
         rng = np.random.default_rng(prob.seed + ridx)
         starts.append((ridx, rng.uniform(-0.5, 0.5, size=(n, n))))
-    best = None  # (residual_norm, restart_idx, lam, info, iters)
+    best = (np.inf, None, None)  # (residual_norm, restart_idx, lam)
     for ridx, lam0 in starts:
-        lam, info, rnorm, iters, converged = _newton_from(prob, lam0, workers)
+        lam, rnorm, iters, converged = _newton_from(prob, lam0)
         total_iters += iters
         if converged:
-            return _build_solution(prob, lam, info, total_iters, ridx, True)
-        if info is not None and not info["diverged"]:
-            if best is None or rnorm < best[0]:
-                best = (rnorm, ridx, lam, info)
-    if best is None:
+            return _build_solution(prob, lam, total_iters, ridx, True)
+        if rnorm < best[0]:
+            best = (rnorm, ridx, lam)
+    if best[1] is None:
         raise OptimalControlError("all shooting restarts diverged")
-    return _build_solution(prob, best[2], best[3], total_iters, best[1], False)
+    return _build_solution(prob, best[2], total_iters, best[1], False)
 
 
 def homotopy_singularity_scan(T: np.ndarray, samples: int = 201):

@@ -9,7 +9,7 @@ matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,19 @@ SWAP_WAYPOINT_4 = np.array([
 ])
 
 
+def _initial_state(value, n: int) -> np.ndarray | None:
+    """The optional initial node values as a finite vector of length n."""
+    if value is None:
+        return None
+    try:
+        xi = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"initial_state is not numeric: {exc}") from exc
+    if xi.shape != (n,) or not np.all(np.isfinite(xi)):
+        raise ScenarioError(f"initial_state must hold {n} finite numbers, got shape {xi.shape}")
+    return xi
+
+
 @dataclass(frozen=True)
 class DensifyScenario:
     sparse_graph: Graph
@@ -46,6 +59,8 @@ class DensifyScenario:
             raise ScenarioError("sparse and dense graphs must share the vertex set")
         if not (is_connected(self.sparse_graph) and is_connected(self.dense_graph)):
             raise ScenarioError("both graphs must be connected")
+        object.__setattr__(self, "initial_state",
+                           _initial_state(self.initial_state, self.sparse_graph.n))
 
 
 @dataclass(frozen=True)
@@ -65,6 +80,8 @@ class SwapScenario:
             seen.update((a, b))
             if not (1 <= a <= self.graph.n and 1 <= b <= self.graph.n):
                 raise ScenarioError(f"swap pair ({a},{b}) out of range")
+        object.__setattr__(self, "initial_state",
+                           _initial_state(self.initial_state, self.graph.n))
 
 
 @dataclass
@@ -154,12 +171,12 @@ def run_densify(s: DensifyScenario, steps: int = 200, newton_tol: float = 1e-8,
     it is routed through matrix-power waypoints (see contraction_waypoints);
     the iteration budget default is sized for those segment solves.
     """
-    n = s.sparse_graph.n
-    xi = (default_initial_state(n, seed) if s.initial_state is None
-          else np.asarray(s.initial_state, dtype=float))
     T = densification_target(s.dense_graph, s.t0, s.tf)
     prob = BvpProblem(graph=s.sparse_graph, target=T, t0=s.t0, tf=s.tf, steps=steps,
                       newton_tol=newton_tol, max_iter=max_iter, restarts=restarts, seed=seed)
+    # drawn once BvpProblem has checked the seed
+    xi = (default_initial_state(s.sparse_graph.n, seed) if s.initial_state is None
+          else s.initial_state)
     sol = solve_with_waypoints(prob, contraction_waypoints(T))
 
     schedules = [seg.schedule for seg in sol.segments()]
@@ -195,8 +212,7 @@ def run_swap(s: SwapScenario, steps: int = 200, newton_tol: float = 1e-8,
     waypoints = [np.asarray(W, dtype=float) for W in s.waypoints]
     if not waypoints and n == 4 and set(map(tuple, map(sorted, s.pairs))) == {(1, 2), (3, 4)}:
         waypoints = [SWAP_WAYPOINT_4.copy()]
-    xi = (np.arange(1.0, n + 1.0) if s.initial_state is None
-          else np.asarray(s.initial_state, dtype=float))
+    xi = np.arange(1.0, n + 1.0) if s.initial_state is None else s.initial_state
     prob = BvpProblem(graph=s.graph, target=T, t0=s.t0, tf=s.tf, steps=steps,
                       newton_tol=newton_tol, max_iter=max_iter, restarts=restarts, seed=seed)
     sol = solve_with_waypoints(prob, waypoints)

@@ -22,7 +22,7 @@ CRITERION_TITLES = {
     6: "trajectory invariants on random schedules",
     7: "extremal conservation laws",
     8: "gradient and adjoint finite-difference checks",
-    9: "byte-identical output across worker counts",
+    9: "byte-identical output across runs",
 }
 
 

@@ -5,6 +5,7 @@ checked via capsys.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +77,21 @@ def test_check_dimension_mismatch_exit_one(tmp_path, capsys):
         "target": [[1.0]],
     })
     assert main(["check", "--config", cfg]) == 1
+
+
+def test_check_non_finite_target_exit_one(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "nan.json", {
+        "graph": {"nodes": 2, "edges": [[1, 2]]},
+        "target": [[1.0, float("nan")], [0.0, 1.0]],
+    })
+    assert main(["check", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite" in captured.err
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
 def test_unknown_command_exit_one(capsys):
@@ -151,6 +167,30 @@ def test_solve_with_config_waypoints(tmp_path):
     assert abs(X_seq[-1][0, 0] - 4.0) < 1e-7
 
 
+@pytest.mark.parametrize("fields", [
+    {"solver": {"steps": 0}}, {"solver": {"steps": "many"}}, {"solver": {"steps": 2.5}},
+    {"solver": {"max_iter": 0}}, {"solver": {"restarts": -1}}, {"solver": {"seed": -3}},
+    {"solver": {"newton_tol": 0}}, {"solver": {"newton_tol": "nan"}},
+    {"solver": {"newton_tol": None}}, {"t0": "zero"}, {"tf": "inf"}, {"tf": 0.0},
+])
+def test_solve_bad_solver_settings_exit_one(path3_cfg, tmp_path, capsys, fields):
+    cfg = json.loads(Path(path3_cfg).read_text())
+    cfg.update(fields)
+    path = _write_cfg(tmp_path, "bad.json", cfg)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys)
+
+
+def test_solve_non_finite_waypoint_exit_one(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "wp.json", {
+        "graph": {"nodes": 1, "edges": []},
+        "target": [[4.0]],
+        "waypoints": [[[float("inf")]]],
+    })
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "waypoints[0]" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -217,6 +257,17 @@ def test_simulate_bad_xi_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+def test_simulate_bad_steps_exit_one(tmp_path, capsys):
+    msk = nx.mask(nx.path_graph(2))
+    sched = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, msk)
+    from netxform.csvio import write_schedule_csv
+    spath = tmp_path / "s.csv"
+    write_schedule_csv(spath, [sched])
+    assert main(["simulate", "--schedule", str(spath), "--xi", "1,2", "--steps", "0",
+                 "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys)
+
+
 # ---------------------------------------------------------------------------
 # scenarios
 
@@ -258,6 +309,35 @@ def test_scenario_bad_kind_and_config(tmp_path, capsys):
     assert main(["scenario", "swap", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 1
     assert "disjoint" in capsys.readouterr().err
+
+
+DENSIFY3 = {"sparse_graph": {"nodes": 3, "edges": [[1, 2], [2, 3]]},
+            "dense_graph": {"nodes": 3, "edges": [[1, 2], [2, 3], [1, 3]]}}
+SWAP4 = {"graph": {"nodes": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]},
+         "pairs": [[1, 2], [3, 4]]}
+
+
+@pytest.mark.parametrize("kind, base, fields", [
+    ("densify", DENSIFY3, {"solver": {"steps": 0}}),
+    ("densify", DENSIFY3, {"tf": "inf"}),
+    ("densify", DENSIFY3, {"t0": 2.0}),
+    ("swap", SWAP4, {"solver": {"restarts": -1}}),
+    ("swap", SWAP4, {"solver": {"max_iter": "x"}}),
+])
+def test_scenario_bad_solver_settings_exit_one(tmp_path, capsys, kind, base, fields):
+    cfg = _write_cfg(tmp_path, "bad.json", {**base, **fields})
+    assert main(["scenario", kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("kind, base", [("densify", DENSIFY3), ("swap", SWAP4)])
+@pytest.mark.parametrize("state", [[1.0, 2.0], "abc", [None, 1.0, 2.0],
+                                   [float("nan"), 0.0, 0.0]])
+def test_scenario_bad_initial_state_exit_one(tmp_path, capsys, kind, base, state):
+    cfg = _write_cfg(tmp_path, "bad.json", {**base, "initial_state": state})
+    assert main(["scenario", kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "initial_state" in err
 
 
 def test_seed_override_changes_initial_state(tmp_path):

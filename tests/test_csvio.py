@@ -60,6 +60,23 @@ def test_schedule_bad_header_and_columns(tmp_path):
         read_schedule_csv(p)
 
 
+@pytest.mark.parametrize("text", [
+    "t\n0.0\n1.0\n",                       # no w_i_j column
+    "t,w_1_1,w_1_2\n0.0,1.0\n1.0,1.0,2.0\n",  # short row
+    "t,w_1_1\n0.0,1.0,5.0\n1.0,1.0\n",       # long row
+    "t,w_1_1\n0.0,abc\n1.0,1.0\n",           # non-numeric cell
+    "t,w_1_1\n0.0,nan\n1.0,1.0\n",           # non-finite cell
+    "t,w_0_1\n0.0,1.0\n1.0,1.0\n",           # 0 is not a 1-based index
+    "t,w_1_1\n0.0,1.0\n",                    # a one-point segment
+    "t,w_1_1\n",                             # no rows
+])
+def test_schedule_malformed_rows_raise_format_error(tmp_path, text):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(CsvFormatError):
+        read_schedule_csv(p)
+
+
 def test_missing_file_raises_format_error(tmp_path):
     with pytest.raises(CsvFormatError):
         read_schedule_csv(tmp_path / "nope.csv")

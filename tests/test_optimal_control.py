@@ -7,6 +7,7 @@ import netxform as nx
 from netxform.dynamics import integrate_transition, simulation_steps
 from netxform.graph import mask
 from netxform.optimal_control import (BvpProblem, OptimalControlError,
+                                      SettingsError, _shoot_batch,
                                       cost, extremal_rhs, hamiltonian,
                                       homotopy_singularity_scan, shoot,
                                       solve_bvp, solve_with_waypoints,
@@ -73,6 +74,27 @@ def test_extremal_rhs_matches_entrywise_forms():
     assert np.abs(dlam + W.T @ lam).max() < 1e-13
 
 
+def test_weights_and_rhs_on_stacks_match_per_matrix_calls_bitwise():
+    rng = np.random.default_rng(5)
+    msk = mask(nx.cycle_graph(5))
+    lam = rng.normal(size=(2, 7, 5, 5))
+    X = rng.normal(size=(2, 7, 5, 5))
+    W = weights_from_costate(lam, X, msk)
+    dX, dlam = extremal_rhs(X, lam, msk)
+    for idx in np.ndindex(2, 7):
+        assert np.array_equal(W[idx], weights_from_costate(lam[idx], X[idx], msk))
+        dX1, dlam1 = extremal_rhs(X[idx], lam[idx], msk)
+        assert np.array_equal(dX[idx], dX1) and np.array_equal(dlam[idx], dlam1)
+
+
+def test_weights_stack_shape_mismatch():
+    msk = mask(nx.path_graph(3))
+    with pytest.raises(OptimalControlError):
+        weights_from_costate(np.zeros((4, 3, 3)), np.zeros((3, 3, 3)), msk)
+    with pytest.raises(OptimalControlError):
+        weights_from_costate(np.zeros(3), np.zeros(3), msk)
+
+
 def test_hamiltonian_values():
     assert hamiltonian(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
     W = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -116,6 +138,23 @@ def test_shoot_reports_divergence():
     assert info["diverged"]
 
 
+def test_batch_shoot_matches_single_member_shoots_bitwise():
+    # what the finite-difference Jacobian relies on: a member's terminal state
+    # does not depend on the batch it is integrated in
+    prob = BvpProblem(graph=nx.cycle_graph(4), target=np.eye(4))
+    rng = np.random.default_rng(4)
+    lam0s = rng.uniform(-0.5, 0.5, (6, 4, 4))
+    lam0s[2] = 40.0  # diverges
+    X_tf, diverged, _ = _shoot_batch(prob, lam0s)
+    assert diverged.tolist() == [False, False, True, False, False, False]
+    for b in range(lam0s.shape[0]):
+        X1, d1, _ = _shoot_batch(prob, lam0s[b:b + 1])
+        assert d1[0] == diverged[b]
+        if not d1[0]:
+            assert np.array_equal(X1[0], X_tf[b])
+            assert np.array_equal(shoot(prob, lam0s[b])[0], X_tf[b])
+
+
 def test_shoot_rejects_wrong_shape():
     prob = BvpProblem(graph=nx.path_graph(2), target=np.eye(2))
     with pytest.raises(OptimalControlError):
@@ -154,6 +193,16 @@ def test_problem_rejects_infeasible_target():
 def test_problem_rejects_empty_horizon():
     with pytest.raises(OptimalControlError):
         BvpProblem(graph=nx.path_graph(2), target=np.eye(2), t0=1.0, tf=1.0)
+
+
+@pytest.mark.parametrize("setting", [
+    {"steps": 0}, {"max_iter": 0}, {"restarts": -1}, {"seed": -1},
+    {"newton_tol": 0.0}, {"newton_tol": -1e-8}, {"newton_tol": np.nan},
+    {"newton_tol": np.inf}, {"t0": np.nan}, {"tf": np.inf}, {"t0": -np.inf},
+])
+def test_problem_rejects_out_of_range_settings(setting):
+    with pytest.raises(SettingsError, match=next(iter(setting))):
+        BvpProblem(graph=nx.path_graph(2), target=np.eye(2), **setting)
 
 
 # ---------------------------------------------------------------------------
