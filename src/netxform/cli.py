@@ -8,9 +8,11 @@ Exit codes: 0 success, 1 usage or malformed input, 2 infeasible problem,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -78,18 +80,21 @@ def _number(value, name: str, kind=float):
     return kind(x)
 
 
-def _solver_params(cfg: dict, args, max_iter_default: int = 50) -> dict:
+# Solver settings a config may set; BvpProblem holds their defaults and ranges.
+_SOLVER_FIELDS = {"steps": int, "newton_tol": float, "max_iter": int, "restarts": int,
+                  "seed": int}
+
+
+def _solver_params(cfg: dict, args) -> dict:
+    """The solver settings the config's `solver` object or the flags set."""
     solver = cfg.get("solver", {})
     if not isinstance(solver, dict):
         raise ConfigError("field 'solver' must be an object")
-    defaults = {"steps": (200, int), "newton_tol": (1e-8, float),
-                "max_iter": (max_iter_default, int), "restarts": (8, int), "seed": (0, int)}
-    params = {key: _number(solver.get(key, default), f"solver.{key}", kind)
-              for key, (default, kind) in defaults.items()}
-    if getattr(args, "seed", None) is not None:
-        params["seed"] = args.seed
-    if getattr(args, "steps", None) is not None:
-        params["steps"] = args.steps
+    params = {key: _number(solver[key], f"solver.{key}", kind)
+              for key, kind in _SOLVER_FIELDS.items() if key in solver}
+    for key in ("seed", "steps"):
+        if getattr(args, key, None) is not None:
+            params[key] = getattr(args, key)
     return params
 
 
@@ -111,27 +116,13 @@ def _parse_problem(cfg: dict, args):
 def write_solution_bundle(sol, outdir: Path) -> None:
     """Emit schedule.csv / transition.csv / costate.csv / solution.json."""
     outdir.mkdir(parents=True, exist_ok=True)
-    segs = sol.segments()
-    csvio.write_schedule_csv(outdir / "schedule.csv", [s.schedule for s in segs])
-
-    n = segs[0].X_seq.shape[1]
-    B = np.eye(n)
-    grids, mats = [], []
-    cost_grids, cost_mats = [], []
-    for idx, s in enumerate(segs):
-        Xg = s.X_seq @ B
-        B = s.X_seq[-1] @ B
-        g = s.grid
-        if idx:
-            g, Xg = g[1:], Xg[1:]
-        grids.append(g)
-        mats.append(Xg)
-        cost_grids.append(s.grid)
-        cost_mats.append(s.lambda_seq)
-    csvio.write_matrix_trajectory_csv(outdir / "transition.csv",
-                                      np.concatenate(grids), np.concatenate(mats), prefix="X")
+    arcs = sol.segments()
+    csvio.write_schedule_csv(outdir / "schedule.csv", [a.schedule for a in arcs])
+    csvio.write_matrix_trajectory_csv(outdir / "transition.csv", *sol.transition(), prefix="X")
+    # the costate jumps at a join, so both of a join's rows are kept
     csvio.write_matrix_trajectory_csv(outdir / "costate.csv",
-                                      np.concatenate(cost_grids), np.concatenate(cost_mats),
+                                      np.concatenate([a.grid for a in arcs]),
+                                      np.concatenate([a.lambda_seq for a in arcs]),
                                       prefix="lambda")
     with open(outdir / "solution.json", "w") as fh:
         json.dump(sol.to_json_dict(), fh, sort_keys=True, indent=2)
@@ -170,20 +161,20 @@ def cmd_solve(args) -> int:
 
 
 def _parse_xi(args, n: int) -> np.ndarray:
-    if args.xi is not None:
-        try:
-            xi = np.array([float(v) for v in args.xi.split(",")])
-        except ValueError as exc:
-            raise ConfigError(f"bad --xi value: {exc}") from exc
-    elif args.xi_file is not None:
-        try:
-            xi = np.loadtxt(args.xi_file, delimiter=",", ndmin=1)
-        except OSError as exc:
-            raise ConfigError(f"cannot read --xi-file: {exc}") from exc
-    else:
+    """The initial state from --xi (comma-separated) or, failing that, --xi-file."""
+    if args.xi is None and args.xi_file is None:
         raise ConfigError("simulate needs --xi or --xi-file")
+    source = io.StringIO(args.xi) if args.xi is not None else args.xi_file
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the shape check below reports an empty input
+            xi = np.loadtxt(source, delimiter=",", ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read the initial state: {exc}") from exc
     if xi.shape != (n,):
         raise ConfigError(f"initial state has {xi.size} entries, schedule expects {n}")
+    if not np.all(np.isfinite(xi)):
+        raise ConfigError("initial state has non-finite entries")
     return xi
 
 
@@ -221,8 +212,7 @@ def cmd_scenario(args) -> int:
                 initial_state=cfg.get("initial_state"))
         except (GraphError, ScenarioError) as exc:
             raise ConfigError(str(exc)) from exc
-        # waypoint segment solves need a larger budget than the direct default
-        report = run_densify(scen, **_solver_params(cfg, args, max_iter_default=300))
+        report = run_densify(scen, **_solver_params(cfg, args))
         csvio.write_columns_csv(outdir / "errors.csv",
                                 ["t", "err_sparse", "err_dense", "err_synth"],
                                 [report.grid, report.err_sparse,
@@ -231,7 +221,7 @@ def cmd_scenario(args) -> int:
         try:
             scen = SwapScenario(
                 graph=graph_from_json_dict(_require(cfg, "graph")),
-                pairs=tuple(tuple(int(v) for v in p) for p in _require(cfg, "pairs")),
+                pairs=_require(cfg, "pairs"),
                 waypoints=tuple(_matrix(W, f"waypoints[{k}]")
                                 for k, W in enumerate(cfg.get("waypoints", []))),
                 initial_state=cfg.get("initial_state"),

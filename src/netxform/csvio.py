@@ -22,44 +22,65 @@ class CsvFormatError(ValueError):
     """Header or row does not match the expected layout."""
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_table(path, header, table) -> None:
+    """Write a header row, then one row of numbers per row of the 2-D table."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(map(repr, row) for row in np.asarray(table, dtype=float).tolist())
 
 
-def _read_rows(path) -> list:
+def _read_table(path, what: str):
+    """Parse a table written by _write_table; returns (header, (rows, cols) array).
+
+    The header must start with a `t` column, every non-blank row must hold
+    one finite number per header column, and there must be at least one row.
+    """
     try:
         with open(path, newline="") as fh:
-            return list(csv.reader(fh))
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc
+    if not rows or rows[0][:1] != ["t"]:
+        raise CsvFormatError(f"{path}: expected a {what} header starting with 't'")
+    header = rows[0]
+    data = []
+    for line, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise CsvFormatError(f"{path}:{line}: {len(row)} cells, header has {len(header)}")
+        try:
+            vals = [float(v) for v in row]
+        except ValueError as exc:
+            raise CsvFormatError(f"{path}:{line}: {exc}") from exc
+        if not all(map(math.isfinite, vals)):
+            raise CsvFormatError(f"{path}:{line}: non-finite value")
+        data.append(vals)
+    if not data:
+        raise CsvFormatError(f"{path}: no {what} rows")
+    return header, np.array(data)
 
 
 def write_schedule_csv(path, schedules) -> None:
     """Write one or more schedule segments; header lists mask-true entries
     (row-major); off-pattern entries are never serialized."""
     schedules = list(schedules)
-    pairs = schedules[0].mask.index_pairs()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"w_{i}_{j}" for (i, j) in pairs])
-        for sched in schedules:
-            for k, t in enumerate(sched.grid):
-                row = [_fmt(t)] + [_fmt(sched.W_seq[k, i - 1, j - 1]) for (i, j) in pairs]
-                w.writerow(row)
+    msk = schedules[0].mask
+    _write_table(path, ["t"] + [f"w_{i}_{j}" for (i, j) in msk.index_pairs()],
+                 np.concatenate([np.column_stack([s.grid, s.W_seq[:, msk.entries]])
+                                 for s in schedules]))
 
 
 def read_schedule_csv(path) -> list:
     """Parse a schedule file back into its segments.
 
     The sparsity mask is reconstructed from the header; a non-increasing time
-    step between consecutive rows starts a new segment. Every row must hold
-    one finite number per header column.
+    step between consecutive rows starts a new segment.
     """
-    rows = _read_rows(path)
-    if not rows or rows[0][:1] != ["t"]:
-        raise CsvFormatError(f"{path}: expected a 't,w_i_j,...' header")
+    header, data = _read_table(path, "schedule")
     pairs = []
-    for name in rows[0][1:]:
+    for name in header[1:]:
         m = re.fullmatch(r"w_([1-9][0-9]*)_([1-9][0-9]*)", name)
         if m is None:
             raise CsvFormatError(f"{path}: bad schedule column {name!r}")
@@ -73,36 +94,13 @@ def read_schedule_csv(path) -> list:
     msk = SparsityMask(entries=entries)
 
     segments = []
-    times, mats = [], []
-
-    def flush():
+    for block in np.split(data, np.flatnonzero(np.diff(data[:, 0]) <= 0) + 1):
+        W_seq = np.zeros((len(block), n, n))
+        W_seq[:, idx[0], idx[1]] = block[:, 1:]
         try:
-            segments.append(WeightSchedule(grid=np.array(times), W_seq=np.array(mats), mask=msk))
+            segments.append(WeightSchedule(grid=block[:, 0].copy(), W_seq=W_seq, mask=msk))
         except DynamicsError as exc:
             raise CsvFormatError(f"{path}: {exc}") from exc
-        times.clear()
-        mats.clear()
-
-    for line, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(rows[0]):
-            raise CsvFormatError(f"{path}:{line}: {len(row)} cells, header has {len(rows[0])}")
-        try:
-            vals = [float(v) for v in row]
-        except ValueError as exc:
-            raise CsvFormatError(f"{path}:{line}: {exc}") from exc
-        if not all(map(math.isfinite, vals)):
-            raise CsvFormatError(f"{path}:{line}: non-finite value")
-        if times and vals[0] <= times[-1]:
-            flush()
-        W = np.zeros((n, n))
-        W[idx] = vals[1:]
-        times.append(vals[0])
-        mats.append(W)
-    if not times:
-        raise CsvFormatError(f"{path}: no schedule rows")
-    flush()
     return segments
 
 
@@ -110,57 +108,34 @@ def write_matrix_trajectory_csv(path, grid, M_seq, prefix: str = "X") -> None:
     """Write a gridded matrix trajectory: header t,<prefix>_1_1,...,row-major."""
     M_seq = np.asarray(M_seq)
     n = M_seq.shape[1]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"{prefix}_{i}_{j}" for i in range(1, n + 1)
-                            for j in range(1, n + 1)])
-        for k, t in enumerate(grid):
-            w.writerow([_fmt(t)] + [_fmt(v) for v in M_seq[k].ravel()])
+    _write_table(path, ["t"] + [f"{prefix}_{i}_{j}" for i in range(1, n + 1)
+                                for j in range(1, n + 1)],
+                 np.column_stack([grid, M_seq.reshape(len(M_seq), n * n)]))
 
 
 def read_matrix_trajectory_csv(path):
     """Inverse of write_matrix_trajectory_csv; returns (grid, M_seq)."""
-    rows = _read_rows(path)
-    if not rows or rows[0][0] != "t":
-        raise CsvFormatError(f"{path}: expected a matrix trajectory header")
-    ncols = len(rows[0]) - 1
+    header, data = _read_table(path, "matrix trajectory")
+    ncols = len(header) - 1
     n = int(round(ncols ** 0.5))
-    if n * n != ncols:
-        raise CsvFormatError(f"{path}: {ncols} value columns is not a square count")
-    grid, mats = [], []
-    for row in rows[1:]:
-        if not row:
-            continue
-        grid.append(float(row[0]))
-        mats.append(np.array([float(v) for v in row[1:]]).reshape(n, n))
-    return np.array(grid), np.array(mats)
+    if n == 0 or n * n != ncols:
+        raise CsvFormatError(f"{path}: {ncols} value columns is not a positive square count")
+    return data[:, 0], data[:, 1:].reshape(-1, n, n)
 
 
 def write_vector_trajectory_csv(path, grid, xs, prefix: str = "x") -> None:
     """Node-state trajectory: header t,x_1,...,x_n."""
     xs = np.asarray(xs)
-    n = xs.shape[1]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"{prefix}_{i}" for i in range(1, n + 1)])
-        for k, t in enumerate(grid):
-            w.writerow([_fmt(t)] + [_fmt(v) for v in xs[k]])
+    _write_table(path, ["t"] + [f"{prefix}_{i}" for i in range(1, xs.shape[1] + 1)],
+                 np.column_stack([grid, xs]))
 
 
 def read_vector_trajectory_csv(path):
-    rows = _read_rows(path)
-    if not rows or rows[0][0] != "t":
-        raise CsvFormatError(f"{path}: expected a vector trajectory header")
-    grid = [float(r[0]) for r in rows[1:] if r]
-    xs = [[float(v) for v in r[1:]] for r in rows[1:] if r]
-    return np.array(grid), np.array(xs)
+    """Inverse of write_vector_trajectory_csv; returns (grid, xs)."""
+    _, data = _read_table(path, "vector trajectory")
+    return data[:, 0], data[:, 1:]
 
 
 def write_columns_csv(path, header, columns) -> None:
     """Generic aligned-column CSV (used for the scenario error curves)."""
-    columns = [np.asarray(c) for c in columns]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k in range(columns[0].size):
-            w.writerow([_fmt(c[k]) for c in columns])
+    _write_table(path, header, np.column_stack(columns))

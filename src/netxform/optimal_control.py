@@ -10,7 +10,7 @@ condition lambda0 until the terminal transition matrix hits the target.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,8 +60,22 @@ class BvpProblem:
             raise OptimalControlError(f"infeasible problem: {report.reason}")
 
 
+def _summary(sol) -> dict:
+    """The six aggregate solution.json keys of an arc or a whole solution."""
+    return {
+        "converged": sol.converged,
+        "residual": sol.residual_norm,
+        "cost": sol.cost,
+        "iterations": sol.iterations,
+        "restart_used": sol.restart_used,
+        "lambda0": [[float(v) for v in row] for row in sol.lambda0],
+    }
+
+
 @dataclass
 class ExtremalSolution:
+    """One extremal arc: the result of a single shooting solve from X = I."""
+
     lambda0: np.ndarray
     grid: np.ndarray
     X_seq: np.ndarray
@@ -77,52 +91,70 @@ class ExtremalSolution:
     def final(self) -> np.ndarray:
         return self.X_seq[-1]
 
-    def segments(self) -> list:
-        return [self]
-
     def to_json_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "residual": self.residual_norm,
-            "cost": self.cost,
-            "iterations": self.iterations,
-            "restart_used": self.restart_used,
-            "lambda0": [[float(v) for v in row] for row in self.lambda0],
-        }
+        return _summary(self)
 
 
 @dataclass
-class WaypointSolution:
-    """Sequence of segment extremals whose composed transition hits the target."""
+class Solution:
+    """A schedule on [t0, tf] as consecutive extremal arcs.
 
-    segment_solutions: list
-    composed_final: np.ndarray
-    residual_norm: float
-    cost: float
-    converged: bool
-    iterations: int
+    Every arc is solved from the identity, so the transition on arc k is the
+    arc's own X(t) times the composed transition at the arc's start. A solve
+    without waypoints has one arc.
+    """
+
+    arcs: list
+    target: np.ndarray
 
     def segments(self) -> list:
-        return self.segment_solutions
+        return self.arcs
+
+    def transition(self):
+        """The composed (grid, X) over all arcs; each join's time appears once."""
+        B = np.eye(self.target.shape[0])
+        grids, mats = [], []
+        for k, arc in enumerate(self.arcs):
+            Xg = arc.X_seq @ B
+            B = arc.final @ B
+            grids.append(arc.grid[1:] if k else arc.grid)
+            mats.append(Xg[1:] if k else Xg)
+        return np.concatenate(grids), np.concatenate(mats)
 
     @property
-    def lambda0(self) -> np.ndarray:
-        return self.segment_solutions[0].lambda0
+    def final(self) -> np.ndarray:
+        return self.transition()[1][-1]
+
+    @property
+    def residual_norm(self) -> float:
+        return float(np.linalg.norm(self.final - self.target))
+
+    @property
+    def cost(self) -> float:
+        return float(sum(arc.cost for arc in self.arcs))
+
+    @property
+    def converged(self) -> bool:
+        return all(arc.converged for arc in self.arcs)
+
+    @property
+    def iterations(self) -> int:
+        return sum(arc.iterations for arc in self.arcs)
 
     @property
     def restart_used(self) -> int:
-        return max(s.restart_used for s in self.segment_solutions)
+        return max(arc.restart_used for arc in self.arcs)
+
+    @property
+    def lambda0(self) -> np.ndarray:
+        return self.arcs[0].lambda0
 
     def to_json_dict(self) -> dict:
-        d = {
-            "converged": self.converged,
-            "residual": self.residual_norm,
-            "cost": self.cost,
-            "iterations": self.iterations,
-            "restart_used": self.restart_used,
-            "lambda0": [[float(v) for v in row] for row in self.lambda0],
-            "segments": [s.to_json_dict() for s in self.segment_solutions],
-        }
+        """The six aggregate keys, plus the per-arc records when there is
+        more than one arc; a one-arc solution reads as its arc."""
+        d = _summary(self)
+        if len(self.arcs) > 1:
+            d["segments"] = [arc.to_json_dict() for arc in self.arcs]
         return d
 
 
@@ -358,45 +390,32 @@ def homotopy_singularity_scan(T: np.ndarray, samples: int = 201):
     return float(best_val), best_s
 
 
-def solve_with_waypoints(prob: BvpProblem, waypoints) -> ExtremalSolution | WaypointSolution:
-    """Sequential shooting through intermediate target matrices.
+def solve_with_waypoints(prob: BvpProblem, waypoints) -> Solution:
+    """Sequential shooting through intermediate target matrices; with no
+    waypoints this is one shooting solve over the whole horizon.
 
-    Segment k is reformulated from the identity with target B_k B_{k-1}^{-1}
+    Arc k is reformulated from the identity with target B_k B_{k-1}^{-1}
     (B_0 = I, B_last = T); the composed transition telescopes to T and each
-    segment starts well-conditioned near the identity. Waypoints split
-    [t0, tf] into equal sub-intervals; the dynamics are autonomous, so each
-    segment's converged costate is a natural warm start for the next one.
+    arc starts well-conditioned near the identity. Waypoints split [t0, tf]
+    into equal sub-intervals; the dynamics are autonomous, so each arc's
+    converged costate is a natural warm start for the next one.
     """
     waypoints = [np.asarray(W, dtype=float) for W in waypoints]
-    if not waypoints:
-        return solve_bvp(prob)
-    boundaries = waypoints + [prob.target]
-    for k, B in enumerate(boundaries):
+    for k, B in enumerate(waypoints):
         rep = check_feasible(prob.graph, B)
         if not rep.feasible:
             raise OptimalControlError(f"waypoint {k + 1} infeasible: {rep.reason}")
+    boundaries = waypoints + [prob.target]
     times = np.linspace(prob.t0, prob.tf, len(boundaries) + 1)
     prev = np.eye(prob.graph.n)
-    seg_solutions = []
-    composed = np.eye(prob.graph.n)
+    arcs = []
     warm = None
     for k, B in enumerate(boundaries):
-        seg_target = solve_linear(prev.T, B.T).T  # B prev^{-1}
-        seg_prob = BvpProblem(
-            graph=prob.graph, target=seg_target,
-            t0=float(times[k]), tf=float(times[k + 1]),
-            steps=prob.steps, newton_tol=prob.newton_tol, max_iter=prob.max_iter,
-            restarts=prob.restarts, seed=prob.seed + 1000 * k)
-        sol = solve_bvp(seg_prob, initial_guess=warm)
-        seg_solutions.append(sol)
-        composed = sol.final @ composed
+        arc_prob = replace(prob, target=solve_linear(prev.T, B.T).T,  # B prev^{-1}
+                           t0=float(times[k]), tf=float(times[k + 1]),
+                           seed=prob.seed + 1000 * k)
+        arc = solve_bvp(arc_prob, initial_guess=warm)
+        arcs.append(arc)
         prev = B
-        warm = sol.lambda0 if sol.converged else None
-    residual = float(np.linalg.norm(composed - prob.target))
-    return WaypointSolution(
-        segment_solutions=seg_solutions,
-        composed_final=composed,
-        residual_norm=residual,
-        cost=float(sum(s.cost for s in seg_solutions)),
-        converged=all(s.converged for s in seg_solutions),
-        iterations=sum(s.iterations for s in seg_solutions))
+        warm = arc.lambda0 if arc.converged else None
+    return Solution(arcs=arcs, target=prob.target)

@@ -46,6 +46,19 @@ def _initial_state(value, n: int) -> np.ndarray | None:
     return xi
 
 
+def _swap_pairs(value) -> tuple:
+    """The swap pairs as a tuple of (a, b) pairs of whole node numbers."""
+    try:
+        P = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"swap pairs are not numeric: {exc}") from exc
+    if P.size == 0:
+        return ()
+    if P.ndim != 2 or P.shape[1] != 2 or not np.all(np.isfinite(P) & (P == np.round(P))):
+        raise ScenarioError(f"swap pairs must be a list of [a, b] node numbers, got {value!r}")
+    return tuple((int(a), int(b)) for a, b in P)
+
+
 @dataclass(frozen=True)
 class DensifyScenario:
     sparse_graph: Graph
@@ -73,6 +86,7 @@ class SwapScenario:
     tf: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "pairs", _swap_pairs(self.pairs))
         seen = set()
         for (a, b) in self.pairs:
             if a == b or a in seen or b in seen:
@@ -162,20 +176,20 @@ def default_initial_state(n: int, seed: int) -> np.ndarray:
     return xi - xi.mean()
 
 
-def run_densify(s: DensifyScenario, steps: int = 200, newton_tol: float = 1e-8,
-                max_iter: int = 300, restarts: int = 8, seed: int = 0) -> DensifyReport:
+def run_densify(s: DensifyScenario, max_iter: int = 300, **settings) -> DensifyReport:
     """Solve the densification BVP and compare three agreement-error curves:
     plain sparse consensus, plain dense consensus, and the synthesized run.
 
     A dense target contracts by e^-tr(L_d)dt, so for more than a few nodes
     it is routed through matrix-power waypoints (see contraction_waypoints);
-    the iteration budget default is sized for those segment solves.
+    the iteration budget default is sized for those segment solves. The
+    other solver settings default to BvpProblem's.
     """
     T = densification_target(s.dense_graph, s.t0, s.tf)
-    prob = BvpProblem(graph=s.sparse_graph, target=T, t0=s.t0, tf=s.tf, steps=steps,
-                      newton_tol=newton_tol, max_iter=max_iter, restarts=restarts, seed=seed)
+    prob = BvpProblem(graph=s.sparse_graph, target=T, t0=s.t0, tf=s.tf,
+                      max_iter=max_iter, **settings)
     # drawn once BvpProblem has checked the seed
-    xi = (default_initial_state(s.sparse_graph.n, seed) if s.initial_state is None
+    xi = (default_initial_state(s.sparse_graph.n, prob.seed) if s.initial_state is None
           else s.initial_state)
     sol = solve_with_waypoints(prob, contraction_waypoints(T))
 
@@ -203,18 +217,17 @@ def run_densify(s: DensifyScenario, steps: int = 200, newton_tol: float = 1e-8,
         solution=sol)
 
 
-def run_swap(s: SwapScenario, steps: int = 200, newton_tol: float = 1e-8,
-             max_iter: int = 50, restarts: int = 8, seed: int = 0) -> SwapReport:
+def run_swap(s: SwapScenario, **settings) -> SwapReport:
     """Build the swap permutation, solve through the waypoints, and execute
-    the schedule on the initial node values."""
+    the schedule on the initial node values. The solver settings default to
+    BvpProblem's."""
     n = s.graph.n
     T = swap_target(n, s.pairs)
     waypoints = [np.asarray(W, dtype=float) for W in s.waypoints]
     if not waypoints and n == 4 and set(map(tuple, map(sorted, s.pairs))) == {(1, 2), (3, 4)}:
         waypoints = [SWAP_WAYPOINT_4.copy()]
     xi = np.arange(1.0, n + 1.0) if s.initial_state is None else s.initial_state
-    prob = BvpProblem(graph=s.graph, target=T, t0=s.t0, tf=s.tf, steps=steps,
-                      newton_tol=newton_tol, max_iter=max_iter, restarts=restarts, seed=seed)
+    prob = BvpProblem(graph=s.graph, target=T, t0=s.t0, tf=s.tf, **settings)
     sol = solve_with_waypoints(prob, waypoints)
     schedules = [seg.schedule for seg in sol.segments()]
     grid, xs = propagate_state_through(schedules, xi, simulation_steps(schedules[0]))

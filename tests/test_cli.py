@@ -115,6 +115,10 @@ def test_solve_scalar_bundle(scalar_cfg, tmp_path, capsys):
     grid, X_seq = read_matrix_trajectory_csv(out / "transition.csv")
     assert abs(X_seq[-1][0, 0] - 2.0) < 1e-8
     assert (out / "costate.csv").exists()
+    # a one-arc bundle's solution.json is its arc's record, with no segments
+    prob = nx.BvpProblem(graph=nx.build_graph(1, []), target=np.array([[2.0]]))
+    assert "segments" not in sol
+    assert sol == nx.solve_bvp(prob).to_json_dict()
 
 
 def test_solve_identity_target_zero_schedule(tmp_path):
@@ -165,6 +169,10 @@ def test_solve_with_config_waypoints(tmp_path):
     grid, X_seq = read_matrix_trajectory_csv(out / "transition.csv")
     assert np.all(np.diff(grid) > 0)
     assert abs(X_seq[-1][0, 0] - 4.0) < 1e-7
+    # the costate jumps at the join, so costate.csv keeps both of its rows
+    cgrid, _ = read_matrix_trajectory_csv(out / "costate.csv")
+    assert cgrid.size == grid.size + 1
+    assert np.count_nonzero(cgrid == 0.5) == 2
 
 
 @pytest.mark.parametrize("fields", [
@@ -257,6 +265,26 @@ def test_simulate_bad_xi_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--xi-file", "1,abc"),  # non-numeric cell
+    ("--xi-file", "inf,1"),  # non-finite entry
+    ("--xi-file", ""),       # no entries
+    ("--xi", "1,nan"),       # non-finite entry
+])
+def test_simulate_bad_xi_values_exit_one(tmp_path, capsys, flag, value):
+    msk = nx.mask(nx.path_graph(2))
+    sched = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, msk)
+    from netxform.csvio import write_schedule_csv
+    spath = tmp_path / "s.csv"
+    write_schedule_csv(spath, [sched])
+    if flag == "--xi-file":
+        (tmp_path / "xi.csv").write_text(value + "\n")
+        value = str(tmp_path / "xi.csv")
+    assert main(["simulate", "--schedule", str(spath), flag, value,
+                 "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys)
+
+
 def test_simulate_bad_steps_exit_one(tmp_path, capsys):
     msk = nx.mask(nx.path_graph(2))
     sched = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, msk)
@@ -327,6 +355,13 @@ SWAP4 = {"graph": {"nodes": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]},
 def test_scenario_bad_solver_settings_exit_one(tmp_path, capsys, kind, base, fields):
     cfg = _write_cfg(tmp_path, "bad.json", {**base, **fields})
     assert main(["scenario", kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("pairs", [[["a", 2]], [[1, 2, 3]], 5])
+def test_scenario_bad_swap_pairs_exit_one(tmp_path, capsys, pairs):
+    cfg = _write_cfg(tmp_path, "bad.json", {**SWAP4, "pairs": pairs})
+    assert main(["scenario", "swap", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     _assert_one_error_line(capsys)
 
 

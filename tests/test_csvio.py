@@ -60,21 +60,35 @@ def test_schedule_bad_header_and_columns(tmp_path):
         read_schedule_csv(p)
 
 
-@pytest.mark.parametrize("text", [
-    "t\n0.0\n1.0\n",                       # no w_i_j column
-    "t,w_1_1,w_1_2\n0.0,1.0\n1.0,1.0,2.0\n",  # short row
-    "t,w_1_1\n0.0,1.0,5.0\n1.0,1.0\n",       # long row
-    "t,w_1_1\n0.0,abc\n1.0,1.0\n",           # non-numeric cell
-    "t,w_1_1\n0.0,nan\n1.0,1.0\n",           # non-finite cell
-    "t,w_0_1\n0.0,1.0\n1.0,1.0\n",           # 0 is not a 1-based index
-    "t,w_1_1\n0.0,1.0\n",                    # a one-point segment
-    "t,w_1_1\n",                             # no rows
-])
-def test_schedule_malformed_rows_raise_format_error(tmp_path, text):
+MALFORMED = [
+    (read_schedule_csv, "t\n0.0\n1.0\n"),                        # no w_i_j column
+    (read_schedule_csv, "t,w_1_1,w_1_2\n0.0,1.0\n1.0,1.0,2.0\n"),  # short row
+    (read_schedule_csv, "t,w_1_1\n0.0,1.0,5.0\n1.0,1.0\n"),       # long row
+    (read_schedule_csv, "t,w_1_1\n0.0,abc\n1.0,1.0\n"),           # non-numeric cell
+    (read_schedule_csv, "t,w_1_1\n0.0,nan\n1.0,1.0\n"),           # non-finite cell
+    (read_schedule_csv, "t,w_0_1\n0.0,1.0\n1.0,1.0\n"),           # 0 is not a 1-based index
+    (read_schedule_csv, "t,w_1_1\n0.0,1.0\n"),                    # a one-point segment
+    (read_schedule_csv, "t,w_1_1\n"),                             # no rows
+    (read_matrix_trajectory_csv, "t,X_1_1\n0.0\n1.0,1.0\n"),      # short row
+    (read_matrix_trajectory_csv, "t,X_1_1\n0.0,1.0,5.0\n"),       # long row
+    (read_matrix_trajectory_csv, "t,X_1_1\n0.0,abc\n"),           # non-numeric cell
+    (read_matrix_trajectory_csv, "t,X_1_1\n0.0,inf\n"),           # non-finite cell
+    (read_matrix_trajectory_csv, "t,X_1_1\n"),                    # no rows
+    (read_matrix_trajectory_csv, "t\n0.0\n"),                     # no value columns
+    (read_vector_trajectory_csv, "t,x_1,x_2\n0.0,1.0\n"),         # short row
+    (read_vector_trajectory_csv, "t,x_1\n0.0,1.0,2.0\n"),         # long row
+    (read_vector_trajectory_csv, "t,x_1\n0.0,1.0\n1.0,abc\n"),    # non-numeric cell
+    (read_vector_trajectory_csv, "t,x_1\nnan,1.0\n"),             # non-finite cell
+    (read_vector_trajectory_csv, "t,x_1\n"),                      # no rows
+]
+
+
+@pytest.mark.parametrize("reader, text", [pytest.param(r, t, id=t) for r, t in MALFORMED])
+def test_schedule_malformed_rows_raise_format_error(tmp_path, reader, text):
     p = tmp_path / "bad.csv"
     p.write_text(text)
     with pytest.raises(CsvFormatError):
-        read_schedule_csv(p)
+        reader(p)
 
 
 def test_missing_file_raises_format_error(tmp_path):

@@ -281,7 +281,8 @@ def test_solve_in_process_thread_determinism(monkeypatch):
 def test_waypoints_empty_list_is_plain_solve():
     prob = BvpProblem(graph=nx.build_graph(1, []), target=np.array([[2.0]]))
     sol = solve_with_waypoints(prob, [])
-    assert sol.segments() == [sol]
+    assert len(sol.segments()) == 1
+    assert sol.to_json_dict() == solve_bvp(prob).to_json_dict()
     assert abs(sol.lambda0[0, 0] + np.log(2.0)) < 1e-6
 
 
@@ -304,7 +305,7 @@ def test_waypoints_compose_to_the_target():
     sol = solve_with_waypoints(prob, [mid])
     assert sol.converged
     assert sol.residual_norm < prob.newton_tol
-    assert np.linalg.norm(sol.composed_final - T) == sol.residual_norm
+    assert np.linalg.norm(sol.final - T) == sol.residual_norm
     assert abs(sol.cost - sum(s.cost for s in sol.segments())) < 1e-15
 
 
