@@ -21,8 +21,9 @@ from . import csvio
 from .dynamics import DynamicsError, propagate_state_through, simulation_steps
 from .graph import GraphError, graph_from_json_dict, mask
 from .lie_algebra import check_feasible
-from .optimal_control import (BvpProblem, OptimalControlError, SettingsError,
-                              homotopy_singularity_scan, solve_with_waypoints)
+from .optimal_control import (BvpProblem, InfeasibleError, OptimalControlError,
+                              SettingsError, homotopy_singularity_scan,
+                              solve_with_waypoints)
 from .scenarios import (DensifyScenario, ScenarioError, SwapScenario,
                         run_densify, run_swap)
 
@@ -55,13 +56,15 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _matrix(value, name: str) -> np.ndarray:
+def _matrix(value, name: str, n: int) -> np.ndarray:
+    """A finite n-by-n matrix, for a graph of n nodes."""
     try:
         M = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field {name!r} is not a numeric matrix: {exc}") from exc
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ConfigError(f"field {name!r} must be a square row-major matrix")
+    if M.shape != (n, n):
+        raise ConfigError(f"field {name!r} must be a {n}x{n} row-major matrix "
+                          f"for a graph of {n} nodes, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ConfigError(f"field {name!r} has non-finite entries")
     return M
@@ -85,32 +88,31 @@ _SOLVER_FIELDS = {"steps": int, "newton_tol": float, "max_iter": int, "restarts"
                   "seed": int}
 
 
-def _solver_params(cfg: dict, args) -> dict:
-    """The solver settings the config's `solver` object or the flags set."""
+def _settings(cfg: dict, args) -> dict:
+    """The horizon and solver settings the config or the flags set."""
     solver = cfg.get("solver", {})
     if not isinstance(solver, dict):
         raise ConfigError("field 'solver' must be an object")
-    params = {key: _number(solver[key], f"solver.{key}", kind)
-              for key, kind in _SOLVER_FIELDS.items() if key in solver}
+    settings = {key: _number(cfg[key], key) for key in ("t0", "tf") if key in cfg}
+    settings.update((key, _number(solver[key], f"solver.{key}", kind))
+                    for key, kind in _SOLVER_FIELDS.items() if key in solver)
     for key in ("seed", "steps"):
         if getattr(args, key, None) is not None:
-            params[key] = getattr(args, key)
-    return params
+            settings[key] = getattr(args, key)
+    return settings
+
+
+def _waypoints(cfg: dict, n: int) -> list:
+    waypoints = cfg.get("waypoints", [])
+    if not isinstance(waypoints, list):
+        raise ConfigError("field 'waypoints' must be a list of matrices")
+    return [_matrix(W, f"waypoints[{k}]", n) for k, W in enumerate(waypoints)]
 
 
 def _parse_problem(cfg: dict, args):
-    try:
-        g = graph_from_json_dict(_require(cfg, "graph"))
-    except GraphError as exc:
-        raise ConfigError(str(exc)) from exc
-    target = _matrix(_require(cfg, "target"), "target")
-    if target.shape[0] != g.n:
-        raise ConfigError(f"target is {target.shape[0]}x{target.shape[1]} "
-                          f"but the graph has {g.n} nodes")
-    t0 = _number(cfg.get("t0", 0.0), "t0")
-    tf = _number(cfg.get("tf", 1.0), "tf")
-    waypoints = [_matrix(W, f"waypoints[{k}]") for k, W in enumerate(cfg.get("waypoints", []))]
-    return g, target, t0, tf, waypoints, _solver_params(cfg, args)
+    g = graph_from_json_dict(_require(cfg, "graph"))
+    target = _matrix(_require(cfg, "target"), "target", g.n)
+    return g, target, _waypoints(cfg, g.n), _settings(cfg, args)
 
 
 def write_solution_bundle(sol, outdir: Path) -> None:
@@ -129,9 +131,19 @@ def write_solution_bundle(sol, outdir: Path) -> None:
         fh.write("\n")
 
 
+def _finish(sol, out) -> int:
+    """Write the bundle to `out`; a solve that did not converge exits 3."""
+    write_solution_bundle(sol, Path(out))
+    if sol.converged:
+        return EXIT_OK
+    print(f"solver did not converge (residual {sol.residual_norm:.3e}); "
+          f"diagnostics written to {out}", file=sys.stderr)
+    return EXIT_NOT_CONVERGED
+
+
 def cmd_check(args) -> int:
     cfg = _load_config(args.config)
-    g, target, _, _, _, _ = _parse_problem(cfg, args)
+    g, target, _, _ = _parse_problem(cfg, args)
     report = check_feasible(g, target)
     print(json.dumps(report.to_json_dict(), sort_keys=True))
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
@@ -139,25 +151,15 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
-    g, target, t0, tf, waypoints, params = _parse_problem(cfg, args)
-    report = check_feasible(g, target)
-    if not report.feasible:
-        print(f"infeasible: {report.reason}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    g, target, waypoints, settings = _parse_problem(cfg, args)
+    prob = BvpProblem(graph=g, target=target, **settings)
     if not waypoints:
         min_det, argmin_s = homotopy_singularity_scan(target)
         if min_det < 0.1:
             print(f"warning: direct homotopy from I to the target is nearly singular "
                   f"(min |det| = {min_det:.3e} at s = {argmin_s}); "
                   f"consider supplying waypoints", file=sys.stderr)
-    prob = BvpProblem(graph=g, target=target, t0=t0, tf=tf, **params)
-    sol = solve_with_waypoints(prob, waypoints)
-    write_solution_bundle(sol, Path(args.out))
-    if not sol.converged:
-        print(f"solver did not converge (residual {sol.residual_norm:.3e}); "
-              f"diagnostics written to {args.out}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return _finish(solve_with_waypoints(prob, waypoints), args.out)
 
 
 def _parse_xi(args, n: int) -> np.ndarray:
@@ -201,39 +203,26 @@ def cmd_simulate(args) -> int:
 
 def cmd_scenario(args) -> int:
     cfg = _load_config(args.config)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    settings = _settings(cfg, args)
     if args.kind == "densify":
-        try:
-            scen = DensifyScenario(
-                sparse_graph=graph_from_json_dict(_require(cfg, "sparse_graph")),
-                dense_graph=graph_from_json_dict(_require(cfg, "dense_graph")),
-                t0=_number(cfg.get("t0", 0.0), "t0"), tf=_number(cfg.get("tf", 1.0), "tf"),
-                initial_state=cfg.get("initial_state"))
-        except (GraphError, ScenarioError) as exc:
-            raise ConfigError(str(exc)) from exc
-        report = run_densify(scen, **_solver_params(cfg, args))
-        csvio.write_columns_csv(outdir / "errors.csv",
-                                ["t", "err_sparse", "err_dense", "err_synth"],
-                                [report.grid, report.err_sparse,
-                                 report.err_dense, report.err_synth])
-    elif args.kind == "swap":
-        try:
-            scen = SwapScenario(
-                graph=graph_from_json_dict(_require(cfg, "graph")),
-                pairs=_require(cfg, "pairs"),
-                waypoints=tuple(_matrix(W, f"waypoints[{k}]")
-                                for k, W in enumerate(cfg.get("waypoints", []))),
-                initial_state=cfg.get("initial_state"),
-                t0=_number(cfg.get("t0", 0.0), "t0"), tf=_number(cfg.get("tf", 1.0), "tf"))
-        except (GraphError, ScenarioError) as exc:
-            raise ConfigError(str(exc)) from exc
-        report = run_swap(scen, **_solver_params(cfg, args))
+        scen = DensifyScenario(
+            sparse_graph=graph_from_json_dict(_require(cfg, "sparse_graph")),
+            dense_graph=graph_from_json_dict(_require(cfg, "dense_graph")),
+            initial_state=cfg.get("initial_state"))
+        report = run_densify(scen, **settings)
     else:
-        raise ConfigError(f"unknown scenario kind {args.kind!r}")
+        g = graph_from_json_dict(_require(cfg, "graph"))
+        scen = SwapScenario(graph=g, pairs=_require(cfg, "pairs"),
+                            waypoints=tuple(_waypoints(cfg, g.n)),
+                            initial_state=cfg.get("initial_state"))
+        report = run_swap(scen, **settings)
+    code = _finish(report.solution, args.out)
+    outdir = Path(args.out)
     csvio.write_vector_trajectory_csv(outdir / "nodes.csv", report.grid, report.node_states)
-    write_solution_bundle(report.solution, outdir)
-    return EXIT_OK if report.solution.converged else EXIT_NOT_CONVERGED
+    if report.errors:
+        csvio.write_columns_csv(outdir / "errors.csv", ["t", *report.errors],
+                                [report.grid, *report.errors.values()])
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,7 +277,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except OptimalControlError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE if "infeasible" in str(exc) else EXIT_NOT_CONVERGED
+        return EXIT_INFEASIBLE if isinstance(exc, InfeasibleError) else EXIT_NOT_CONVERGED
 
 
 if __name__ == "__main__":

@@ -100,14 +100,32 @@ def build_graph(n: int, edge_list, strict: bool = False) -> Graph:
     return Graph(n=n, edges=frozenset(edges))
 
 
-def graph_from_json_dict(d: dict) -> Graph:
-    """Load the {"nodes": n, "edges": [[i,j],...]} fragment."""
+def node_pairs(value, what: str, error=GraphError) -> list:
+    """`value` as a list of (a, b) pairs of whole node numbers; anything
+    else raises `error`, naming the input as `what`."""
     try:
-        n = int(d["nodes"])
-        edge_list = d.get("edges", [])
+        P = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} are not numeric: {exc}") from exc
+    if P.size == 0:
+        return []
+    if P.ndim != 2 or P.shape[1] != 2 or not np.all(np.isfinite(P) & (P == np.round(P))):
+        raise error(f"{what} must be a list of [a, b] node numbers, got {value!r}")
+    return [(int(a), int(b)) for a, b in P]
+
+
+def graph_from_json_dict(d: dict) -> Graph:
+    """Load the {"nodes": n, "edges": [[i,j],...], "strict": false} fragment."""
+    try:
+        n = float(d["nodes"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph fragment: {exc}") from exc
-    return build_graph(n, edge_list, strict=bool(d.get("strict", False)))
+    if not n.is_integer():
+        raise GraphError(f"graph nodes must be a whole number, got {d['nodes']!r}")
+    strict = d.get("strict", False)
+    if not isinstance(strict, bool):
+        raise GraphError(f"graph field 'strict' must be true or false, got {strict!r}")
+    return build_graph(int(n), node_pairs(d.get("edges", []), "graph edges"), strict=strict)
 
 
 def is_connected(g: Graph) -> bool:

@@ -29,6 +29,10 @@ class SettingsError(OptimalControlError):
     """Solver settings out of range."""
 
 
+class InfeasibleError(OptimalControlError):
+    """A target or waypoint that no schedule on the graph reaches."""
+
+
 @dataclass(frozen=True)
 class BvpProblem:
     graph: Graph
@@ -57,7 +61,7 @@ class BvpProblem:
             raise SettingsError(f"solver settings need {', '.join(broken)}")
         report = check_feasible(self.graph, self.target)
         if not report.feasible:
-            raise OptimalControlError(f"infeasible problem: {report.reason}")
+            raise InfeasibleError(f"infeasible problem: {report.reason}")
 
 
 def _summary(sol) -> dict:
@@ -404,7 +408,7 @@ def solve_with_waypoints(prob: BvpProblem, waypoints) -> Solution:
     for k, B in enumerate(waypoints):
         rep = check_feasible(prob.graph, B)
         if not rep.feasible:
-            raise OptimalControlError(f"waypoint {k + 1} infeasible: {rep.reason}")
+            raise InfeasibleError(f"waypoint {k + 1} infeasible: {rep.reason}")
     boundaries = waypoints + [prob.target]
     times = np.linspace(prob.t0, prob.tf, len(boundaries) + 1)
     prev = np.eye(prob.graph.n)

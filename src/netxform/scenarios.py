@@ -9,14 +9,14 @@ matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dynamics import (constant_schedule, determinant, expm, propagate_state,
                        propagate_state_through, simulation_steps)
-from .graph import Graph, is_connected, laplacian, mask
-from .optimal_control import BvpProblem, solve_with_waypoints
+from .graph import Graph, is_connected, laplacian, mask, node_pairs
+from .optimal_control import BvpProblem, Solution, solve_with_waypoints
 
 
 class ScenarioError(ValueError):
@@ -46,25 +46,10 @@ def _initial_state(value, n: int) -> np.ndarray | None:
     return xi
 
 
-def _swap_pairs(value) -> tuple:
-    """The swap pairs as a tuple of (a, b) pairs of whole node numbers."""
-    try:
-        P = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"swap pairs are not numeric: {exc}") from exc
-    if P.size == 0:
-        return ()
-    if P.ndim != 2 or P.shape[1] != 2 or not np.all(np.isfinite(P) & (P == np.round(P))):
-        raise ScenarioError(f"swap pairs must be a list of [a, b] node numbers, got {value!r}")
-    return tuple((int(a), int(b)) for a, b in P)
-
-
 @dataclass(frozen=True)
 class DensifyScenario:
     sparse_graph: Graph
     dense_graph: Graph
-    t0: float = 0.0
-    tf: float = 1.0
     initial_state: np.ndarray | None = None
 
     def __post_init__(self):
@@ -82,11 +67,10 @@ class SwapScenario:
     pairs: tuple
     waypoints: tuple = ()
     initial_state: np.ndarray | None = None
-    t0: float = 0.0
-    tf: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", _swap_pairs(self.pairs))
+        object.__setattr__(self, "pairs",
+                           tuple(node_pairs(self.pairs, "swap pairs", ScenarioError)))
         seen = set()
         for (a, b) in self.pairs:
             if a == b or a in seen or b in seen:
@@ -99,26 +83,20 @@ class SwapScenario:
 
 
 @dataclass
-class DensifyReport:
+class ScenarioReport:
+    """A solved scenario and its schedule replayed on the initial node values
+    xi. `errors` maps a column name to a curve on `grid`."""
+
     grid: np.ndarray
-    err_sparse: np.ndarray
-    err_dense: np.ndarray
-    err_synth: np.ndarray
     node_states: np.ndarray
-    final_state: np.ndarray
-    target_state: np.ndarray
     xi: np.ndarray
-    solution: object
-
-
-@dataclass
-class SwapReport:
-    grid: np.ndarray
-    node_states: np.ndarray
-    final_state: np.ndarray
     target: np.ndarray
-    xi: np.ndarray
-    solution: object
+    solution: Solution
+    errors: dict = field(default_factory=dict)
+
+    @property
+    def final_state(self) -> np.ndarray:
+        return self.node_states[-1]
 
 
 def densification_target(dense_graph: Graph, t0: float, tf: float) -> np.ndarray:
@@ -176,60 +154,52 @@ def default_initial_state(n: int, seed: int) -> np.ndarray:
     return xi - xi.mean()
 
 
-def run_densify(s: DensifyScenario, max_iter: int = 300, **settings) -> DensifyReport:
+def _run(prob: BvpProblem, waypoints, xi: np.ndarray) -> ScenarioReport:
+    """Solve through the waypoints and replay the schedule on xi."""
+    sol = solve_with_waypoints(prob, waypoints)
+    schedules = [seg.schedule for seg in sol.segments()]
+    grid, xs = propagate_state_through(schedules, xi, simulation_steps(schedules[0]))
+    return ScenarioReport(grid=grid, node_states=xs, xi=xi, target=prob.target, solution=sol)
+
+
+def run_densify(s: DensifyScenario, max_iter: int = 300, **settings) -> ScenarioReport:
     """Solve the densification BVP and compare three agreement-error curves:
     plain sparse consensus, plain dense consensus, and the synthesized run.
 
     A dense target contracts by e^-tr(L_d)dt, so for more than a few nodes
     it is routed through matrix-power waypoints (see contraction_waypoints);
     the iteration budget default is sized for those segment solves. The
-    other solver settings default to BvpProblem's.
+    horizon and the other solver settings default to BvpProblem's.
     """
-    T = densification_target(s.dense_graph, s.t0, s.tf)
-    prob = BvpProblem(graph=s.sparse_graph, target=T, t0=s.t0, tf=s.tf,
-                      max_iter=max_iter, **settings)
+    n = s.sparse_graph.n
+    # the target depends on the horizon, which BvpProblem checks and defaults
+    prob = BvpProblem(graph=s.sparse_graph, target=np.eye(n), max_iter=max_iter, **settings)
+    T = densification_target(s.dense_graph, prob.t0, prob.tf)
+    prob = replace(prob, target=T)
     # drawn once BvpProblem has checked the seed
-    xi = (default_initial_state(s.sparse_graph.n, prob.seed) if s.initial_state is None
-          else s.initial_state)
-    sol = solve_with_waypoints(prob, contraction_waypoints(T))
+    xi = default_initial_state(n, prob.seed) if s.initial_state is None else s.initial_state
+    report = _run(prob, contraction_waypoints(T), xi)
 
-    schedules = [seg.schedule for seg in sol.segments()]
-    grid, xs_synth = propagate_state_through(xi=xi, schedules=schedules,
-                                             steps_per_segment=simulation_steps(schedules[0]))
-    sparse_sched = constant_schedule(-laplacian(s.sparse_graph), s.t0, s.tf,
-                                     mask(s.sparse_graph))
-    dense_sched = constant_schedule(-laplacian(s.dense_graph), s.t0, s.tf,
-                                    mask(s.dense_graph))
     # plain consensus runs share the synthesized run's (possibly segmented) grid
-    total_steps = grid.size - 1
-    _, xs_sparse = propagate_state(sparse_sched, xi, total_steps)
-    _, xs_dense = propagate_state(dense_sched, xi, total_steps)
-
-    return DensifyReport(
-        grid=grid,
-        err_sparse=np.array([agreement_error(x, xi) for x in xs_sparse]),
-        err_dense=np.array([agreement_error(x, xi) for x in xs_dense]),
-        err_synth=np.array([agreement_error(x, xi) for x in xs_synth]),
-        node_states=xs_synth,
-        final_state=xs_synth[-1],
-        target_state=T @ xi,
-        xi=xi,
-        solution=sol)
+    total_steps = report.grid.size - 1
+    curves = {}
+    for name, g in (("err_sparse", s.sparse_graph), ("err_dense", s.dense_graph)):
+        sched = constant_schedule(-laplacian(g), prob.t0, prob.tf, mask(g))
+        curves[name] = propagate_state(sched, xi, total_steps)[1]
+    curves["err_synth"] = report.node_states
+    report.errors = {name: np.array([agreement_error(x, xi) for x in xs])
+                     for name, xs in curves.items()}
+    return report
 
 
-def run_swap(s: SwapScenario, **settings) -> SwapReport:
+def run_swap(s: SwapScenario, **settings) -> ScenarioReport:
     """Build the swap permutation, solve through the waypoints, and execute
-    the schedule on the initial node values. The solver settings default to
-    BvpProblem's."""
+    the schedule on the initial node values. The horizon and the solver
+    settings default to BvpProblem's."""
     n = s.graph.n
-    T = swap_target(n, s.pairs)
-    waypoints = [np.asarray(W, dtype=float) for W in s.waypoints]
+    waypoints = list(s.waypoints)
     if not waypoints and n == 4 and set(map(tuple, map(sorted, s.pairs))) == {(1, 2), (3, 4)}:
-        waypoints = [SWAP_WAYPOINT_4.copy()]
+        waypoints = [SWAP_WAYPOINT_4]
     xi = np.arange(1.0, n + 1.0) if s.initial_state is None else s.initial_state
-    prob = BvpProblem(graph=s.graph, target=T, t0=s.t0, tf=s.tf, **settings)
-    sol = solve_with_waypoints(prob, waypoints)
-    schedules = [seg.schedule for seg in sol.segments()]
-    grid, xs = propagate_state_through(schedules, xi, simulation_steps(schedules[0]))
-    return SwapReport(grid=grid, node_states=xs, final_state=xs[-1],
-                      target=T, xi=xi, solution=sol)
+    prob = BvpProblem(graph=s.graph, target=swap_target(n, s.pairs), **settings)
+    return _run(prob, waypoints, xi)

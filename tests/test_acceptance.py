@@ -120,7 +120,7 @@ def test_criterion_4_densification(densify_report):
         composed = traj.final @ composed
     assert np.linalg.norm(composed - T) < 1e-5
 
-    assert rep.err_synth[-1] <= rep.err_sparse[-1]
+    assert rep.errors["err_synth"][-1] <= rep.errors["err_sparse"][-1]
     # fixture construction time is the dominant cost; bound the whole solve
     assert time.time() - start < 60.0
 

@@ -94,6 +94,20 @@ def _assert_one_error_line(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
+@pytest.mark.parametrize("graph", [
+    {"nodes": 2, "edges": [["a", 2]]},
+    {"nodes": 2, "edges": [[1]]},
+    {"nodes": 2, "edges": 5},
+    {"nodes": 2, "edges": [[1.7, 2]]},
+    {"nodes": 2.5, "edges": [[1, 2]]},
+    {"nodes": 2, "edges": [[1, 2], [2, 1], [1, 1], [2, 2]], "strict": "false"},
+])
+def test_check_malformed_graph_exit_one(tmp_path, capsys, graph):
+    cfg = _write_cfg(tmp_path, "g.json", {"graph": graph, "target": np.eye(2).tolist()})
+    assert main(["check", "--config", cfg]) == 1
+    _assert_one_error_line(capsys)
+
+
 def test_unknown_command_exit_one(capsys):
     assert main(["frobnicate"]) == 1
 
@@ -139,6 +153,25 @@ def test_solve_infeasible_exit_two(tmp_path, capsys):
     })
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_solve_infeasible_waypoint_exit_two(path3_cfg, tmp_path, capsys):
+    cfg = json.loads(Path(path3_cfg).read_text())
+    cfg["waypoints"] = [np.diag([-1.0, 1.0, 1.0]).tolist()]  # det < 0
+    path = _write_cfg(tmp_path, "wp.json", cfg)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    _assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_solve_settings_checked_before_feasibility(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "inf.json", {
+        "graph": {"nodes": 2, "edges": [[1, 2]]},
+        "target": [[0.0, 1.0], [1.0, 0.0]],
+        "solver": {"steps": 0},
+    })
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys)
 
 
 def test_solve_warns_on_singular_homotopy(tmp_path, capsys):
@@ -197,6 +230,15 @@ def test_solve_non_finite_waypoint_exit_one(tmp_path, capsys):
     })
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "waypoints[0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("waypoints", [[np.eye(2).tolist()], 5])
+def test_solve_malformed_waypoints_exit_one(path3_cfg, tmp_path, capsys, waypoints):
+    cfg = json.loads(Path(path3_cfg).read_text())
+    cfg["waypoints"] = waypoints
+    path = _write_cfg(tmp_path, "wp.json", cfg)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys)
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +379,23 @@ def test_scenario_bad_kind_and_config(tmp_path, capsys):
     assert main(["scenario", "swap", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 1
     assert "disjoint" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 DENSIFY3 = {"sparse_graph": {"nodes": 3, "edges": [[1, 2], [2, 3]]},
             "dense_graph": {"nodes": 3, "edges": [[1, 2], [2, 3], [1, 3]]}}
 SWAP4 = {"graph": {"nodes": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]},
          "pairs": [[1, 2], [3, 4]]}
+
+
+def test_scenario_densify_horizon_from_config(tmp_path):
+    cfg = _write_cfg(tmp_path, "densify.json", {**DENSIFY3, "t0": 1.0, "tf": 1.5})
+    out = tmp_path / "out"
+    assert main(["scenario", "densify", "--config", cfg, "--out", str(out)]) == 0
+    grid, _ = read_matrix_trajectory_csv(out / "transition.csv")
+    errors = np.loadtxt(out / "errors.csv", delimiter=",", skiprows=1)
+    for t in (grid, errors[:, 0]):
+        assert t[0] == 1.0 and t[-1] == 1.5
 
 
 @pytest.mark.parametrize("kind, base, fields", [
@@ -356,6 +409,7 @@ def test_scenario_bad_solver_settings_exit_one(tmp_path, capsys, kind, base, fie
     cfg = _write_cfg(tmp_path, "bad.json", {**base, **fields})
     assert main(["scenario", kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     _assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("pairs", [[["a", 2]], [[1, 2, 3]], 5])
@@ -363,6 +417,21 @@ def test_scenario_bad_swap_pairs_exit_one(tmp_path, capsys, pairs):
     cfg = _write_cfg(tmp_path, "bad.json", {**SWAP4, "pairs": pairs})
     assert main(["scenario", "swap", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     _assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_scenario_odd_permutation_exit_two(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "odd.json", {**SWAP4, "pairs": [[1, 2]]})
+    assert main(["scenario", "swap", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    _assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_scenario_wrong_size_waypoint_exit_one(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "wp.json", {**SWAP4, "waypoints": [np.eye(2).tolist()]})
+    assert main(["scenario", "swap", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("kind, base", [("densify", DENSIFY3), ("swap", SWAP4)])
@@ -373,6 +442,7 @@ def test_scenario_bad_initial_state_exit_one(tmp_path, capsys, kind, base, state
     assert main(["scenario", kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "initial_state" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_seed_override_changes_initial_state(tmp_path):

@@ -121,11 +121,11 @@ def test_densify_report_curves(densify_report):
     rep = densify_report
     assert rep.solution.converged
     # all three runs start from the same state, so the curves agree at t0
-    assert abs(rep.err_sparse[0] - rep.err_synth[0]) < 1e-12
-    assert abs(rep.err_dense[0] - rep.err_synth[0]) < 1e-12
+    assert abs(rep.errors["err_sparse"][0] - rep.errors["err_synth"][0]) < 1e-12
+    assert abs(rep.errors["err_dense"][0] - rep.errors["err_synth"][0]) < 1e-12
     # the synthesized sparse network matches dense consensus at the horizon
-    assert abs(rep.err_synth[-1] - rep.err_dense[-1]) < 1e-6
-    assert rep.err_synth[-1] <= rep.err_sparse[-1]
+    assert abs(rep.errors["err_synth"][-1] - rep.errors["err_dense"][-1]) < 1e-6
+    assert rep.errors["err_synth"][-1] <= rep.errors["err_sparse"][-1]
     assert rep.grid.size == rep.node_states.shape[0]
 
 
@@ -134,14 +134,23 @@ def test_densify_final_state_matches_exponential_oracle(densify_report):
     L = nx.laplacian(nx.complete_graph(5))
     want = scipy.linalg.expm(-L) @ rep.xi
     assert np.linalg.norm(rep.final_state - want) < 1e-6
-    assert np.linalg.norm(rep.target_state - want) < 1e-12
+    assert np.linalg.norm(rep.target @ rep.xi - want) < 1e-12
 
 
 def test_densify_same_graph_reproduces_consensus():
     g = nx.complete_graph(2)
     rep = nx.run_densify(nx.DensifyScenario(sparse_graph=g, dense_graph=g))
     assert rep.solution.converged
-    assert np.abs(rep.err_synth - rep.err_dense).max() < 1e-5
+    assert np.abs(rep.errors["err_synth"] - rep.errors["err_dense"]).max() < 1e-5
+
+
+def test_densify_horizon_from_settings():
+    dense = nx.complete_graph(3)
+    scen = nx.DensifyScenario(sparse_graph=nx.path_graph(3), dense_graph=dense)
+    rep = nx.run_densify(scen, t0=1.0, tf=1.5)
+    assert rep.solution.converged
+    assert rep.grid[0] == 1.0 and rep.grid[-1] == 1.5
+    assert np.array_equal(rep.target, densification_target(dense, 1.0, 1.5))
 
 
 def test_swap_report(swap_report):
