@@ -19,7 +19,7 @@ import numpy as np
 
 from . import csvio
 from .dynamics import DynamicsError, propagate_state_through, simulation_steps
-from .graph import GraphError, graph_from_json_dict, mask
+from .graph import GraphError, graph_from_json_dict, mask, numeric_array
 from .lie_algebra import check_feasible
 from .optimal_control import (BvpProblem, InfeasibleError, OptimalControlError,
                               SettingsError, homotopy_singularity_scan,
@@ -59,7 +59,7 @@ def _require(cfg: dict, key: str):
 def _matrix(value, name: str, n: int) -> np.ndarray:
     """A finite n-by-n matrix, for a graph of n nodes."""
     try:
-        M = np.array(value, dtype=float)
+        M = numeric_array(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field {name!r} is not a numeric matrix: {exc}") from exc
     if M.shape != (n, n):
@@ -71,10 +71,12 @@ def _matrix(value, name: str, n: int) -> np.ndarray:
 
 
 def _number(value, name: str, kind=float):
-    """A finite number (a whole one for kind=int); ranges are BvpProblem's."""
+    """A finite number (a whole one for kind=int); ranges are BvpProblem's.
+    JSON true/false is not a number."""
     try:
         x = float(value)
-        ok = math.isfinite(x) and (kind is float or x.is_integer())
+        ok = (not isinstance(value, bool) and math.isfinite(x)
+              and (kind is float or x.is_integer()))
     except (TypeError, ValueError):
         ok = False
     if not ok:

@@ -100,11 +100,25 @@ def build_graph(n: int, edge_list, strict: bool = False) -> Graph:
     return Graph(n=n, edges=frozenset(edges))
 
 
+def _holds_bool(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
+def numeric_array(value) -> np.ndarray:
+    """`value` as a float array; a true/false anywhere in it raises TypeError
+    instead of reading as 1/0."""
+    if _holds_bool(value):
+        raise TypeError("true/false is not a number")
+    return np.array(value, dtype=float)
+
+
 def node_pairs(value, what: str, error=GraphError) -> list:
     """`value` as a list of (a, b) pairs of whole node numbers; anything
     else raises `error`, naming the input as `what`."""
     try:
-        P = np.array(value, dtype=float)
+        P = numeric_array(value)
     except (TypeError, ValueError) as exc:
         raise error(f"{what} are not numeric: {exc}") from exc
     if P.size == 0:
@@ -120,7 +134,7 @@ def graph_from_json_dict(d: dict) -> Graph:
         n = float(d["nodes"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph fragment: {exc}") from exc
-    if not n.is_integer():
+    if isinstance(d["nodes"], bool) or not n.is_integer():
         raise GraphError(f"graph nodes must be a whole number, got {d['nodes']!r}")
     strict = d.get("strict", False)
     if not isinstance(strict, bool):

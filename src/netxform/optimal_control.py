@@ -177,39 +177,48 @@ def weights_from_costate(lam: np.ndarray, X: np.ndarray, msk: SparsityMask) -> n
     n = msk.n
     if lam.shape[-2:] != (n, n) or X.shape != lam.shape:
         raise OptimalControlError("weights_from_costate: dimension mismatch")
-    return msk.apply(-(lam @ np.swapaxes(X, -1, -2)))
+    W = -(lam @ np.swapaxes(X, -1, -2))
+    W[..., ~msk.entries] = 0.0
+    return W
 
 
-def extremal_rhs(X: np.ndarray, lam: np.ndarray, msk: SparsityMask):
-    """State and costate rates along an extremal: (W X, -W^T lam), per matrix
-    of a stack."""
+def extremal_rhs(X: np.ndarray, lam: np.ndarray, msk: SparsityMask) -> np.ndarray:
+    """State and costate rates along an extremal, per matrix of a stack.
+
+    Returns one array of shape (2,) + X.shape holding W X and -W^T lam.
+    """
     W = weights_from_costate(lam, X, msk)
-    return W @ X, -np.swapaxes(W, -1, -2) @ lam
+    out = np.empty((2,) + W.shape)
+    np.matmul(W, X, out=out[0])
+    np.matmul(np.swapaxes(W, -1, -2), lam, out=out[1])
+    np.negative(out[1], out=out[1])
+    return out
 
 
 def _shoot_batch(prob: BvpProblem, lam0s: np.ndarray, record: bool = False):
     """RK4 over a batch of costate initial conditions at once.
 
-    The stacked state Y = (X, lam) of shape (B, 2, n, n) starts from
-    (I, lam0s[b]). Returns (X_tf, diverged, points), where points is the
-    list of (t, Y) on every grid point if record=True and the last one
-    otherwise. A member diverges when any entry of its final Y is beyond the
-    blow-up limit or not finite. Batching keeps the finite-difference
-    Jacobian to a single integration pass.
+    The stacked state Y = (X, lam) of shape (2, B, n, n) starts from
+    (I, lam0s[b]); extremal_rhs returns its rate in the same layout. Returns
+    (X_tf, diverged, points), where points is the list of (t, Y) on every
+    grid point if record=True and the last one otherwise. A member diverges
+    when any entry of its final X or lam is beyond the blow-up limit or not
+    finite. A member's result does not depend on its batch; batching keeps
+    the finite-difference Jacobian to a single integration pass.
     """
     n = lam0s.shape[-1]
     msk = mask(prob.graph)
-    Y0 = np.stack([np.broadcast_to(np.eye(n), lam0s.shape), lam0s], axis=1)
+    Y0 = np.stack([np.broadcast_to(np.eye(n), lam0s.shape), lam0s])
 
     def f(t, Y):
-        return np.stack(extremal_rhs(Y[:, 0], Y[:, 1], msk), axis=1)
+        return extremal_rhs(Y[0], Y[1], msk)
 
     with np.errstate(over="ignore", invalid="ignore"):
         stepper = _rk4(f, Y0, prob.t0, prob.tf, prob.steps)
         points = list(stepper) if record else deque(stepper, maxlen=1)
         Y = points[-1][1]
-        diverged = ~(np.abs(Y).max(axis=(1, 2, 3)) <= DIVERGENCE_LIMIT)
-    return Y[:, 0], diverged, points
+        diverged = ~(np.abs(Y).max(axis=(0, 2, 3)) <= DIVERGENCE_LIMIT)
+    return Y[0], diverged, points
 
 
 def shoot(prob: BvpProblem, lambda0: np.ndarray):
@@ -224,7 +233,7 @@ def shoot(prob: BvpProblem, lambda0: np.ndarray):
     if lam0.shape != (n, n):
         raise OptimalControlError(f"lambda0 has shape {lam0.shape}, expected ({n},{n})")
     X_tf, diverged, points = _shoot_batch(prob, lam0[None], record=True)
-    Y_seq = np.array([Y[0] for _, Y in points])
+    Y_seq = np.array([Y[:, 0] for _, Y in points])
     info = {"grid": np.array([t for t, _ in points]), "X_seq": Y_seq[:, 0],
             "lambda_seq": Y_seq[:, 1], "diverged": bool(diverged[0])}
     return X_tf[0], info
@@ -237,10 +246,11 @@ def cost(sched: WeightSchedule) -> float:
     return float(np.sum(h * (vals[:-1] + vals[1:]) / 2.0))
 
 
-def _residual(prob: BvpProblem, lam0: np.ndarray) -> np.ndarray | None:
-    """Flattened X(tf) - T, or None when the shoot diverged."""
-    X_tf, diverged, _ = _shoot_batch(prob, lam0[None])
-    return None if diverged[0] else (X_tf[0] - prob.target).ravel()
+def _residuals(prob: BvpProblem, lam0s: np.ndarray) -> list:
+    """Flattened X(tf) - T per member of a costate stack, shot as one batch;
+    None for a member whose shoot diverged."""
+    X_tf, diverged, _ = _shoot_batch(prob, lam0s)
+    return [None if d else (X - prob.target).ravel() for X, d in zip(X_tf, diverged)]
 
 
 def _jacobian(prob: BvpProblem, lam0: np.ndarray) -> np.ndarray | None:
@@ -290,7 +300,7 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
     """
     n = prob.graph.n
     lam = np.asarray(lam0, dtype=float).copy()
-    r = _residual(prob, lam)
+    r, = _residuals(prob, lam[None])
     if r is None:
         return lam, np.inf, 0, False
     rnorm = float(np.linalg.norm(r))
@@ -314,8 +324,8 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
                 mu *= 10.0
                 continue
             h = 0.1
-            rp = _residual(prob, lam + h * delta.reshape(n, n))
-            rm = _residual(prob, lam - h * delta.reshape(n, n))
+            d = h * delta.reshape(n, n)
+            rp, rm = _residuals(prob, np.stack([lam + d, lam - d]))
             step = delta
             if rp is not None and rm is not None:
                 rpp = (rp - 2.0 * r + rm) / (h * h)
@@ -326,7 +336,7 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
                 if accel is not None and np.linalg.norm(accel) <= 0.75 * np.linalg.norm(delta):
                     step = delta + 0.5 * accel
             cand = lam + step.reshape(n, n)
-            rc = _residual(prob, cand)
+            rc, = _residuals(prob, cand[None])
             if rc is not None and np.linalg.norm(rc) < rnorm:
                 lam, r = cand, rc
                 rnorm = float(np.linalg.norm(rc))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import (constant_schedule, determinant, expm, propagate_state,
                        propagate_state_through, simulation_steps)
-from .graph import Graph, is_connected, laplacian, mask, node_pairs
+from .graph import Graph, is_connected, laplacian, mask, node_pairs, numeric_array
 from .optimal_control import BvpProblem, Solution, solve_with_waypoints
 
 
@@ -38,7 +38,7 @@ def _initial_state(value, n: int) -> np.ndarray | None:
     if value is None:
         return None
     try:
-        xi = np.array(value, dtype=float)
+        xi = numeric_array(value)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"initial_state is not numeric: {exc}") from exc
     if xi.shape != (n,) or not np.all(np.isfinite(xi)):

@@ -222,6 +222,26 @@ def test_solve_bad_solver_settings_exit_one(path3_cfg, tmp_path, capsys, fields)
     _assert_one_error_line(capsys)
 
 
+PATH2_CFG = {"graph": {"nodes": 2, "edges": [[1, 2]]}, "target": np.eye(2).tolist()}
+
+
+@pytest.mark.parametrize("fields", [
+    {"graph": {"nodes": True}, "target": [[2.0]]},
+    {"graph": {"nodes": 2, "edges": [[True, 2]]}},
+    {"target": [[True, 0], [0, 1]]},
+    {"waypoints": [[[1, 0], [0, False]]]},
+    {"t0": False}, {"tf": True},
+    {"solver": {"steps": True}}, {"solver": {"seed": False}},
+    {"solver": {"newton_tol": True}},
+])
+def test_solve_json_booleans_exit_one(tmp_path, capsys, fields):
+    # JSON true/false would otherwise read as 1/0
+    path = _write_cfg(tmp_path, "bool.json", {**PATH2_CFG, **fields})
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
 def test_solve_non_finite_waypoint_exit_one(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "wp.json", {
         "graph": {"nodes": 1, "edges": []},
@@ -442,6 +462,22 @@ def test_scenario_bad_initial_state_exit_one(tmp_path, capsys, kind, base, state
     assert main(["scenario", kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "initial_state" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind, base, fields", [
+    ("densify", DENSIFY3, {"sparse_graph": {"nodes": True}, "dense_graph": {"nodes": 1}}),
+    ("densify", DENSIFY3, {"initial_state": [True, 0, 0]}),
+    ("densify", DENSIFY3, {"solver": {"max_iter": True}}),
+    ("swap", SWAP4, {"pairs": [[True, 2], [3, 4]]}),
+    ("swap", SWAP4, {"graph": {"nodes": 4, "edges": [[1, True], [2, 3], [3, 4], [4, 1]]}}),
+    ("swap", SWAP4, {"initial_state": [False, 1, 2, 3]}),
+    ("swap", SWAP4, {"tf": True}),
+])
+def test_scenario_json_booleans_exit_one(tmp_path, capsys, kind, base, fields):
+    cfg = _write_cfg(tmp_path, "bool.json", {**base, **fields})
+    assert main(["scenario", kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys)
     assert not (tmp_path / "o").exists()
 
 

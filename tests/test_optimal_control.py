@@ -1,9 +1,12 @@
 """Shooting solver, extremal structure, and waypoint composition."""
 
+import re
+
 import numpy as np
 import pytest
 
 import netxform as nx
+from netxform import optimal_control
 from netxform.dynamics import integrate_transition, simulation_steps
 from netxform.graph import mask
 from netxform.optimal_control import (BvpProblem, OptimalControlError,
@@ -87,6 +90,22 @@ def test_weights_and_rhs_on_stacks_match_per_matrix_calls_bitwise():
         assert np.array_equal(dX[idx], dX1) and np.array_equal(dlam[idx], dlam1)
 
 
+@pytest.mark.parametrize("stack", [(), (3,), (2, 7)])
+def test_extremal_rhs_is_one_stacked_rate(stack):
+    rng = np.random.default_rng(6)
+    msk = mask(nx.cycle_graph(5))
+    X = rng.normal(size=stack + (5, 5))
+    lam = rng.normal(size=stack + (5, 5))
+    X0, lam0 = X.copy(), lam.copy()
+    W = weights_from_costate(lam, X, msk)
+    assert np.array_equal(W, msk.apply(-(lam @ np.swapaxes(X, -1, -2))))
+    assert np.array_equal(X, X0) and np.array_equal(lam, lam0)
+    rate = extremal_rhs(X, lam, msk)
+    assert rate.shape == (2,) + X.shape
+    assert np.array_equal(rate[0], W @ X)
+    assert np.array_equal(rate[1], -np.swapaxes(W, -1, -2) @ lam)
+
+
 def test_weights_stack_shape_mismatch():
     msk = mask(nx.path_graph(3))
     with pytest.raises(OptimalControlError):
@@ -153,6 +172,31 @@ def test_batch_shoot_matches_single_member_shoots_bitwise():
         if not d1[0]:
             assert np.array_equal(X1[0], X_tf[b])
             assert np.array_equal(shoot(prob, lam0s[b])[0], X_tf[b])
+
+
+@pytest.mark.parametrize("graph, target, settings, starts", [
+    (nx.path_graph(3), np.eye(3) * 0.7 + 0.1, {}, 1),
+    (nx.path_graph(4), np.eye(4)[[1, 0, 3, 2]], {"max_iter": 2, "restarts": 1}, 2),
+])
+def test_shoot_plan(monkeypatch, graph, target, settings, starts):
+    # one letter per batch shoot: r = one residual, J = the 2 n^2 Jacobian
+    # members, p = the two line-search probes lam +- h delta, F = the recorded
+    # final shoot; each line-search try is p then r (its candidate)
+    plan = []
+    real = optimal_control._shoot_batch
+
+    def counted(prob, lam0s, record=False):
+        B = lam0s.shape[0]
+        plan.append("F" if record else {1: "r", 2: "p", 2 * graph.n ** 2: "J"}[B])
+        assert B == 1 or not record
+        return real(prob, lam0s, record)
+
+    monkeypatch.setattr(optimal_control, "_shoot_batch", counted)
+    sol = solve_bvp(BvpProblem(graph=graph, target=target, **settings))
+    plan = "".join(plan)
+    assert re.fullmatch(r"(r(J(pr)+)*)+F", plan), plan
+    assert re.sub(r"pr", "", plan).count("r") == starts
+    assert plan.count("J") == sol.iterations
 
 
 def test_shoot_rejects_wrong_shape():
