@@ -173,27 +173,47 @@ class TransitionTrajectory:
         return self.X_seq[-1]
 
 
-def _rk4(f, y0: np.ndarray, t0: float, tf: float, steps: int):
-    """Fixed-step RK4; yields (t_k, y_k) for every grid point including t0."""
+def _rk4(f, y0: np.ndarray, t0: float, tf: float, steps: int,
+         stage: np.ndarray | None = None):
+    """Fixed-step RK4; yields (t_k, y_k) for every grid point including t0.
+
+    The rate function f(t, s, out) writes the rate at the stage input s into
+    out. Every stage input is written into one buffer, `stage` if given (a
+    caller-owned view whose layout the rate function reads directly), and
+    k1..k4 are allocated once per integration. Each stage performs the same
+    floating-point operations in the same order as y + h/2 k and
+    y + h/6 (k1 + 2 k2 + 2 k3 + k4), so buffering changes no bits. Every
+    yielded y_k is a fresh array.
+    """
     if steps < 1:
         raise DynamicsError("steps must be >= 1")
     h = (tf - t0) / steps
     y = np.array(y0, dtype=float)
+    s = np.empty_like(y) if stage is None else stage
+    k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
     yield t0, y
     for k in range(steps):
         t = t0 + k * h
-        k1 = f(t, y)
-        k2 = f(t + h / 2, y + h / 2 * k1)
-        k3 = f(t + h / 2, y + h / 2 * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        np.copyto(s, y)
+        f(t, s, k1)
+        np.add(y, np.multiply(k1, h / 2, out=s), out=s)
+        f(t + h / 2, s, k2)
+        np.add(y, np.multiply(k2, h / 2, out=s), out=s)
+        f(t + h / 2, s, k3)
+        np.add(y, np.multiply(k3, h, out=s), out=s)
+        f(t + h, s, k4)
+        np.add(k1, np.multiply(k2, 2, out=k2), out=k2)
+        np.add(k2, np.multiply(k3, 2, out=k3), out=k2)
+        np.add(k2, k4, out=k2)
+        y = y + np.multiply(k2, h / 6, out=k2)
         yield t0 + (k + 1) * h, y
 
 
 def integrate_transition(sched: WeightSchedule, steps: int) -> TransitionTrajectory:
     """Integrate Xdot = W(t) X from the identity over the schedule's interval."""
     n = sched.n
-    pts = list(_rk4(lambda t, X: sched.W_at(t) @ X, np.eye(n), sched.t0, sched.tf, steps))
+    pts = list(_rk4(lambda t, X, out: np.matmul(sched.W_at(t), X, out=out),
+                     np.eye(n), sched.t0, sched.tf, steps))
     grid = np.array([t for t, _ in pts])
     X_seq = np.array([X for _, X in pts])
     if not np.all(np.isfinite(X_seq)):
@@ -225,7 +245,8 @@ def propagate_state(sched: WeightSchedule, xi: np.ndarray, steps: int):
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (sched.n,):
         raise DynamicsError(f"initial state has shape {xi.shape}, expected ({sched.n},)")
-    pts = list(_rk4(lambda t, x: sched.W_at(t) @ x, xi, sched.t0, sched.tf, steps))
+    pts = list(_rk4(lambda t, x, out: np.matmul(sched.W_at(t), x, out=out),
+                     xi, sched.t0, sched.tf, steps))
     grid = np.array([t for t, _ in pts])
     xs = np.array([x for _, x in pts])
     if not np.all(np.isfinite(xs)):

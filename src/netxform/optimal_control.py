@@ -19,6 +19,10 @@ from .graph import Graph, SparsityMask, mask
 from .lie_algebra import check_feasible
 
 DIVERGENCE_LIMIT = 1e12
+# Damped Newton tries shot per pass. mu falls by 3 on an accepted try and rises
+# by 10 on a rejected one, so tries settle at an acceptance rate of
+# ln 10 / (ln 3 + ln 10) ~ 0.68 and most iterations need one or two.
+TRIES_PER_PASS = 2
 
 
 class OptimalControlError(ValueError):
@@ -50,6 +54,7 @@ class BvpProblem:
         rules = {
             "finite t0": np.isfinite(self.t0),
             "finite tf > t0": np.isfinite(self.tf) and self.tf > self.t0,
+            "finite tf - t0": np.isfinite(self.tf - self.t0),
             "steps >= 1": self.steps >= 1,
             "finite newton_tol > 0": np.isfinite(self.newton_tol) and self.newton_tol > 0,
             "max_iter >= 1": self.max_iter >= 1,
@@ -167,19 +172,50 @@ def hamiltonian(X: np.ndarray, lam: np.ndarray, W: np.ndarray) -> float:
     return float(np.sum(lam * (W @ X)) + 0.5 * np.sum(W * W))
 
 
-def weights_from_costate(lam: np.ndarray, X: np.ndarray, msk: SparsityMask) -> np.ndarray:
-    """Stationarity condition: W = -(lam X^T) restricted to the edge pattern.
+def _extremal_rate(Z: np.ndarray, off: np.ndarray):
+    """The extremal rate function on one buffer Z = [X, W, lam^T].
 
-    lam and X are single (n, n) matrices or equal-shaped stacks (..., n, n).
+    Z has shape (3, ..., n, n), and off is the complement of the edge
+    pattern broadcast to X's shape. The returned rate(t, _, out) reads X and
+    lam^T from Z, fills Z[1] with the weights W = -(lam X^T) zeroed off the
+    pattern, and writes [W X, -(lam^T W)] into out: the state rate and the
+    costate rate -W^T lam, transposed. Carrying lam^T makes both products one
+    matmul over the contiguous slices [W, lam^T] and [X, W].
     """
+    X, W, lamT = Z
+    W_lamT, X_W = Z[1:], Z[:2]
+
+    def rate(t, _, out):
+        scratch = out[1]
+        np.matmul(X, lamT, out=scratch)  # (lam X^T)^T
+        np.negative(scratch.swapaxes(-1, -2), out=W)
+        np.putmask(W, off, 0.0)
+        np.matmul(W_lamT, X_W, out=out)
+        np.negative(scratch, out=scratch)
+    return rate
+
+
+def _extremal_at(lam: np.ndarray, X: np.ndarray, msk: SparsityMask):
+    """(W, [W X, -(W^T lam)^T]) at checked single or stacked inputs."""
     lam = np.asarray(lam, dtype=float)
     X = np.asarray(X, dtype=float)
     n = msk.n
     if lam.shape[-2:] != (n, n) or X.shape != lam.shape:
         raise OptimalControlError("weights_from_costate: dimension mismatch")
-    W = -(lam @ np.swapaxes(X, -1, -2))
-    W[..., ~msk.entries] = 0.0
-    return W
+    Z = np.empty((3,) + X.shape)
+    Z[0] = X
+    Z[2] = np.swapaxes(lam, -1, -2)
+    out = np.empty((2,) + X.shape)
+    _extremal_rate(Z, np.broadcast_to(~msk.entries, X.shape))(None, None, out)
+    return Z[1], out
+
+
+def weights_from_costate(lam: np.ndarray, X: np.ndarray, msk: SparsityMask) -> np.ndarray:
+    """Stationarity condition: W = -(lam X^T) restricted to the edge pattern.
+
+    lam and X are single (n, n) matrices or equal-shaped stacks (..., n, n).
+    """
+    return _extremal_at(lam, X, msk)[0]
 
 
 def extremal_rhs(X: np.ndarray, lam: np.ndarray, msk: SparsityMask) -> np.ndarray:
@@ -187,34 +223,30 @@ def extremal_rhs(X: np.ndarray, lam: np.ndarray, msk: SparsityMask) -> np.ndarra
 
     Returns one array of shape (2,) + X.shape holding W X and -W^T lam.
     """
-    W = weights_from_costate(lam, X, msk)
-    out = np.empty((2,) + W.shape)
-    np.matmul(W, X, out=out[0])
-    np.matmul(np.swapaxes(W, -1, -2), lam, out=out[1])
-    np.negative(out[1], out=out[1])
-    return out
+    dX, dlamT = _extremal_at(lam, X, msk)[1]
+    return np.stack([dX, np.swapaxes(dlamT, -1, -2)])
 
 
 def _shoot_batch(prob: BvpProblem, lam0s: np.ndarray, record: bool = False):
     """RK4 over a batch of costate initial conditions at once.
 
-    The stacked state Y = (X, lam) of shape (2, B, n, n) starts from
-    (I, lam0s[b]); extremal_rhs returns its rate in the same layout. Returns
-    (X_tf, diverged, points), where points is the list of (t, Y) on every
-    grid point if record=True and the last one otherwise. A member diverges
-    when any entry of its final X or lam is beyond the blow-up limit or not
+    The integration runs on one buffer Z = [X, W, lam^T] of shape
+    (3, B, n, n) (see _extremal_rate). Its state is the view Z[::2], into
+    which _rk4 writes every stage input, and it starts from
+    (I, lam0s[b]^T). Returns (X_tf, diverged, points), where points is the
+    list of (t, Y) with Y = (X, lam^T) of shape (2, B, n, n) on every grid
+    point if record=True and the last one otherwise. A member diverges when
+    any entry of its final X or lam is beyond the blow-up limit or not
     finite. A member's result does not depend on its batch; batching keeps
-    the finite-difference Jacobian to a single integration pass.
+    the finite-difference Jacobian to one integration pass, and each group
+    of line-search tries to two.
     """
     n = lam0s.shape[-1]
-    msk = mask(prob.graph)
-    Y0 = np.stack([np.broadcast_to(np.eye(n), lam0s.shape), lam0s])
-
-    def f(t, Y):
-        return extremal_rhs(Y[0], Y[1], msk)
-
+    Z = np.empty((3,) + lam0s.shape)
+    Y0 = np.stack([np.broadcast_to(np.eye(n), lam0s.shape), np.swapaxes(lam0s, -1, -2)])
+    rate = _extremal_rate(Z, np.broadcast_to(~mask(prob.graph).entries, lam0s.shape))
     with np.errstate(over="ignore", invalid="ignore"):
-        stepper = _rk4(f, Y0, prob.t0, prob.tf, prob.steps)
+        stepper = _rk4(rate, Y0, prob.t0, prob.tf, prob.steps, stage=Z[::2])
         points = list(stepper) if record else deque(stepper, maxlen=1)
         Y = points[-1][1]
         diverged = ~(np.abs(Y).max(axis=(0, 2, 3)) <= DIVERGENCE_LIMIT)
@@ -235,7 +267,8 @@ def shoot(prob: BvpProblem, lambda0: np.ndarray):
     X_tf, diverged, points = _shoot_batch(prob, lam0[None], record=True)
     Y_seq = np.array([Y[:, 0] for _, Y in points])
     info = {"grid": np.array([t for t, _ in points]), "X_seq": Y_seq[:, 0],
-            "lambda_seq": Y_seq[:, 1], "diverged": bool(diverged[0])}
+            "lambda_seq": np.ascontiguousarray(np.swapaxes(Y_seq[:, 1], -1, -2)),
+            "diverged": bool(diverged[0])}
     return X_tf[0], info
 
 
@@ -286,6 +319,22 @@ def _build_solution(prob: BvpProblem, lam0: np.ndarray, iterations: int,
         converged=converged, iterations=iterations, restart_used=restart_used)
 
 
+def _corrected_step(A, J, r, delta, rp, rm, h):
+    """The damped step delta plus half its geodesic acceleration, taken from
+    the probes rp, rm at lam +- h delta when both stayed finite and the
+    correction is at most 0.75 |delta|."""
+    if rp is None or rm is None:
+        return delta
+    rpp = (rp - 2.0 * r + rm) / (h * h)
+    try:
+        accel = solve_linear(A, -(J.T @ rpp) / 2.0)
+    except DynamicsError:
+        return delta
+    if np.linalg.norm(accel) <= 0.75 * np.linalg.norm(delta):
+        return delta + 0.5 * accel
+    return delta
+
+
 def _newton_from(prob: BvpProblem, lam0: np.ndarray):
     """Damped Gauss-Newton (Levenberg-style) from one starting costate.
 
@@ -295,10 +344,18 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
     strongly contracting targets produce. Only steps that lower the residual
     are accepted, so the current costate is always the best one seen.
 
+    An iteration makes at most 30 damped tries, multiplying mu by 10 after
+    each failed one and stopping once a rejection takes mu past 1e14. The
+    tries are shot TRIES_PER_PASS at a time: the probes of the next tries
+    share one pass and their candidates another. The first candidate in
+    order that lowers the residual wins and mu continues from its try, so
+    every decision is the one the tries made one by one would reach.
+
     Returns (lam0, residual_norm, iterations, converged); a diverging start
     has residual norm inf.
     """
     n = prob.graph.n
+    h = 0.1
     lam = np.asarray(lam0, dtype=float).copy()
     r, = _residuals(prob, lam[None])
     if r is None:
@@ -316,36 +373,33 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
         JTJ = J.T @ J
         tr = max(float(np.trace(JTJ)) / g.size, 1e-30)
         accepted = False
-        for _ in range(30):
-            A = JTJ + mu * tr * np.eye(g.size)
-            try:
-                delta = solve_linear(A, -g)
-            except DynamicsError:
-                mu *= 10.0
-                continue
-            h = 0.1
-            d = h * delta.reshape(n, n)
-            rp, rm = _residuals(prob, np.stack([lam + d, lam - d]))
-            step = delta
-            if rp is not None and rm is not None:
-                rpp = (rp - 2.0 * r + rm) / (h * h)
+        left, stop = 30, False
+        while not accepted and left and not stop:
+            group = []  # (mu, A, delta) per try, mu raised as if each were rejected
+            while len(group) < TRIES_PER_PASS and left and not stop:
+                left -= 1
+                A = JTJ + mu * tr * np.eye(g.size)
                 try:
-                    accel = solve_linear(A, -(J.T @ rpp) / 2.0)
+                    delta = solve_linear(A, -g)
                 except DynamicsError:
-                    accel = None
-                if accel is not None and np.linalg.norm(accel) <= 0.75 * np.linalg.norm(delta):
-                    step = delta + 0.5 * accel
-            cand = lam + step.reshape(n, n)
-            rc, = _residuals(prob, cand[None])
-            if rc is not None and np.linalg.norm(rc) < rnorm:
-                lam, r = cand, rc
-                rnorm = float(np.linalg.norm(rc))
-                mu = max(mu / 3.0, 1e-14)
-                accepted = True
+                    mu *= 10.0
+                    continue
+                group.append((mu, A, delta))
+                mu *= 10.0
+                stop = mu > 1e14
+            if not group:
                 break
-            mu *= 10.0
-            if mu > 1e14:
-                break
+            ds = [h * delta.reshape(n, n) for _, _, delta in group]
+            probes = _residuals(prob, np.stack([v for d in ds for v in (lam + d, lam - d)]))
+            cands = [lam + _corrected_step(A, J, r, delta, rp, rm, h).reshape(n, n)
+                     for (_, A, delta), rp, rm in zip(group, probes[::2], probes[1::2])]
+            for (mu_try, _, _), cand, rc in zip(group, cands, _residuals(prob, np.stack(cands))):
+                if rc is not None and np.linalg.norm(rc) < rnorm:
+                    lam, r = cand, rc
+                    rnorm = float(np.linalg.norm(rc))
+                    mu = max(mu_try / 3.0, 1e-14)
+                    accepted = True
+                    break
         iterations += 1
         if not accepted:
             break

@@ -5,6 +5,7 @@ checked via capsys.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -478,6 +479,20 @@ def test_scenario_json_booleans_exit_one(tmp_path, capsys, kind, base, fields):
     cfg = _write_cfg(tmp_path, "bool.json", {**base, **fields})
     assert main(["scenario", kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     _assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, base", [
+    (["solve"], PATH2_CFG), (["scenario", "densify"], DENSIFY3), (["scenario", "swap"], SWAP4),
+])
+def test_overflowing_horizon_exit_one(tmp_path, capsys, command, base):
+    # t0 and tf are finite, but tf - t0 overflows to inf
+    cfg = _write_cfg(tmp_path, "wide.json", {**base, "t0": -1e308, "tf": 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(command + ["--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: solver settings need finite tf - t0\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -174,29 +174,72 @@ def test_batch_shoot_matches_single_member_shoots_bitwise():
             assert np.array_equal(shoot(prob, lam0s[b])[0], X_tf[b])
 
 
-@pytest.mark.parametrize("graph, target, settings, starts", [
-    (nx.path_graph(3), np.eye(3) * 0.7 + 0.1, {}, 1),
-    (nx.path_graph(4), np.eye(4)[[1, 0, 3, 2]], {"max_iter": 2, "restarts": 1}, 2),
-])
-def test_shoot_plan(monkeypatch, graph, target, settings, starts):
-    # one letter per batch shoot: r = one residual, J = the 2 n^2 Jacobian
-    # members, p = the two line-search probes lam +- h delta, F = the recorded
-    # final shoot; each line-search try is p then r (its candidate)
+def _checked_shoot_plan(monkeypatch, graph, target, settings, starts):
+    # one letter per batch shoot, by batch size: J = the 2 n^2 Jacobian
+    # members, F = the recorded final shoot, and 1, 2, 4 = the other batch
+    # sizes. A start is its residual (1), then one J per iteration, each
+    # followed by its line-search tries shot two at a time: the probes
+    # lam +- h delta of both tries (4), then their candidates (2). Only an
+    # iteration's last group may hold one try: probes (2), candidate (1).
     plan = []
     real = optimal_control._shoot_batch
 
     def counted(prob, lam0s, record=False):
         B = lam0s.shape[0]
-        plan.append("F" if record else {1: "r", 2: "p", 2 * graph.n ** 2: "J"}[B])
+        plan.append("F" if record else {1: "1", 2: "2", 4: "4", 2 * graph.n ** 2: "J"}[B])
         assert B == 1 or not record
         return real(prob, lam0s, record)
 
     monkeypatch.setattr(optimal_control, "_shoot_batch", counted)
     sol = solve_bvp(BvpProblem(graph=graph, target=target, **settings))
     plan = "".join(plan)
-    assert re.fullmatch(r"(r(J(pr)+)*)+F", plan), plan
-    assert re.sub(r"pr", "", plan).count("r") == starts
+    start = r"1(?:J(?:42)*(?:42|21))*"
+    assert re.fullmatch(rf"(?:{start})+F", plan), plan
+    assert len(re.findall(start, plan)) == starts
     assert plan.count("J") == sol.iterations
+    return plan
+
+
+@pytest.mark.parametrize("graph, target, settings, starts", [
+    (nx.path_graph(3), np.eye(3) * 0.7 + 0.1, {}, 1),
+    (nx.path_graph(4), np.eye(4)[[1, 0, 3, 2]], {"max_iter": 2, "restarts": 1}, 2),
+])
+def test_shoot_plan(monkeypatch, graph, target, settings, starts):
+    _checked_shoot_plan(monkeypatch, graph, target, settings, starts)
+
+
+def test_shoot_plan_across_try_groups(monkeypatch):
+    # the last iteration of the second start makes 7 tries: four groups
+    plan = _checked_shoot_plan(monkeypatch, nx.path_graph(4), np.eye(4)[[1, 0, 3, 2]],
+                               {"max_iter": 3, "restarts": 1}, 2)
+    assert max(len(m) // 2 for m in re.findall(r"J((?:42|21)+)", plan)) == 4
+
+
+def test_line_search_groups_keep_the_sequential_schedule(monkeypatch):
+    # script the candidates: the second try is accepted, every other one is
+    # rejected. Taken one by one, the tries run mu from 1e-3 to 1e-2, accept,
+    # continue from 1e-2 / 3, and stop after the 17th rejection takes mu past
+    # 1e14: 2 + 17 tries. Shot two at a time, the last group holds one try.
+    prob = BvpProblem(graph=nx.path_graph(3), target=np.eye(3) * 0.7 + 0.1)
+    real = optimal_control._residuals
+    r0, = real(prob, np.zeros((1, 3, 3)))
+    sizes, tries = [], []
+
+    def scripted(prob, lam0s):
+        sizes.append(lam0s.shape[0])
+        if len(sizes) == 1 or len(sizes) % 2 == 0:  # start residual, probes
+            return real(prob, lam0s)
+        out = []
+        for _ in lam0s:
+            tries.append(None)
+            out.append(0.5 * r0 if len(tries) == 2 else None)
+        return out
+
+    monkeypatch.setattr(optimal_control, "_residuals", scripted)
+    _, rnorm, iterations, converged = optimal_control._newton_from(prob, np.zeros((3, 3)))
+    assert (iterations, converged, len(tries)) == (2, False, 19)
+    assert rnorm == 0.5 * np.linalg.norm(r0)
+    assert sizes == [1] + [4, 2] * 9 + [2, 1]
 
 
 def test_shoot_rejects_wrong_shape():
@@ -247,6 +290,11 @@ def test_problem_rejects_empty_horizon():
 def test_problem_rejects_out_of_range_settings(setting):
     with pytest.raises(SettingsError, match=next(iter(setting))):
         BvpProblem(graph=nx.path_graph(2), target=np.eye(2), **setting)
+
+
+def test_problem_rejects_overflowing_horizon():
+    with pytest.raises(SettingsError, match=r"need finite tf - t0$"):
+        BvpProblem(graph=nx.path_graph(2), target=np.eye(2), t0=-1e308, tf=1e308)
 
 
 # ---------------------------------------------------------------------------

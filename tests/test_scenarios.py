@@ -175,3 +175,14 @@ def test_swap_no_pairs_is_identity_target():
     rep = nx.run_swap(nx.SwapScenario(graph=nx.path_graph(2), pairs=()))
     assert rep.solution.converged
     assert np.abs(rep.final_state - rep.xi).max() < 1e-8
+
+
+def test_curated_newton_paths(densify_report, swap_report):
+    # per-arc Newton iterations and restarts of the two curated scenarios: a
+    # change to any accept/reject decision of the solver moves these counts
+    densify = densify_report.solution.segments()
+    assert [arc.iterations for arc in densify] == [120, 0, 0, 0, 0]
+    assert [arc.restart_used for arc in densify] == [0, 0, 0, 0, 0]
+    swap = swap_report.solution.segments()
+    assert [arc.iterations for arc in swap] == [113, 11]
+    assert [arc.restart_used for arc in swap] == [2, 0]
