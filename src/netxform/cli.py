@@ -234,19 +234,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "that make a network compute a global linear transformation.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--out", default="netxform_out", help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument("--steps", type=int, default=None, help="override integration steps")
+    shared = {"out": dict(default="netxform_out", help="output directory"),
+              "seed": dict(type=int, default=None, help="override config seed"),
+              "steps": dict(type=int, default=None, help="override integration steps")}
+
+    def flags(sp, *names):
+        """The shared flags a subcommand reads; `check` reads none of them."""
+        for name in names:
+            sp.add_argument(f"--{name}", **shared[name])
 
     sp = sub.add_parser("check", help="feasibility gate for a target matrix")
     sp.add_argument("--config", required=True)
-    common(sp)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("solve", help="synthesize the optimal weight schedule")
     sp.add_argument("--config", required=True)
-    common(sp)
+    flags(sp, "out", "seed", "steps")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("simulate", help="run node states through an emitted schedule")
@@ -254,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--xi", default=None, help="comma-separated initial state")
     sp.add_argument("--xi-file", default=None, help="file with the initial state")
     sp.add_argument("--config", default=None, help="optional graph config to validate against")
-    common(sp)
+    flags(sp, "out", "steps")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("scenario", help="run a built-in scenario")
     sp.add_argument("kind", choices=["densify", "swap"])
     sp.add_argument("--config", required=True)
-    common(sp)
+    flags(sp, "out", "seed", "steps")
     sp.set_defaults(func=cmd_scenario)
     return p
 

@@ -123,10 +123,10 @@ def read_matrix_trajectory_csv(path):
     return data[:, 0], data[:, 1:].reshape(-1, n, n)
 
 
-def write_vector_trajectory_csv(path, grid, xs, prefix: str = "x") -> None:
+def write_vector_trajectory_csv(path, grid, xs) -> None:
     """Node-state trajectory: header t,x_1,...,x_n."""
     xs = np.asarray(xs)
-    _write_table(path, ["t"] + [f"{prefix}_{i}" for i in range(1, xs.shape[1] + 1)],
+    _write_table(path, ["t"] + [f"x_{i}" for i in range(1, xs.shape[1] + 1)],
                  np.column_stack([grid, xs]))
 
 

@@ -8,6 +8,7 @@ keeps the state and costate integrations in the shooting solver consistent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,25 +25,41 @@ class DynamicsError(ValueError):
 # pivoting order must be deterministic (feasibility reports compare det > 0
 # and the swap targets need exact signs for triangular inputs).
 
+def _eliminate(A: np.ndarray, B: np.ndarray | None, tol: float):
+    """Row-reduce A in place by partial pivoting, applying the same row
+    operations to B when given. A column whose largest remaining entry is at
+    most tol in magnitude is skipped. Returns the pivot columns and the sign
+    of the row permutation."""
+    rows, cols = A.shape
+    pivots, sign = [], 1.0
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        p = r + int(np.argmax(np.abs(A[r:, c])))
+        if abs(A[p, c]) <= tol:
+            continue
+        if p != r:
+            A[[r, p]] = A[[p, r]]
+            if B is not None:
+                B[[r, p]] = B[[p, r]]
+            sign = -sign
+        fac = A[r + 1:, c] / A[r, c]
+        A[r + 1:, c + 1:] -= np.outer(fac, A[r, c + 1:])
+        if B is not None:
+            B[r + 1:] -= np.outer(fac, B[r])
+        pivots.append(c)
+    return pivots, sign
+
+
 def determinant(A: np.ndarray) -> float:
     """Determinant by partially pivoted elimination with exact swap signs."""
     A = np.array(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n):
         raise DynamicsError(f"determinant needs a square matrix, got {A.shape}")
-    sign = 1.0
-    det = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if A[p, k] == 0.0:
-            return 0.0
-        if p != k:
-            A[[k, p]] = A[[p, k]]
-            sign = -sign
-        det *= A[k, k]
-        if k + 1 < n:
-            A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k] / A[k, k], A[k, k + 1:])
-    return sign * det
+    pivots, sign = _eliminate(A, None, 0.0)
+    return sign * math.prod(A.diagonal()) if len(pivots) == n else 0.0
 
 
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -55,16 +72,8 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     vec = b.ndim == 1
     B = b.reshape(n, -1)
     tiny = n * np.finfo(float).eps * max(np.abs(A).max(), 1.0)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if abs(A[p, k]) <= tiny:
-            raise DynamicsError("solve_linear: matrix singular to working precision")
-        if p != k:
-            A[[k, p]] = A[[p, k]]
-            B[[k, p]] = B[[p, k]]
-        fac = A[k + 1:, k] / A[k, k]
-        A[k + 1:, k + 1:] -= np.outer(fac, A[k, k + 1:])
-        B[k + 1:] -= np.outer(fac, B[k])
+    if len(_eliminate(A, B, tiny)[0]) < n:
+        raise DynamicsError("solve_linear: matrix singular to working precision")
     X = np.zeros_like(B)
     for k in range(n - 1, -1, -1):
         X[k] = (B[k] - A[k, k + 1:] @ X[k + 1:]) / A[k, k]
@@ -152,12 +161,11 @@ class WeightSchedule:
         return (1.0 - a) * self.W_seq[k] + a * self.W_seq[k + 1]
 
 
-def constant_schedule(W: np.ndarray, t0: float, tf: float, msk: SparsityMask,
-                      samples: int = 2) -> WeightSchedule:
+def constant_schedule(W: np.ndarray, t0: float, tf: float, msk: SparsityMask) -> WeightSchedule:
     """Schedule holding W fixed over [t0, tf]."""
-    grid = np.linspace(t0, tf, samples)
     W = np.asarray(W, dtype=float)
-    return WeightSchedule(grid=grid, W_seq=np.repeat(W[None, :, :], samples, axis=0), mask=msk)
+    return WeightSchedule(grid=np.linspace(t0, tf, 2), W_seq=np.repeat(W[None, :, :], 2, axis=0),
+                          mask=msk)
 
 
 @dataclass(frozen=True)
@@ -209,15 +217,20 @@ def _rk4(f, y0: np.ndarray, t0: float, tf: float, steps: int,
         yield t0 + (k + 1) * h, y
 
 
+def _replay(sched: WeightSchedule, y0: np.ndarray, steps: int, caller: str):
+    """RK4 run of ydot = W(t) y from y0 over the schedule's interval; returns
+    (grid, ys). `caller` names the public function in the error message."""
+    pts = list(_rk4(lambda t, y, out: np.matmul(sched.W_at(t), y, out=out),
+                     y0, sched.t0, sched.tf, steps))
+    ys = np.array([y for _, y in pts])
+    if not np.all(np.isfinite(ys)):
+        raise DynamicsError(f"{caller}: non-finite values encountered")
+    return np.array([t for t, _ in pts]), ys
+
+
 def integrate_transition(sched: WeightSchedule, steps: int) -> TransitionTrajectory:
     """Integrate Xdot = W(t) X from the identity over the schedule's interval."""
-    n = sched.n
-    pts = list(_rk4(lambda t, X, out: np.matmul(sched.W_at(t), X, out=out),
-                     np.eye(n), sched.t0, sched.tf, steps))
-    grid = np.array([t for t, _ in pts])
-    X_seq = np.array([X for _, X in pts])
-    if not np.all(np.isfinite(X_seq)):
-        raise DynamicsError("integrate_transition: non-finite values encountered")
+    grid, X_seq = _replay(sched, np.eye(sched.n), steps, "integrate_transition")
     dets = np.array([determinant(X) for X in X_seq])
     if np.any(dets <= 0.0):
         raise DynamicsError("integrate_transition: determinant lost positivity")
@@ -245,13 +258,7 @@ def propagate_state(sched: WeightSchedule, xi: np.ndarray, steps: int):
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (sched.n,):
         raise DynamicsError(f"initial state has shape {xi.shape}, expected ({sched.n},)")
-    pts = list(_rk4(lambda t, x, out: np.matmul(sched.W_at(t), x, out=out),
-                     xi, sched.t0, sched.tf, steps))
-    grid = np.array([t for t, _ in pts])
-    xs = np.array([x for _, x in pts])
-    if not np.all(np.isfinite(xs)):
-        raise DynamicsError("propagate_state: non-finite values encountered")
-    return grid, xs
+    return _replay(sched, xi, steps, "propagate_state")
 
 
 def propagate_state_through(schedules, xi: np.ndarray, steps_per_segment: int):

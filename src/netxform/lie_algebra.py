@@ -14,12 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import determinant
+from .dynamics import _eliminate, determinant
 from .graph import Graph, is_connected
 
 
 class LieAlgebraError(ValueError):
     """Index out of range or dimension mismatch."""
+
+
+# Relative threshold below which a pivot or a residual counts as zero.
+RANK_TOL = 1e-10
 
 
 def index_matrix(n: int, i: int, j: int) -> np.ndarray:
@@ -74,10 +78,6 @@ class FeasibilityReport:
     def feasible(self) -> bool:
         return self.determinant > 0.0 and self.connected
 
-    @property
-    def verdict(self) -> str:
-        return "feasible" if self.feasible else "infeasible"
-
     def to_json_dict(self) -> dict:
         return {"det": self.determinant, "connected": self.connected,
                 "feasible": self.feasible, "reason": self.reason}
@@ -108,32 +108,16 @@ def bracket_general(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(coeffs=b.coeffs @ a.coeffs - a.coeffs @ b.coeffs)
 
 
-def matrix_rank(A: np.ndarray, rank_tol: float | None = None) -> int:
-    """Numerical rank by row reduction with a pivot threshold.
-
-    Default threshold is 1e-10 times the largest absolute entry; deterministic
-    and free of factorization-library variation.
+def matrix_rank(A: np.ndarray) -> int:
+    """Numerical rank by row reduction with a pivot threshold of RANK_TOL
+    times the largest absolute entry; deterministic and free of
+    factorization-library variation.
     """
     A = np.array(A, dtype=float)
-    scale = np.abs(A).max(initial=0.0)
-    if scale == 0.0:
-        return 0
-    tol = (1e-10 if rank_tol is None else rank_tol) * scale
-    rows, cols = A.shape
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        p = rank + int(np.argmax(np.abs(A[rank:, c])))
-        if abs(A[p, c]) <= tol:
-            continue
-        A[[rank, p]] = A[[p, rank]]
-        A[rank + 1:, c:] -= np.outer(A[rank + 1:, c] / A[rank, c], A[rank, c:])
-        rank += 1
-    return rank
+    return len(_eliminate(A, None, RANK_TOL * np.abs(A).max(initial=0.0))[0])
 
 
-def _closure_basis(g: Graph, rank_tol: float) -> list:
+def _closure_basis(g: Graph) -> list:
     """Orthonormal basis (as n x n matrices) of the commutator closure of the
     edge coefficient matrices, built by iterated sweeps."""
     n = g.n
@@ -142,7 +126,7 @@ def _closure_basis(g: Graph, rank_tol: float) -> list:
 
     def try_add(M: np.ndarray) -> None:
         v = M.ravel().astype(float)
-        thresh = max(rank_tol, rank_tol * np.linalg.norm(v))
+        thresh = max(RANK_TOL, RANK_TOL * np.linalg.norm(v))
         for _ in range(2):  # re-orthogonalize for stability
             for b in basis_vecs:
                 v = v - (b @ v) * b
@@ -172,16 +156,16 @@ def _closure_basis(g: Graph, rank_tol: float) -> list:
     return mats
 
 
-def generated_algebra_dimension(g: Graph, rank_tol: float = 1e-10) -> int:
+def generated_algebra_dimension(g: Graph) -> int:
     """Dimension of the smallest matrix space containing the edge index
     matrices and closed under commutators."""
-    return len(_closure_basis(g, rank_tol))
+    return len(_closure_basis(g))
 
 
-def closure_contains(g: Graph, C: np.ndarray, rank_tol: float = 1e-10) -> float:
+def closure_contains(g: Graph, C: np.ndarray) -> float:
     """Residual norm of C after projection onto the closure span."""
     v = np.asarray(C, dtype=float).ravel()
-    for M in _closure_basis(g, rank_tol):
+    for M in _closure_basis(g):
         b = M.ravel()
         v = v - (b @ v) * b
     return float(np.linalg.norm(v))
@@ -192,9 +176,12 @@ def check_feasible(g: Graph, T: np.ndarray) -> FeasibilityReport:
     T = np.asarray(T, dtype=float)
     if T.shape != (g.n, g.n):
         raise LieAlgebraError(f"target has shape {T.shape}, expected ({g.n},{g.n})")
-    det = determinant(T)
     connected = is_connected(g)
-    if det > 0.0 and connected:
+    finite = np.all(np.isfinite(T))
+    det = determinant(T) if finite else np.nan
+    if not finite:
+        reason = "target has non-finite entries"
+    elif det > 0.0 and connected:
         reason = "target has positive determinant and the graph is connected"
     elif det == 0.0:
         reason = "determinant is zero"
@@ -202,15 +189,13 @@ def check_feasible(g: Graph, T: np.ndarray) -> FeasibilityReport:
         reason = f"determinant is negative ({det})"
     else:
         reason = "graph is not connected"
-    if det > 0.0 and not connected:
-        reason = "graph is not connected"
     return FeasibilityReport(determinant=float(det), connected=connected, reason=reason)
 
 
-def controllable_at(g: Graph, X: np.ndarray, rank_tol: float = 1e-10) -> bool:
+def controllable_at(g: Graph, X: np.ndarray) -> bool:
     """Local controllability of the transition dynamics at X: connected graph
     and full numerical rank of X."""
     X = np.asarray(X, dtype=float)
     if X.shape != (g.n, g.n):
         raise LieAlgebraError(f"state has shape {X.shape}, expected ({g.n},{g.n})")
-    return is_connected(g) and matrix_rank(X, rank_tol) == g.n
+    return is_connected(g) and matrix_rank(X) == g.n

@@ -32,6 +32,9 @@ SWAP_WAYPOINT_4 = np.array([
     [0.0, 0.0, 0.0, 1.0],
 ])
 
+# Largest contraction -log det of one segment of contraction_waypoints.
+MAX_LOG_CONTRACTION = 4.0
+
 
 def _initial_state(value, n: int) -> np.ndarray | None:
     """The optional initial node values as a finite vector of length n."""
@@ -121,13 +124,13 @@ def swap_target(n: int, pairs) -> np.ndarray:
     return T
 
 
-def contraction_waypoints(T: np.ndarray, max_log_contraction: float = 4.0) -> list:
+def contraction_waypoints(T: np.ndarray) -> list:
     """Intermediate targets T^(k/K) for a strongly contracting symmetric
     positive definite T.
 
     Shooting over the whole horizon is exponentially ill-conditioned once
     det(T) is many orders of magnitude below 1; routing through matrix-power
-    waypoints keeps every segment's contraction below e^-max_log_contraction.
+    waypoints keeps every segment's contraction below e^-MAX_LOG_CONTRACTION.
     Returns an empty list when T is mild or is not symmetric positive
     definite (no canonical real power path exists then).
     """
@@ -138,12 +141,12 @@ def contraction_waypoints(T: np.ndarray, max_log_contraction: float = 4.0) -> li
     if det <= 0.0:
         return []
     shrink = -np.log(det)
-    if shrink <= max_log_contraction:
+    if shrink <= MAX_LOG_CONTRACTION:
         return []
     evals, evecs = np.linalg.eigh(T)
     if evals.min() <= 0.0:
         return []
-    K = int(np.ceil(shrink / max_log_contraction))
+    K = int(np.ceil(shrink / MAX_LOG_CONTRACTION))
     return [evecs @ np.diag(evals ** (k / K)) @ evecs.T for k in range(1, K)]
 
 

@@ -1,18 +1,23 @@
-"""The buffered integrators against plain reference loops, bit for bit.
+"""The buffered integrators and the shared elimination against plain
+reference loops, bit for bit.
 
-The references allocate a fresh array at every RK4 stage and evaluate
+The RK4 references allocate a fresh array at every stage and evaluate
 y + h/2 k and y + h/6 (k1 + 2 k2 + 2 k3 + k4) as written. The extremal
 reference takes its rates from the public extremal_rhs, which
 test_extremal_rhs_is_one_stacked_rate pins to the plain formulas
-W = -(lam X^T) on the edge pattern, W X and -W^T lam.
+W = -(lam X^T) on the edge pattern, W X and -W^T lam. The elimination
+references are the three separate pivoting loops that determinant,
+solve_linear and matrix_rank each ran before they shared one.
 """
 
 import numpy as np
 import pytest
 
 import netxform as nx
-from netxform.dynamics import integrate_transition, propagate_state
+from netxform.dynamics import (DynamicsError, determinant, integrate_transition,
+                               propagate_state, solve_linear)
 from netxform.graph import mask
+from netxform.lie_algebra import matrix_rank
 from netxform.optimal_control import (DIVERGENCE_LIMIT, BvpProblem, _shoot_batch,
                                       extremal_rhs, shoot)
 
@@ -109,3 +114,120 @@ def test_state_integrators_match_the_reference_loop(graph):
     grid, ref = reference_rk4(rate, xi, sched.t0, sched.tf, 37)
     assert_same_bits(g, grid)
     assert_same_bits(xs, ref)
+
+
+def reference_determinant(A):
+    A = np.array(A, dtype=float)
+    n = A.shape[0]
+    sign = 1.0
+    det = 1.0
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(A[k:, k])))
+        if A[p, k] == 0.0:
+            return 0.0
+        if p != k:
+            A[[k, p]] = A[[p, k]]
+            sign = -sign
+        det *= A[k, k]
+        if k + 1 < n:
+            A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k] / A[k, k], A[k, k + 1:])
+    return sign * det
+
+
+def reference_solve_linear(A, b):
+    """Returns None where the loop found A singular."""
+    A = np.array(A, dtype=float)
+    b = np.array(b, dtype=float)
+    n = A.shape[0]
+    vec = b.ndim == 1
+    B = b.reshape(n, -1)
+    tiny = n * np.finfo(float).eps * max(np.abs(A).max(), 1.0)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(A[k:, k])))
+        if abs(A[p, k]) <= tiny:
+            return None
+        if p != k:
+            A[[k, p]] = A[[p, k]]
+            B[[k, p]] = B[[p, k]]
+        fac = A[k + 1:, k] / A[k, k]
+        A[k + 1:, k + 1:] -= np.outer(fac, A[k, k + 1:])
+        B[k + 1:] -= np.outer(fac, B[k])
+    X = np.zeros_like(B)
+    for k in range(n - 1, -1, -1):
+        X[k] = (B[k] - A[k, k + 1:] @ X[k + 1:]) / A[k, k]
+    return X[:, 0] if vec else X
+
+
+def reference_matrix_rank(A):
+    A = np.array(A, dtype=float)
+    scale = np.abs(A).max(initial=0.0)
+    if scale == 0.0:
+        return 0
+    tol = 1e-10 * scale
+    rows, cols = A.shape
+    rank = 0
+    for c in range(cols):
+        if rank == rows:
+            break
+        p = rank + int(np.argmax(np.abs(A[rank:, c])))
+        if abs(A[p, c]) <= tol:
+            continue
+        A[[rank, p]] = A[[p, rank]]
+        A[rank + 1:, c:] -= np.outer(A[rank + 1:, c] / A[rank, c], A[rank, c:])
+        rank += 1
+    return rank
+
+
+def _elimination_input(rng, rows, cols, kind):
+    """A seeded matrix of one of the kinds the pivoting has to get right."""
+    if kind == "integer":  # exact zeros and ties among the pivot candidates
+        return rng.integers(-2, 3, (rows, cols)).astype(float)
+    A = rng.standard_normal((rows, cols))
+    if kind == "zero column":
+        A[:, rng.integers(cols)] = 0.0
+    elif kind == "negative zero column":
+        A[:, rng.integers(cols)] = -0.0
+    elif kind == "repeated row" and rows > 1:
+        A[rng.integers(1, rows)] = A[0]
+    elif kind == "scaled":
+        A *= 10.0 ** rng.integers(-300, 300)
+    elif kind == "non-finite":
+        A[rng.integers(rows), rng.integers(cols)] = rng.choice([np.nan, np.inf, -np.inf])
+    return A
+
+
+KINDS = ["normal", "integer", "zero column", "negative zero column", "repeated row",
+         "scaled", "non-finite"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_square_elimination_matches_the_reference_loops(kind):
+    rng = np.random.default_rng(KINDS.index(kind))
+    raised = 0
+    for n in range(1, 9):
+        for _ in range(40):
+            A = _elimination_input(rng, n, n, kind)
+            b = rng.standard_normal((n,) if rng.integers(2) else (n, 2))
+            with np.errstate(all="ignore"):
+                assert_same_bits(determinant(A), reference_determinant(A))
+                assert matrix_rank(A) == reference_matrix_rank(A)
+                want = reference_solve_linear(A, b)
+                if want is None:
+                    raised += 1
+                    with pytest.raises(DynamicsError, match="singular"):
+                        solve_linear(A, b)
+                else:
+                    assert_same_bits(solve_linear(A, b), want)
+    if kind in ("integer", "zero column", "negative zero column", "repeated row"):
+        assert raised > 0  # the singular branch was exercised
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rectangular_rank_matches_the_reference_loop(kind):
+    rng = np.random.default_rng(100 + KINDS.index(kind))
+    for rows in range(1, 9):
+        for cols in range(1, 9):
+            for _ in range(4):
+                A = _elimination_input(rng, rows, cols, kind)
+                with np.errstate(all="ignore"):
+                    assert matrix_rank(A) == reference_matrix_rank(A)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import netxform as nx
-from netxform.cli import main
+from netxform.cli import build_parser, main
 from netxform.csvio import (read_matrix_trajectory_csv, read_schedule_csv,
                             read_vector_trajectory_csv)
 
@@ -260,6 +260,35 @@ def test_solve_malformed_waypoints_exit_one(path3_cfg, tmp_path, capsys, waypoin
     path = _write_cfg(tmp_path, "wp.json", cfg)
     assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 1
     _assert_one_error_line(capsys)
+
+
+# ---------------------------------------------------------------------------
+# shared flags
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("check", "--out", "d"),
+    ("check", "--seed", "1"),
+    ("check", "--steps", "5"),
+    ("simulate", "--seed", "1"),
+])
+def test_unread_flags_exit_one(tmp_path, capsys, path3_cfg, command, flag, value):
+    argv = ([command, "--config", path3_cfg] if command == "check" else
+            [command, "--schedule", str(tmp_path / "s.csv"), "--xi", "1,2"])
+    if flag == "--out":
+        value = str(tmp_path / value)
+    assert main(argv + [flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert list(tmp_path.iterdir()) == [Path(path3_cfg)]
+
+
+@pytest.mark.parametrize("command", [["solve"], ["scenario", "densify"]])
+def test_solve_and_scenario_take_the_shared_flags(command):
+    args = build_parser().parse_args(command + ["--config", "c.json", "--out", "d",
+                                                "--seed", "7", "--steps", "3"])
+    assert (args.out, args.seed, args.steps) == ("d", 7, 3)
 
 
 # ---------------------------------------------------------------------------

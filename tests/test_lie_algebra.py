@@ -5,6 +5,7 @@ in exact rational arithmetic over the coefficient matrices, so dimension
 comparisons carry no floating-point doubt.
 """
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -226,6 +227,20 @@ def test_feasibility_disconnected_rejected():
     g = nx.build_graph(3, [(1, 2)])
     rep = nx.check_feasible(g, np.eye(3))
     assert not rep.feasible and "connected" in rep.reason
+
+
+@pytest.mark.parametrize("target", [
+    np.diag([np.inf, 1.0, 1.0]),
+    np.diag([np.nan, 1.0, 1.0]),
+    np.full((3, 3), np.inf),
+    np.full((3, 3), -np.inf),
+])
+def test_feasibility_non_finite_target_rejected(target):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = nx.check_feasible(nx.path_graph(3), target)
+    assert not rep.feasible and rep.connected
+    assert rep.reason == "target has non-finite entries"
 
 
 def test_feasibility_report_json_fields():
