@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import sys
 import warnings
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,65 +56,35 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _matrix(value, name: str, n: int) -> np.ndarray:
-    """A finite n-by-n matrix, for a graph of n nodes."""
-    try:
-        M = numeric_array(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field {name!r} is not a numeric matrix: {exc}") from exc
-    if M.shape != (n, n):
-        raise ConfigError(f"field {name!r} must be a {n}x{n} row-major matrix "
-                          f"for a graph of {n} nodes, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ConfigError(f"field {name!r} has non-finite entries")
-    return M
-
-
-def _number(value, name: str, kind=float):
-    """A finite number (a whole one for kind=int); ranges are BvpProblem's.
-    JSON true/false is not a number."""
-    try:
-        x = float(value)
-        ok = (not isinstance(value, bool) and math.isfinite(x)
-              and (kind is float or x.is_integer()))
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        raise ConfigError(f"field {name!r} must be a finite "
-                          f"{'integer' if kind is int else 'number'}, got {value!r}")
-    return kind(x)
-
-
-# Solver settings a config may set; BvpProblem holds their defaults and ranges.
-_SOLVER_FIELDS = {"steps": int, "newton_tol": float, "max_iter": int, "restarts": int,
-                  "seed": int}
-
-
-def _settings(cfg: dict, args) -> dict:
-    """The horizon and solver settings the config or the flags set."""
+def _settings(cfg: dict) -> dict:
+    """The horizon and solver settings the config sets. They are BvpProblem's
+    fields with defaults, which also give their kinds and ranges: t0 and tf
+    sit at the top level, the others under "solver"."""
     solver = cfg.get("solver", {})
     if not isinstance(solver, dict):
         raise ConfigError("field 'solver' must be an object")
-    settings = {key: _number(cfg[key], key) for key in ("t0", "tf") if key in cfg}
-    settings.update((key, _number(solver[key], f"solver.{key}", kind))
-                    for key, kind in _SOLVER_FIELDS.items() if key in solver)
-    for key in ("seed", "steps"):
-        if getattr(args, key, None) is not None:
-            settings[key] = getattr(args, key)
+    settings = {}
+    for f in fields(BvpProblem):
+        section, name = (cfg, f.name) if f.name in ("t0", "tf") else (solver, f"solver.{f.name}")
+        if f.default is not MISSING and f.name in section:
+            kind = type(f.default)
+            settings[f.name] = kind(numeric_array(section[f.name], f"field {name!r}", (),
+                                                  whole=kind is int, error=ConfigError))
     return settings
+
+
+def _graph_and_target(cfg: dict):
+    g = graph_from_json_dict(_require(cfg, "graph"))
+    return g, numeric_array(_require(cfg, "target"), "field 'target'", (g.n, g.n),
+                            error=ConfigError)
 
 
 def _waypoints(cfg: dict, n: int) -> list:
     waypoints = cfg.get("waypoints", [])
     if not isinstance(waypoints, list):
         raise ConfigError("field 'waypoints' must be a list of matrices")
-    return [_matrix(W, f"waypoints[{k}]", n) for k, W in enumerate(waypoints)]
-
-
-def _parse_problem(cfg: dict, args):
-    g = graph_from_json_dict(_require(cfg, "graph"))
-    target = _matrix(_require(cfg, "target"), "target", g.n)
-    return g, target, _waypoints(cfg, g.n), _settings(cfg, args)
+    return [numeric_array(W, f"field 'waypoints[{k}]'", (n, n), error=ConfigError)
+            for k, W in enumerate(waypoints)]
 
 
 def write_solution_bundle(sol, outdir: Path) -> None:
@@ -144,8 +114,7 @@ def _finish(sol, out) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = _load_config(args.config)
-    g, target, _, _ = _parse_problem(cfg, args)
+    g, target = _graph_and_target(_load_config(args.config))
     report = check_feasible(g, target)
     print(json.dumps(report.to_json_dict(), sort_keys=True))
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
@@ -153,8 +122,9 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
-    g, target, waypoints, settings = _parse_problem(cfg, args)
-    prob = BvpProblem(graph=g, target=target, **settings)
+    g, target = _graph_and_target(cfg)
+    waypoints = _waypoints(cfg, g.n)
+    prob = BvpProblem(graph=g, target=target, **_settings(cfg))
     if not waypoints:
         min_det, argmin_s = homotopy_singularity_scan(target)
         if min_det < 0.1:
@@ -168,18 +138,15 @@ def _parse_xi(args, n: int) -> np.ndarray:
     """The initial state from --xi (comma-separated) or, failing that, --xi-file."""
     if args.xi is None and args.xi_file is None:
         raise ConfigError("simulate needs --xi or --xi-file")
-    source = io.StringIO(args.xi) if args.xi is not None else args.xi_file
+    flag, source = (("--xi", io.StringIO(args.xi)) if args.xi is not None
+                    else ("--xi-file", args.xi_file))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the shape check below reports an empty input
             xi = np.loadtxt(source, delimiter=",", ndmin=1)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read the initial state: {exc}") from exc
-    if xi.shape != (n,):
-        raise ConfigError(f"initial state has {xi.size} entries, schedule expects {n}")
-    if not np.all(np.isfinite(xi)):
-        raise ConfigError("initial state has non-finite entries")
-    return xi
+        raise ConfigError(f"cannot read the initial state from {flag}: {exc}") from exc
+    return numeric_array(xi, f"initial state from {flag}", (n,), error=ConfigError)
 
 
 def cmd_simulate(args) -> int:
@@ -205,7 +172,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_scenario(args) -> int:
     cfg = _load_config(args.config)
-    settings = _settings(cfg, args)
+    settings = _settings(cfg)
     if args.kind == "densify":
         scen = DensifyScenario(
             sparse_graph=graph_from_json_dict(_require(cfg, "sparse_graph")),
@@ -233,37 +200,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide, synthesize, and simulate local interaction weights "
                     "that make a network compute a global linear transformation.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    shared = {"out": dict(default="netxform_out", help="output directory"),
-              "seed": dict(type=int, default=None, help="override config seed"),
-              "steps": dict(type=int, default=None, help="override integration steps")}
-
-    def flags(sp, *names):
-        """The shared flags a subcommand reads; `check` reads none of them."""
-        for name in names:
-            sp.add_argument(f"--{name}", **shared[name])
+    out = argparse.ArgumentParser(add_help=False)  # every subcommand but check writes
+    out.add_argument("--out", default="netxform_out", help="output directory")
 
     sp = sub.add_parser("check", help="feasibility gate for a target matrix")
     sp.add_argument("--config", required=True)
     sp.set_defaults(func=cmd_check)
 
-    sp = sub.add_parser("solve", help="synthesize the optimal weight schedule")
+    sp = sub.add_parser("solve", parents=[out], help="synthesize the optimal weight schedule")
     sp.add_argument("--config", required=True)
-    flags(sp, "out", "seed", "steps")
     sp.set_defaults(func=cmd_solve)
 
-    sp = sub.add_parser("simulate", help="run node states through an emitted schedule")
+    sp = sub.add_parser("simulate", parents=[out],
+                        help="run node states through an emitted schedule")
     sp.add_argument("--schedule", required=True, help="schedule.csv path")
     sp.add_argument("--xi", default=None, help="comma-separated initial state")
     sp.add_argument("--xi-file", default=None, help="file with the initial state")
     sp.add_argument("--config", default=None, help="optional graph config to validate against")
-    flags(sp, "out", "steps")
+    sp.add_argument("--steps", type=int, default=None,
+                    help="integration steps (default: set by the schedule grid)")
     sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("scenario", help="run a built-in scenario")
+    sp = sub.add_parser("scenario", parents=[out], help="run a built-in scenario")
     sp.add_argument("kind", choices=["densify", "swap"])
     sp.add_argument("--config", required=True)
-    flags(sp, "out", "seed", "steps")
     sp.set_defaults(func=cmd_scenario)
     return p
 

@@ -52,14 +52,25 @@ def _eliminate(A: np.ndarray, B: np.ndarray | None, tol: float):
     return pivots, sign
 
 
-def determinant(A: np.ndarray) -> float:
-    """Determinant by partially pivoted elimination with exact swap signs."""
+def _determinant(A: np.ndarray) -> tuple:
+    """det A and its sign (-1, 0 or 1). The sign comes from the row swaps and
+    the signs of the pivots, so it stays right when the product of the
+    pivots overflows or underflows."""
     A = np.array(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n):
         raise DynamicsError(f"determinant needs a square matrix, got {A.shape}")
     pivots, sign = _eliminate(A, None, 0.0)
-    return sign * math.prod(A.diagonal()) if len(pivots) == n else 0.0
+    if len(pivots) < n:
+        return 0.0, 0
+    d = A.diagonal()
+    # a product of Python floats overflows to inf without a numpy warning
+    return sign * math.prod(d.tolist()), int(sign) * (-1) ** int(np.count_nonzero(d < 0))
+
+
+def determinant(A: np.ndarray) -> float:
+    """Determinant by partially pivoted elimination with exact swap signs."""
+    return _determinant(A)[0]
 
 
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -100,46 +100,62 @@ def build_graph(n: int, edge_list, strict: bool = False) -> Graph:
     return Graph(n=n, edges=frozenset(edges))
 
 
-def _holds_bool(value) -> bool:
+def _non_numbers(value):
+    """The entries of `value` that are not numbers. JSON true/false, null or
+    a string would otherwise read as 1/0, NaN or the number it spells."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, (list, tuple)):
-        return any(_holds_bool(v) for v in value)
-    return isinstance(value, bool)
+        for v in value:
+            yield from _non_numbers(v)
+    elif isinstance(value, bool) or not isinstance(value, (int, float, np.integer)):
+        yield value
 
 
-def numeric_array(value) -> np.ndarray:
-    """`value` as a float array; a true/false anywhere in it raises TypeError
-    instead of reading as 1/0."""
-    if _holds_bool(value):
-        raise TypeError("true/false is not a number")
-    return np.array(value, dtype=float)
+def numeric_array(value, what: str, shape: tuple, whole: bool = False,
+                  error=GraphError) -> np.ndarray:
+    """`value`, a number from outside the program, as a float array.
+
+    Every entry must be a finite number (a whole one when `whole` is set),
+    and the array must have `shape`, where -1 matches any length. Anything
+    else raises `error`, naming the input as `what`.
+    """
+    for bad in _non_numbers(value):
+        raise error(f"{what} must hold numbers, not {bad!r}")
+    try:
+        A = np.array(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise error(f"{what} is not a regular array of numbers: {exc}") from exc
+    if A.ndim != len(shape) or any(s not in (-1, a) for s, a in zip(shape, A.shape)):
+        want = f"of shape {shape}".replace("-1", "k") if shape else "a single number"
+        raise error(f"{what} must be {want}, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise error(f"{what} has non-finite entries")
+    if whole and not np.all(A == np.round(A)):
+        raise error(f"{what} must hold whole numbers")
+    return A
 
 
 def node_pairs(value, what: str, error=GraphError) -> list:
     """`value` as a list of (a, b) pairs of whole node numbers; anything
     else raises `error`, naming the input as `what`."""
-    try:
-        P = numeric_array(value)
-    except (TypeError, ValueError) as exc:
-        raise error(f"{what} are not numeric: {exc}") from exc
-    if P.size == 0:
+    if isinstance(value, (list, tuple)) and len(value) == 0:
         return []
-    if P.ndim != 2 or P.shape[1] != 2 or not np.all(np.isfinite(P) & (P == np.round(P))):
-        raise error(f"{what} must be a list of [a, b] node numbers, got {value!r}")
+    P = numeric_array(value, what, (-1, 2), whole=True, error=error)
     return [(int(a), int(b)) for a, b in P]
 
 
 def graph_from_json_dict(d: dict) -> Graph:
     """Load the {"nodes": n, "edges": [[i,j],...], "strict": false} fragment."""
     try:
-        n = float(d["nodes"])
-    except (KeyError, TypeError, ValueError) as exc:
+        nodes = d["nodes"]
+    except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph fragment: {exc}") from exc
-    if isinstance(d["nodes"], bool) or not n.is_integer():
-        raise GraphError(f"graph nodes must be a whole number, got {d['nodes']!r}")
+    n = int(numeric_array(nodes, "graph nodes", (), whole=True))
     strict = d.get("strict", False)
     if not isinstance(strict, bool):
         raise GraphError(f"graph field 'strict' must be true or false, got {strict!r}")
-    return build_graph(int(n), node_pairs(d.get("edges", []), "graph edges"), strict=strict)
+    return build_graph(n, node_pairs(d.get("edges", []), "graph edges"), strict=strict)
 
 
 def is_connected(g: Graph) -> bool:

@@ -10,11 +10,12 @@ rank(X) = n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _eliminate, determinant
+from .dynamics import _determinant, _eliminate
 from .graph import Graph, is_connected
 
 
@@ -70,16 +71,22 @@ class AlgebraElement:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """The gate's verdict. `sign` is the sign of det T (-1, 0 or 1), which
+    holds when the float `determinant` over- or underflows."""
+
     determinant: float
+    sign: int
     connected: bool
     reason: str
 
     @property
     def feasible(self) -> bool:
-        return self.determinant > 0.0 and self.connected
+        return self.sign > 0 and self.connected
 
     def to_json_dict(self) -> dict:
-        return {"det": self.determinant, "connected": self.connected,
+        """The report as JSON values; a determinant outside the float range is null."""
+        det = self.determinant if math.isfinite(self.determinant) else None
+        return {"det": det, "connected": self.connected,
                 "feasible": self.feasible, "reason": self.reason}
 
 
@@ -178,18 +185,19 @@ def check_feasible(g: Graph, T: np.ndarray) -> FeasibilityReport:
         raise LieAlgebraError(f"target has shape {T.shape}, expected ({g.n},{g.n})")
     connected = is_connected(g)
     finite = np.all(np.isfinite(T))
-    det = determinant(T) if finite else np.nan
+    det, sign = _determinant(T) if finite else (np.nan, 0)
     if not finite:
         reason = "target has non-finite entries"
-    elif det > 0.0 and connected:
+    elif sign > 0 and connected:
         reason = "target has positive determinant and the graph is connected"
-    elif det == 0.0:
+    elif sign == 0:
         reason = "determinant is zero"
-    elif det < 0.0:
+    elif sign < 0:
         reason = f"determinant is negative ({det})"
     else:
         reason = "graph is not connected"
-    return FeasibilityReport(determinant=float(det), connected=connected, reason=reason)
+    return FeasibilityReport(determinant=float(det), sign=sign, connected=connected,
+                             reason=reason)
 
 
 def controllable_at(g: Graph, X: np.ndarray) -> bool:

@@ -473,17 +473,20 @@ def solve_with_waypoints(prob: BvpProblem, waypoints) -> Solution:
         rep = check_feasible(prob.graph, B)
         if not rep.feasible:
             raise InfeasibleError(f"waypoint {k + 1} infeasible: {rep.reason}")
-    boundaries = waypoints + [prob.target]
-    times = np.linspace(prob.t0, prob.tf, len(boundaries) + 1)
-    prev = np.eye(prob.graph.n)
+    arc_targets = []  # B_k B_{k-1}^{-1}, all formed before any arc is solved
+    for k, (prev, B) in enumerate(zip([np.eye(prob.graph.n)] + waypoints,
+                                      waypoints + [prob.target])):
+        try:
+            arc_targets.append(solve_linear(prev.T, B.T).T)
+        except DynamicsError as exc:  # prev is waypoint k
+            raise InfeasibleError(f"waypoint {k} is singular to working precision") from exc
+    times = np.linspace(prob.t0, prob.tf, len(arc_targets) + 1)
     arcs = []
     warm = None
-    for k, B in enumerate(boundaries):
-        arc_prob = replace(prob, target=solve_linear(prev.T, B.T).T,  # B prev^{-1}
-                           t0=float(times[k]), tf=float(times[k + 1]),
+    for k, target in enumerate(arc_targets):
+        arc_prob = replace(prob, target=target, t0=float(times[k]), tf=float(times[k + 1]),
                            seed=prob.seed + 1000 * k)
         arc = solve_bvp(arc_prob, initial_guess=warm)
         arcs.append(arc)
-        prev = B
         warm = arc.lambda0 if arc.converged else None
     return Solution(arcs=arcs, target=prob.target)

@@ -9,6 +9,7 @@ matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,15 +39,8 @@ MAX_LOG_CONTRACTION = 4.0
 
 def _initial_state(value, n: int) -> np.ndarray | None:
     """The optional initial node values as a finite vector of length n."""
-    if value is None:
-        return None
-    try:
-        xi = numeric_array(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"initial_state is not numeric: {exc}") from exc
-    if xi.shape != (n,) or not np.all(np.isfinite(xi)):
-        raise ScenarioError(f"initial_state must hold {n} finite numbers, got shape {xi.shape}")
-    return xi
+    return None if value is None else numeric_array(value, "initial_state", (n,),
+                                                    error=ScenarioError)
 
 
 @dataclass(frozen=True)
@@ -104,7 +98,12 @@ class ScenarioReport:
 
 def densification_target(dense_graph: Graph, t0: float, tf: float) -> np.ndarray:
     """Terminal consensus map of the dense graph: exp(-L_d (tf - t0))."""
-    return expm(-laplacian(dense_graph) * (tf - t0))
+    L = laplacian(dense_graph)
+    # Python floats, so an overflow is caught here rather than warned about
+    if not math.isfinite(float(np.abs(L).max()) * (tf - t0)):
+        raise ScenarioError(f"horizon tf - t0 = {tf - t0} overflows the consensus map "
+                            f"exp(-L (tf - t0)) of the dense graph")
+    return expm(-L * (tf - t0))
 
 
 def agreement_error(x: np.ndarray, x0: np.ndarray) -> float:

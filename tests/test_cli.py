@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import netxform as nx
-from netxform.cli import build_parser, main
+from netxform.cli import main
 from netxform.csvio import (read_matrix_trajectory_csv, read_schedule_csv,
                             read_vector_trajectory_csv)
 
@@ -29,6 +29,9 @@ def scalar_cfg(tmp_path):
         "graph": {"nodes": 1, "edges": []},
         "target": [[2.0]],
     })
+
+
+PATH2_CFG = {"graph": {"nodes": 2, "edges": [[1, 2]]}, "target": np.eye(2).tolist()}
 
 
 @pytest.fixture
@@ -90,9 +93,10 @@ def test_check_non_finite_target_exit_one(tmp_path, capsys):
     assert captured.out == "" and "non-finite" in captured.err
 
 
-def _assert_one_error_line(capsys):
+def _assert_one_error_line(capsys, *names):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert all(name in err for name in names), err
 
 
 @pytest.mark.parametrize("graph", [
@@ -102,11 +106,53 @@ def _assert_one_error_line(capsys):
     {"nodes": 2, "edges": [[1.7, 2]]},
     {"nodes": 2.5, "edges": [[1, 2]]},
     {"nodes": 2, "edges": [[1, 2], [2, 1], [1, 1], [2, 2]], "strict": "false"},
+    {"nodes": False, "edges": []},
+    {"nodes": float("nan"), "edges": []},
+    {"nodes": "2", "edges": [[1, 2]]},
+    {"nodes": [2], "edges": [[1, 2]]},
+    {"nodes": 2, "edges": [[1, True]]},
+    {"nodes": 2, "edges": [[1, float("inf")]]},
+    {"nodes": 2, "edges": [[1, None]]},
 ])
 def test_check_malformed_graph_exit_one(tmp_path, capsys, graph):
     cfg = _write_cfg(tmp_path, "g.json", {"graph": graph, "target": np.eye(2).tolist()})
     assert main(["check", "--config", cfg]) == 1
-    _assert_one_error_line(capsys)
+    _assert_one_error_line(capsys, "graph")
+
+
+@pytest.mark.parametrize("target", [
+    [[1, 0], [0, True]], [[1, 0], [0, float("-inf")]], [[1, 0], [0, "1"]],
+    [[1, 0], [0, None]], [[1, 0], [0]], [1, 0, 0, 1],
+])
+def test_check_malformed_target_exit_one(tmp_path, capsys, target):
+    cfg = _write_cfg(tmp_path, "t.json", {**PATH2_CFG, "target": target})
+    assert main(["check", "--config", cfg]) == 1
+    _assert_one_error_line(capsys, "'target'")
+
+
+@pytest.mark.parametrize("fields", [
+    {"solver": {"steps": "abc"}}, {"solver": 5}, {"t0": "x"}, {"tf": True},
+    {"waypoints": [[[1.0]]]}, {"waypoints": 5},
+])
+def test_check_reads_only_graph_and_target(tmp_path, capsys, fields):
+    cfg = _write_cfg(tmp_path, "c.json", {**PATH2_CFG, **fields})
+    assert main(["check", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["feasible"] is True
+
+
+def _no_constants(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("diagonal, code", [
+    ([1e200, 1e200], 0), ([1e-200, 1e-200], 0), ([-1e200, 1e200], 2), ([-1e-200, 1e-200], 2),
+])
+def test_check_decides_from_the_determinant_sign(tmp_path, capsys, diagonal, code):
+    # the float product of the pivots over- or underflows; its sign does not
+    cfg = _write_cfg(tmp_path, "d.json", {**PATH2_CFG, "target": np.diag(diagonal).tolist()})
+    assert main(["check", "--config", cfg]) == code
+    report = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+    assert report["feasible"] is (code == 0)
 
 
 def test_unknown_command_exit_one(capsys):
@@ -209,21 +255,27 @@ def test_solve_with_config_waypoints(tmp_path):
     assert np.count_nonzero(cgrid == 0.5) == 2
 
 
+# a boolean, non-finite numbers, non-numbers and a wrong shape
+BAD_NUMBERS = [True, float("nan"), float("inf"), "1", None, [1]]
+WHOLE_SETTINGS = ("steps", "max_iter", "restarts", "seed")
+
+
 @pytest.mark.parametrize("fields", [
     {"solver": {"steps": 0}}, {"solver": {"steps": "many"}}, {"solver": {"steps": 2.5}},
     {"solver": {"max_iter": 0}}, {"solver": {"restarts": -1}}, {"solver": {"seed": -3}},
     {"solver": {"newton_tol": 0}}, {"solver": {"newton_tol": "nan"}},
     {"solver": {"newton_tol": None}}, {"t0": "zero"}, {"tf": "inf"}, {"tf": 0.0},
+    *({"solver": {key: bad}} for key in (*WHOLE_SETTINGS, "newton_tol") for bad in BAD_NUMBERS),
+    *({"solver": {key: 1.5}} for key in WHOLE_SETTINGS),
+    *({key: bad} for key in ("t0", "tf") for bad in BAD_NUMBERS),
 ])
 def test_solve_bad_solver_settings_exit_one(path3_cfg, tmp_path, capsys, fields):
     cfg = json.loads(Path(path3_cfg).read_text())
     cfg.update(fields)
     path = _write_cfg(tmp_path, "bad.json", cfg)
     assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 1
-    _assert_one_error_line(capsys)
-
-
-PATH2_CFG = {"graph": {"nodes": 2, "edges": [[1, 2]]}, "target": np.eye(2).tolist()}
+    (key, value), = fields.items()
+    _assert_one_error_line(capsys, next(iter(value)) if key == "solver" else key)
 
 
 @pytest.mark.parametrize("fields", [
@@ -253,13 +305,30 @@ def test_solve_non_finite_waypoint_exit_one(tmp_path, capsys):
     assert "waypoints[0]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("waypoints", [[np.eye(2).tolist()], 5])
+def _eye3_with(value):
+    W = np.eye(3).tolist()
+    W[2][2] = value
+    return W
+
+
+@pytest.mark.parametrize("waypoints", [
+    [np.eye(2).tolist()], 5, *([_eye3_with(bad)] for bad in BAD_NUMBERS),
+])
 def test_solve_malformed_waypoints_exit_one(path3_cfg, tmp_path, capsys, waypoints):
     cfg = json.loads(Path(path3_cfg).read_text())
     cfg["waypoints"] = waypoints
     path = _write_cfg(tmp_path, "wp.json", cfg)
     assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 1
-    _assert_one_error_line(capsys)
+    _assert_one_error_line(capsys, "waypoints")
+
+
+def test_solve_singular_waypoint_exit_two(tmp_path, capsys):
+    # det > 0 passes the gate, but the next arc's target needs its inverse
+    cfg = _write_cfg(tmp_path, "wp.json",
+                     {**PATH2_CFG, "waypoints": [np.diag([1e-20, 1.0]).tolist()]})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    _assert_one_error_line(capsys, "waypoint 1")
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +340,18 @@ def test_solve_malformed_waypoints_exit_one(path3_cfg, tmp_path, capsys, waypoin
     ("check", "--seed", "1"),
     ("check", "--steps", "5"),
     ("simulate", "--seed", "1"),
+    ("solve", "--seed", "1"),
+    ("solve", "--steps", "5"),
+    ("scenario", "--seed", "1"),
+    ("scenario", "--steps", "5"),
 ])
 def test_unread_flags_exit_one(tmp_path, capsys, path3_cfg, command, flag, value):
-    argv = ([command, "--config", path3_cfg] if command == "check" else
-            [command, "--schedule", str(tmp_path / "s.csv"), "--xi", "1,2"])
+    # seed and steps of solve and scenario come from the config's "solver" only
+    argv = {"check": ["check", "--config", path3_cfg],
+            "solve": ["solve", "--config", path3_cfg],
+            "scenario": ["scenario", "densify", "--config", path3_cfg],
+            "simulate": ["simulate", "--schedule", str(tmp_path / "s.csv"),
+                         "--xi", "1,2"]}[command]
     if flag == "--out":
         value = str(tmp_path / value)
     assert main(argv + [flag, value]) == 1
@@ -282,13 +359,6 @@ def test_unread_flags_exit_one(tmp_path, capsys, path3_cfg, command, flag, value
     assert captured.out == ""
     assert f"unrecognized arguments: {flag}" in captured.err
     assert list(tmp_path.iterdir()) == [Path(path3_cfg)]
-
-
-@pytest.mark.parametrize("command", [["solve"], ["scenario", "densify"]])
-def test_solve_and_scenario_take_the_shared_flags(command):
-    args = build_parser().parse_args(command + ["--config", "c.json", "--out", "d",
-                                                "--seed", "7", "--steps", "3"])
-    assert (args.out, args.seed, args.steps) == ("d", 7, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +432,11 @@ def test_simulate_bad_xi_exit_one(tmp_path, capsys):
     ("--xi-file", "inf,1"),  # non-finite entry
     ("--xi-file", ""),       # no entries
     ("--xi", "1,nan"),       # non-finite entry
+    ("--xi", "true,1"),      # a boolean
+    ("--xi", "1,abc"),       # non-numeric cell
+    ("--xi", "1,-inf"),      # non-finite entry
+    ("--xi", "1,2,3"),       # wrong length
+    ("--xi-file", "1,2\n3,4"),  # wrong shape
 ])
 def test_simulate_bad_xi_values_exit_one(tmp_path, capsys, flag, value):
     msk = nx.mask(nx.path_graph(2))
@@ -374,7 +449,7 @@ def test_simulate_bad_xi_values_exit_one(tmp_path, capsys, flag, value):
         value = str(tmp_path / "xi.csv")
     assert main(["simulate", "--schedule", str(spath), flag, value,
                  "--out", str(tmp_path / "o")]) == 1
-    _assert_one_error_line(capsys)
+    _assert_one_error_line(capsys, flag)
 
 
 def test_simulate_bad_steps_exit_one(tmp_path, capsys):
@@ -462,11 +537,13 @@ def test_scenario_bad_solver_settings_exit_one(tmp_path, capsys, kind, base, fie
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("pairs", [[["a", 2]], [[1, 2, 3]], 5])
+@pytest.mark.parametrize("pairs", [
+    [["a", 2]], [[1, 2, 3]], 5, *([[1, 2], [3, bad]] for bad in BAD_NUMBERS), [[1, 2], [3, 4.5]],
+])
 def test_scenario_bad_swap_pairs_exit_one(tmp_path, capsys, pairs):
     cfg = _write_cfg(tmp_path, "bad.json", {**SWAP4, "pairs": pairs})
     assert main(["scenario", "swap", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    _assert_one_error_line(capsys)
+    _assert_one_error_line(capsys, "swap pairs")
     assert not (tmp_path / "o").exists()
 
 
@@ -486,12 +563,14 @@ def test_scenario_wrong_size_waypoint_exit_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind, base", [("densify", DENSIFY3), ("swap", SWAP4)])
 @pytest.mark.parametrize("state", [[1.0, 2.0], "abc", [None, 1.0, 2.0],
-                                   [float("nan"), 0.0, 0.0]])
+                                   [float("nan"), 0.0, 0.0], [True, 0.0, 0.0],
+                                   [float("inf"), 0.0, 0.0], ["1", 0.0, 0.0], [[1.0, 2.0, 3.0]]])
 def test_scenario_bad_initial_state_exit_one(tmp_path, capsys, kind, base, state):
+    if kind == "swap" and isinstance(state, list) and len(state) == 3:
+        state = [*state, 4.0]  # the 3-entry states are sized for densify's 3 nodes
     cfg = _write_cfg(tmp_path, "bad.json", {**base, "initial_state": state})
     assert main(["scenario", kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "initial_state" in err
+    _assert_one_error_line(capsys, "initial_state")
     assert not (tmp_path / "o").exists()
 
 
@@ -525,15 +604,23 @@ def test_overflowing_horizon_exit_one(tmp_path, capsys, command, base):
     assert not (tmp_path / "o").exists()
 
 
+def test_densify_overflowing_target_exit_one(tmp_path, capsys):
+    # tf - t0 is finite, but -L (tf - t0) overflows before expm sees it
+    cfg = _write_cfg(tmp_path, "wide.json", {**DENSIFY3, "tf": 1e308})
+    assert main(["scenario", "densify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys, "tf - t0")
+    assert not (tmp_path / "o").exists()
+
+
 def test_seed_override_changes_initial_state(tmp_path):
-    cfg = _write_cfg(tmp_path, "densify.json", {
-        "sparse_graph": {"nodes": 2, "edges": [[1, 2]]},
-        "dense_graph": {"nodes": 2, "edges": [[1, 2]]},
-    })
     outs = []
     for seed in (0, 1):
+        cfg = _write_cfg(tmp_path, f"densify{seed}.json", {
+            "sparse_graph": {"nodes": 2, "edges": [[1, 2]]},
+            "dense_graph": {"nodes": 2, "edges": [[1, 2]]},
+            "solver": {"seed": seed},
+        })
         out = tmp_path / f"out{seed}"
-        assert main(["scenario", "densify", "--config", cfg,
-                     "--out", str(out), "--seed", str(seed)]) == 0
+        assert main(["scenario", "densify", "--config", cfg, "--out", str(out)]) == 0
         outs.append(read_vector_trajectory_csv(out / "nodes.csv")[1])
     assert not np.array_equal(outs[0][0], outs[1][0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import netxform as nx
-from netxform.graph import GraphError, adjacency, build_graph, mask
+from netxform.graph import GraphError, adjacency, build_graph, mask, numeric_array
 
 
 def test_build_graph_symmetrizes_and_adds_self_loops():
@@ -37,6 +37,45 @@ def test_graph_json_round_trip():
     assert again == g
     with pytest.raises(GraphError):
         nx.graph_from_json_dict({"edges": []})
+
+
+@pytest.mark.parametrize("value, shape, whole", [
+    ([[1, 2], [3, 4]], (-1, 2), True),
+    (np.arange(4).reshape(2, 2), (2, -1), True),
+    ((np.int64(1), 2.5), (2,), False),
+    (np.float64(3.0), (), True),
+    (7, (), True),
+    ([], (-1,), False),
+])
+def test_numeric_array_accepts(value, shape, whole):
+    A = numeric_array(value, "x", shape, whole=whole)
+    assert A.dtype == float and np.array_equal(A, np.array(value, dtype=float))
+
+
+class _Marked(ValueError):
+    pass
+
+
+@pytest.mark.parametrize("value, shape, whole, words", [
+    ([1, True], (2,), False, "numbers"),
+    (np.array([True, False]), (2,), False, "numbers"),
+    ([1, None], (2,), False, "numbers"),
+    ("1", (), False, "numbers"),
+    ([2.0], (), False, "a single number, got shape"),
+    ([[1, 2], [3]], (-1, 2), False, "regular"),
+    (10 ** 400, (), False, "regular"),
+    ([1, 2, 3], (-1, 2), False, r"of shape \(k, 2\), got shape \(3,\)"),
+    ([[1, 2]], (2, 2), False, r"of shape \(2, 2\)"),
+    (1.0, (1,), False, r"of shape \(1,\), got shape \(\)"),
+    ([[1.0, 2.0]], (1, 1), False, r"of shape \(1, 1\), got shape \(1, 2\)"),
+    ([1.0, float("nan")], (2,), False, "non-finite"),
+    ([float("inf")], (-1,), True, "non-finite"),
+    ([1.0, 2.5], (2,), True, "whole"),
+], ids=["bool", "bool-array", "null", "string", "not-scalar", "ragged", "huge-int",
+        "any-rows", "rows", "scalar", "one-by-one", "nan", "inf", "fraction"])
+def test_numeric_array_rejects(value, shape, whole, words):
+    with pytest.raises(_Marked, match=f"^the input .*{words}"):
+        numeric_array(value, "the input", shape, whole=whole, error=_Marked)
 
 
 def test_is_connected():

@@ -5,6 +5,7 @@ in exact rational arithmetic over the coefficient matrices, so dimension
 comparisons carry no floating-point doubt.
 """
 
+import json
 import warnings
 from fractions import Fraction
 
@@ -241,6 +242,21 @@ def test_feasibility_non_finite_target_rejected(target):
         rep = nx.check_feasible(nx.path_graph(3), target)
     assert not rep.feasible and rep.connected
     assert rep.reason == "target has non-finite entries"
+
+
+@pytest.mark.parametrize("target, sign", [
+    (np.diag([1e200, 1e200]), 1),
+    (np.diag([1e-200, 1e-200]), 1),
+    (np.diag([-1e-200, 1e-200]), -1),
+    (np.array([[0.0, 1e-200], [1e-200, 0.0]]), -1),  # one row swap
+    (np.array([[0.0, -1e200], [1e200, 0.0]]), 1),
+])
+def test_feasibility_follows_the_pivot_signs(target, sign):
+    # det overflows to inf or underflows to 0.0; the decision must not
+    rep = nx.check_feasible(nx.complete_graph(2), target)
+    assert rep.sign == sign and rep.feasible is (sign > 0)
+    assert json.loads(json.dumps(rep.to_json_dict()),
+                      parse_constant=lambda name: pytest.fail(f"{name} in the report"))
 
 
 def test_feasibility_report_json_fields():
