@@ -24,9 +24,6 @@ class Graph:
     n: int
     edges: frozenset
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self.edges
-
     def neighbors(self, i: int) -> list:
         return sorted(j for (a, j) in self.edges if a == i and j != i)
 
@@ -72,11 +69,10 @@ class SparsityMask:
                 if self.entries[i, j]]
 
 
-def build_graph(n: int, edge_list, strict: bool = False) -> Graph:
+def build_graph(n: int, edge_list) -> Graph:
     """Construct a graph from a list of 1-based (i, j) pairs.
 
-    Non-strict mode symmetrizes the edge set and inserts self-loops.
-    Strict mode raises if any reciprocal edge or self-loop is missing.
+    The edge set is symmetrized and every self-loop is inserted.
     Connectivity is not enforced here; query is_connected separately.
     """
     if n < 1:
@@ -87,16 +83,8 @@ def build_graph(n: int, edge_list, strict: bool = False) -> Graph:
         if not (1 <= i <= n and 1 <= j <= n):
             raise GraphError(f"edge ({i},{j}) out of range for n={n}")
         edges.add((i, j))
-    if strict:
-        for (i, j) in edges:
-            if (j, i) not in edges:
-                raise GraphError(f"strict mode: edge ({i},{j}) missing reciprocal ({j},{i})")
-        for i in range(1, n + 1):
-            if (i, i) not in edges:
-                raise GraphError(f"strict mode: missing self-loop ({i},{i})")
-    else:
-        edges |= {(j, i) for (i, j) in edges}
-        edges |= {(i, i) for i in range(1, n + 1)}
+    edges |= {(j, i) for (i, j) in edges}
+    edges |= {(i, i) for i in range(1, n + 1)}
     return Graph(n=n, edges=frozenset(edges))
 
 
@@ -146,16 +134,13 @@ def node_pairs(value, what: str, error=GraphError) -> list:
 
 
 def graph_from_json_dict(d: dict) -> Graph:
-    """Load the {"nodes": n, "edges": [[i,j],...], "strict": false} fragment."""
+    """Load the {"nodes": n, "edges": [[i,j],...]} fragment."""
     try:
         nodes = d["nodes"]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph fragment: {exc}") from exc
     n = int(numeric_array(nodes, "graph nodes", (), whole=True))
-    strict = d.get("strict", False)
-    if not isinstance(strict, bool):
-        raise GraphError(f"graph field 'strict' must be true or false, got {strict!r}")
-    return build_graph(n, node_pairs(d.get("edges", []), "graph edges"), strict=strict)
+    return build_graph(n, node_pairs(d.get("edges", []), "graph edges"))
 
 
 def is_connected(g: Graph) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -23,6 +24,7 @@ DIVERGENCE_LIMIT = 1e12
 # by 10 on a rejected one, so tries settle at an acceptance rate of
 # ln 10 / (ln 3 + ln 10) ~ 0.68 and most iterations need one or two.
 TRIES_PER_PASS = 2
+SCAN_SAMPLES = 201  # points of the homotopy singularity scan, both ends included
 
 
 class OptimalControlError(ValueError):
@@ -335,6 +337,28 @@ def _corrected_step(A, J, r, delta, rp, rm, h):
     return delta
 
 
+def _tries(JTJ: np.ndarray, g: np.ndarray, mu: float):
+    """The damped tries of one Newton iteration in order, as (mu, A, delta),
+    with A = JTJ + mu tr I scaled by the mean diagonal tr of JTJ.
+
+    An iteration makes at most 30 tries and multiplies mu by 10 after each.
+    A try whose system is singular counts as one but yields nothing, and the
+    tries stop once a yielded one takes mu past 1e14.
+    """
+    tr = max(float(np.trace(JTJ)) / g.size, 1e-30)
+    for _ in range(30):
+        A = JTJ + mu * tr * np.eye(g.size)
+        try:
+            delta = solve_linear(A, -g)
+        except DynamicsError:
+            mu *= 10.0
+            continue
+        yield mu, A, delta
+        mu *= 10.0
+        if mu > 1e14:
+            return
+
+
 def _newton_from(prob: BvpProblem, lam0: np.ndarray):
     """Damped Gauss-Newton (Levenberg-style) from one starting costate.
 
@@ -344,12 +368,11 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
     strongly contracting targets produce. Only steps that lower the residual
     are accepted, so the current costate is always the best one seen.
 
-    An iteration makes at most 30 damped tries, multiplying mu by 10 after
-    each failed one and stopping once a rejection takes mu past 1e14. The
-    tries are shot TRIES_PER_PASS at a time: the probes of the next tries
-    share one pass and their candidates another. The first candidate in
-    order that lowers the residual wins and mu continues from its try, so
-    every decision is the one the tries made one by one would reach.
+    The tries of an iteration (_tries) are shot TRIES_PER_PASS at a time:
+    the probes of the next tries share one pass and their candidates
+    another. The first candidate in order that lowers the residual wins and
+    mu continues from its try, so every decision is the one the tries made
+    one by one would reach.
 
     Returns (lam0, residual_norm, iterations, converged); a diverging start
     has residual norm inf.
@@ -369,40 +392,23 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
         J = _jacobian(prob, lam)
         if J is None:
             break
-        g = J.T @ r
-        JTJ = J.T @ J
-        tr = max(float(np.trace(JTJ)) / g.size, 1e-30)
-        accepted = False
-        left, stop = 30, False
-        while not accepted and left and not stop:
-            group = []  # (mu, A, delta) per try, mu raised as if each were rejected
-            while len(group) < TRIES_PER_PASS and left and not stop:
-                left -= 1
-                A = JTJ + mu * tr * np.eye(g.size)
-                try:
-                    delta = solve_linear(A, -g)
-                except DynamicsError:
-                    mu *= 10.0
-                    continue
-                group.append((mu, A, delta))
-                mu *= 10.0
-                stop = mu > 1e14
-            if not group:
-                break
+        tries = _tries(J.T @ J, J.T @ r, mu)
+        step = None  # (mu, candidate, residual) of the accepted try
+        while step is None and (group := list(islice(tries, TRIES_PER_PASS))):
             ds = [h * delta.reshape(n, n) for _, _, delta in group]
             probes = _residuals(prob, np.stack([v for d in ds for v in (lam + d, lam - d)]))
             cands = [lam + _corrected_step(A, J, r, delta, rp, rm, h).reshape(n, n)
                      for (_, A, delta), rp, rm in zip(group, probes[::2], probes[1::2])]
             for (mu_try, _, _), cand, rc in zip(group, cands, _residuals(prob, np.stack(cands))):
                 if rc is not None and np.linalg.norm(rc) < rnorm:
-                    lam, r = cand, rc
-                    rnorm = float(np.linalg.norm(rc))
-                    mu = max(mu_try / 3.0, 1e-14)
-                    accepted = True
+                    step = mu_try, cand, rc
                     break
         iterations += 1
-        if not accepted:
+        if step is None:
             break
+        mu_try, lam, r = step
+        rnorm = float(np.linalg.norm(r))
+        mu = max(mu_try / 3.0, 1e-14)
     return lam, rnorm, iterations, rnorm < prob.newton_tol
 
 
@@ -413,8 +419,13 @@ def solve_bvp(prob: BvpProblem, initial_guess: np.ndarray | None = None) -> Extr
     (exact for T = I); on stall the solver restarts from seeded random
     costates, each restart drawing its own RNG stream from seed + restart
     index. The first converged start wins; otherwise the start with the
-    smallest residual is reported.
+    smallest residual is reported. A target with an entry beyond
+    DIVERGENCE_LIMIT is rejected before any shoot, since a shoot whose X
+    passes that limit counts as diverged.
     """
+    if np.abs(prob.target).max() > DIVERGENCE_LIMIT:
+        raise OptimalControlError(f"target has entries beyond the divergence limit "
+                                  f"{DIVERGENCE_LIMIT:.0e}, which no shoot reaches")
     n = prob.graph.n
     total_iters = 0
     starts = [(0, np.zeros((n, n)))]
@@ -439,19 +450,18 @@ def solve_bvp(prob: BvpProblem, initial_guess: np.ndarray | None = None) -> Extr
     return _build_solution(prob, best[2], total_iters, best[1], False)
 
 
-def homotopy_singularity_scan(T: np.ndarray, samples: int = 201):
-    """Minimum |det| of the straight-line homotopy (1-s) I + s T over [0, 1].
+def homotopy_singularity_scan(T: np.ndarray):
+    """Minimum |det| of the straight-line homotopy (1-s) I + s T over
+    SCAN_SAMPLES evenly spaced s in [0, 1].
 
     Returns (min_abs_det, argmin_s); a small minimum signals that direct
     shooting will be ill-conditioned and waypoints are advisable.
     """
-    if samples < 2:
-        raise OptimalControlError("singularity scan needs samples >= 2")
     T = np.asarray(T, dtype=float)
     n = T.shape[0]
     eye = np.eye(n)
     best_val, best_s = np.inf, 0.0
-    for s in np.linspace(0.0, 1.0, samples):
+    for s in np.linspace(0.0, 1.0, SCAN_SAMPLES):
         d = abs(determinant((1.0 - s) * eye + s * T))
         if d < best_val:
             best_val, best_s = d, float(s)

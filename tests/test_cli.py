@@ -105,7 +105,6 @@ def _assert_one_error_line(capsys, *names):
     {"nodes": 2, "edges": 5},
     {"nodes": 2, "edges": [[1.7, 2]]},
     {"nodes": 2.5, "edges": [[1, 2]]},
-    {"nodes": 2, "edges": [[1, 2], [2, 1], [1, 1], [2, 2]], "strict": "false"},
     {"nodes": False, "edges": []},
     {"nodes": float("nan"), "edges": []},
     {"nodes": "2", "edges": [[1, 2]]},
@@ -328,6 +327,17 @@ def test_solve_singular_waypoint_exit_two(tmp_path, capsys):
                      {**PATH2_CFG, "waypoints": [np.diag([1e-20, 1.0]).tolist()]})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     _assert_one_error_line(capsys, "waypoint 1")
+    assert not (tmp_path / "o").exists()
+
+
+def test_solve_unreachable_target_exit_three(tmp_path, capsys):
+    # det > 0 passes the gate, but a shoot whose X passes 1e12 has diverged
+    cfg = _write_cfg(tmp_path, "far.json", {
+        **PATH2_CFG, "target": np.diag([1e200, 1e200]).tolist(),
+        "solver": {"restarts": 0, "max_iter": 3},
+    })
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    _assert_one_error_line(capsys, "divergence limit")
     assert not (tmp_path / "o").exists()
 
 

@@ -24,13 +24,6 @@ def test_build_graph_rejects_out_of_range_index():
         build_graph(0, [])
 
 
-def test_build_graph_strict_mode_rejects_missing_pieces():
-    with pytest.raises(GraphError):
-        build_graph(2, [(1, 2)], strict=True)  # missing reciprocal and loops
-    ok = build_graph(2, [(1, 1), (2, 2), (1, 2), (2, 1)], strict=True)
-    assert ok.has_edge(2, 1)
-
-
 def test_graph_json_round_trip():
     g = build_graph(3, [(1, 2), (2, 3)])
     again = nx.graph_from_json_dict(g.to_json_dict())

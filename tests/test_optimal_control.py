@@ -7,7 +7,7 @@ import pytest
 
 import netxform as nx
 from netxform import optimal_control
-from netxform.dynamics import integrate_transition, simulation_steps
+from netxform.dynamics import DynamicsError, integrate_transition, simulation_steps
 from netxform.graph import mask
 from netxform.optimal_control import (BvpProblem, InfeasibleError, OptimalControlError,
                                       SettingsError, _shoot_batch,
@@ -242,6 +242,94 @@ def test_line_search_groups_keep_the_sequential_schedule(monkeypatch):
     assert sizes == [1] + [4, 2] * 9 + [2, 1]
 
 
+def _tries_one_by_one(mu, singular, accepted):
+    # one iteration's tries made one at a time: the mu of each try made, and
+    # the mu the next iteration starts from (None when no try is accepted)
+    mus = []
+    for k in range(30):
+        mus.append(mu)
+        if k in singular:
+            mu *= 10.0
+            continue
+        if k == accepted:
+            return mus, max(mu / 3.0, 1e-14)
+        mu *= 10.0
+        if mu > 1e14:
+            break
+    return mus, None
+
+
+def _shot(mus, singular):
+    return len(mus) - len([k for k in singular if k < len(mus)])
+
+
+@pytest.mark.parametrize("singular1, accepted1, singular2", [
+    pytest.param({0}, 2, set(), id="first-try-singular"),
+    pytest.param({1}, 2, {3}, id="singular-inside-a-group"),
+    pytest.param({3}, 4, {0, 1}, id="singular-before-the-accepted-try"),
+    pytest.param({0}, 1, set(), id="accepted-try-opens-its-group"),
+    pytest.param({1}, 0, {2}, id="partner-after-a-singular-try"),
+    # tries go past mu = 1e14 only because they are singular
+    pytest.param(set(), 1, set(range(4, 30)), id="cap-counts-singular-tries"),
+])
+def test_singular_tries_count_without_a_shoot(monkeypatch, singular1, accepted1, singular2):
+    # two iterations with J = I, so every step solve has A = (1 + mu) I. The
+    # chosen tries' step solves raise; the candidate of try accepted1 of the
+    # first iteration is accepted and every other candidate is rejected.
+    m = 9
+    r0 = np.ones(m)
+    mus1, mu2 = _tries_one_by_one(1e-3, singular1, accepted1)
+    accept_at = _shot(mus1, singular1)  # the accepted candidate, counting from 1
+    if accept_at % 2:  # shot two at a time, its group's second try is prepared too
+        partner = next(k for k in range(len(mus1), 30) if k not in singular1)
+        mus1 = _tries_one_by_one(1e-3, singular1, None)[0][:partner + 1]
+    mus2, _ = _tries_one_by_one(mu2, singular2, None)
+    raises = [k in singular1 for k in range(len(mus1))] + [k in singular2 for k in range(len(mus2))]
+    steps, sizes, cands = [], [], []
+
+    def step_solve(A, b):
+        assert np.array_equal(A, A[0, 0] * np.eye(m))
+        steps.append(A[0, 0])
+        if raises[len(steps) - 1]:
+            raise DynamicsError("scripted singular system")
+        return b / A[0, 0]
+
+    def scripted(prob, lam0s):
+        sizes.append(lam0s.shape[0])
+        if len(sizes) == 1:
+            return [r0]
+        if len(sizes) % 2 == 0:  # probes: none finite, so no geodesic correction
+            return [None] * lam0s.shape[0]
+        cands.extend(lam0s)
+        return [0.5 * r0 if len(cands) - len(lam0s) + i + 1 == accept_at else None
+                for i in range(lam0s.shape[0])]
+
+    monkeypatch.setattr(optimal_control, "solve_linear", step_solve)
+    monkeypatch.setattr(optimal_control, "_residuals", scripted)
+    monkeypatch.setattr(optimal_control, "_jacobian", lambda prob, lam: np.eye(m))
+    prob = BvpProblem(graph=nx.path_graph(3), target=np.eye(3) * 0.7 + 0.1, max_iter=2)
+    lam, rnorm, iterations, converged = optimal_control._newton_from(prob, np.zeros((3, 3)))
+    # each try, singular or not, raises mu tenfold and uses up one of the 30
+    assert steps == [1.0 + mu for mu in mus1 + mus2]
+    assert (iterations, converged, rnorm) == (2, False, 0.5 * np.linalg.norm(r0))
+    assert np.array_equal(lam, cands[accept_at - 1])
+
+    def passes(shot):  # probes, then candidates, of the tries shot two at a time
+        return [s for k in range(0, shot, 2) for s in (2 * min(2, shot - k), min(2, shot - k))]
+    assert sizes == [1] + passes(_shot(mus1, singular1)) + passes(_shot(mus2, singular2))
+
+
+def test_solve_rejects_unreachable_target_before_any_shoot(monkeypatch):
+    def no_shoot(*args, **kwargs):
+        raise AssertionError("shot an unreachable target")
+
+    monkeypatch.setattr(optimal_control, "_shoot_batch", no_shoot)
+    prob = BvpProblem(graph=nx.path_graph(2), target=np.diag([1e200, 1e200]),
+                      restarts=0, max_iter=3)
+    with pytest.raises(OptimalControlError, match="divergence limit"):
+        solve_bvp(prob)
+
+
 def test_shoot_rejects_wrong_shape():
     prob = BvpProblem(graph=nx.path_graph(2), target=np.eye(2))
     with pytest.raises(OptimalControlError):
@@ -440,8 +528,3 @@ def test_scan_swap_target_hits_zero_at_half():
 def test_scan_expansion_minimum_at_start():
     val, s = homotopy_singularity_scan(2.0 * np.eye(2))
     assert val == 1.0 and s == 0.0
-
-
-def test_scan_rejects_degenerate_sampling():
-    with pytest.raises(OptimalControlError):
-        homotopy_singularity_scan(np.eye(2), samples=1)
