@@ -9,8 +9,8 @@ from .lie_algebra import (AlgebraElement, FeasibilityReport, IndexField,
                           controllable_at, generated_algebra_dimension)
 from .dynamics import (TransitionTrajectory, WeightSchedule, constant_schedule,
                        determinant, expm, integrate_transition,
-                       liouville_residual, propagate_state,
-                       propagate_state_through, simulation_steps, solve_linear)
+                       liouville_residual, propagate_state, simulation_steps,
+                       solve_linear)
 from .optimal_control import (BvpProblem, ExtremalSolution, Solution,
                               cost, extremal_rhs, homotopy_singularity_scan,
                               shoot, solve_bvp, solve_with_waypoints,

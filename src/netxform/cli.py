@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio
-from .dynamics import DynamicsError, propagate_state_through, simulation_steps
+from .dynamics import DynamicsError, propagate_state, simulation_steps
 from .graph import GraphError, graph_from_json_dict, mask, numeric_array
 from .lie_algebra import check_feasible
 from .optimal_control import (BvpProblem, InfeasibleError, OptimalControlError,
@@ -90,13 +90,12 @@ def _waypoints(cfg: dict, n: int) -> list:
 def write_solution_bundle(sol, outdir: Path) -> None:
     """Emit schedule.csv / transition.csv / costate.csv / solution.json."""
     outdir.mkdir(parents=True, exist_ok=True)
-    arcs = sol.segments()
-    csvio.write_schedule_csv(outdir / "schedule.csv", [a.schedule for a in arcs])
+    sched = sol.schedule
+    csvio.write_schedule_csv(outdir / "schedule.csv", sched)
     csvio.write_matrix_trajectory_csv(outdir / "transition.csv", *sol.transition(), prefix="X")
-    # the costate jumps at a join, so both of a join's rows are kept
-    csvio.write_matrix_trajectory_csv(outdir / "costate.csv",
-                                      np.concatenate([a.grid for a in arcs]),
-                                      np.concatenate([a.lambda_seq for a in arcs]),
+    # the costate jumps at a join too, so it keeps the schedule's grid
+    csvio.write_matrix_trajectory_csv(outdir / "costate.csv", sched.grid,
+                                      np.concatenate([a.lambda_seq for a in sol.segments()]),
                                       prefix="lambda")
     with open(outdir / "solution.json", "w") as fh:
         json.dump(sol.to_json_dict(), fh, sort_keys=True, indent=2)
@@ -150,18 +149,17 @@ def _parse_xi(args, n: int) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    schedules = csvio.read_schedule_csv(args.schedule)
-    n = schedules[0].n
+    sched = csvio.read_schedule_csv(args.schedule)
     if args.config is not None:
         cfg = _load_config(args.config)
         g = graph_from_json_dict(_require(cfg, "graph"))
-        if not np.array_equal(mask(g).entries, schedules[0].mask.entries):
+        if not np.array_equal(mask(g).entries, sched.mask.entries):
             raise ConfigError("schedule sparsity pattern does not match the graph in --config")
-    xi = _parse_xi(args, n)
-    # default step count tracks the schedule grid (see simulation_steps)
-    steps = args.steps if args.steps is not None else simulation_steps(schedules[0])
+    xi = _parse_xi(args, sched.n)
+    # default step count per piece tracks the schedule grid (see simulation_steps)
+    steps = args.steps if args.steps is not None else simulation_steps(sched)
     try:
-        grid, xs = propagate_state_through(schedules, xi, steps)
+        grid, xs = propagate_state(sched, xi, steps)
     except DynamicsError as exc:  # --steps < 1, or a schedule that overflows
         raise ConfigError(str(exc)) from exc
     outdir = Path(args.out)
@@ -218,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--xi-file", default=None, help="file with the initial state")
     sp.add_argument("--config", default=None, help="optional graph config to validate against")
     sp.add_argument("--steps", type=int, default=None,
-                    help="integration steps (default: set by the schedule grid)")
+                    help="integration steps per piece (default: set by the schedule grid)")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("scenario", parents=[out], help="run a built-in scenario")

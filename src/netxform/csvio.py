@@ -2,8 +2,8 @@
 
 All numbers are written with shortest round-trip decimal formatting, so a
 re-parsed file reproduces the exact floats that were written. A schedule
-file may contain several segments (waypoint solves produce weights that
-jump at segment joins); a repeated time value marks a segment boundary.
+file holds one schedule, whose repeated times are its joins (waypoint
+solves produce weights that jump there).
 """
 
 from __future__ import annotations
@@ -62,22 +62,17 @@ def _read_table(path, what: str):
     return header, np.array(data)
 
 
-def write_schedule_csv(path, schedules) -> None:
-    """Write one or more schedule segments; header lists mask-true entries
+def write_schedule_csv(path, sched: WeightSchedule) -> None:
+    """Write a schedule, one row per grid time; header lists mask-true entries
     (row-major); off-pattern entries are never serialized."""
-    schedules = list(schedules)
-    msk = schedules[0].mask
+    msk = sched.mask
     _write_table(path, ["t"] + [f"w_{i}_{j}" for (i, j) in msk.index_pairs()],
-                 np.concatenate([np.column_stack([s.grid, s.W_seq[:, msk.entries]])
-                                 for s in schedules]))
+                 np.column_stack([sched.grid, sched.W_seq[:, msk.entries]]))
 
 
-def read_schedule_csv(path) -> list:
-    """Parse a schedule file back into its segments.
-
-    The sparsity mask is reconstructed from the header; a non-increasing time
-    step between consecutive rows starts a new segment.
-    """
+def read_schedule_csv(path) -> WeightSchedule:
+    """Parse a schedule file; the sparsity mask is reconstructed from the
+    header, and WeightSchedule decides which times are joins."""
     header, data = _read_table(path, "schedule")
     pairs = []
     for name in header[1:]:
@@ -91,17 +86,13 @@ def read_schedule_csv(path) -> list:
     idx = tuple(np.array(pairs).T)
     entries = np.zeros((n, n), dtype=bool)
     entries[idx] = True
-    msk = SparsityMask(entries=entries)
-
-    segments = []
-    for block in np.split(data, np.flatnonzero(np.diff(data[:, 0]) <= 0) + 1):
-        W_seq = np.zeros((len(block), n, n))
-        W_seq[:, idx[0], idx[1]] = block[:, 1:]
-        try:
-            segments.append(WeightSchedule(grid=block[:, 0].copy(), W_seq=W_seq, mask=msk))
-        except DynamicsError as exc:
-            raise CsvFormatError(f"{path}: {exc}") from exc
-    return segments
+    W_seq = np.zeros((len(data), n, n))
+    W_seq[:, idx[0], idx[1]] = data[:, 1:]
+    try:
+        return WeightSchedule(grid=data[:, 0].copy(), W_seq=W_seq,
+                              mask=SparsityMask(entries=entries))
+    except DynamicsError as exc:
+        raise CsvFormatError(f"{path}: {exc}") from exc
 
 
 def write_matrix_trajectory_csv(path, grid, M_seq, prefix: str = "X") -> None:

@@ -1,9 +1,10 @@
 """Integration of the matrix dynamics Xdot = W(t) X under a sparse schedule.
 
-The schedule samples W on a time grid and interpolates linearly in between,
-so W(t) is piecewise-linear and continuous within a schedule. Integration is
-classical fixed-step RK4; keeping it fixed-step makes runs reproducible and
-keeps the state and costate integrations in the shooting solver consistent.
+The schedule samples W on a time grid and interpolates linearly in between.
+A time that appears twice on the grid is a join, where W may jump, so W(t)
+is piecewise-linear and continuous between joins. Integration is classical
+fixed-step RK4; keeping it fixed-step makes runs reproducible and keeps the
+state and costate integrations in the shooting solver consistent.
 """
 
 from __future__ import annotations
@@ -126,7 +127,10 @@ def expm(A: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightSchedule:
-    """Time-gridded samples of W(t), linearly interpolated between grid points."""
+    """Time-gridded samples of W(t), linearly interpolated between grid points.
+
+    A repeated grid time is a join, where W may jump. The grid never goes
+    back, and each piece between joins has two or more times."""
 
     grid: np.ndarray
     W_seq: np.ndarray
@@ -141,8 +145,12 @@ class WeightSchedule:
         if W_seq.shape != (grid.size, n, n):
             raise DynamicsError(
                 f"schedule shape {W_seq.shape} does not match grid size {grid.size} and n={n}")
-        if grid.size < 2 or np.any(np.diff(grid) <= 0):
-            raise DynamicsError("schedule grid must be strictly increasing with >= 2 points")
+        step = np.diff(grid)
+        joins = step == 0.0
+        if grid.size < 2 or not np.all(step >= 0.0) or joins[0] or joins[-1] \
+                or np.any(joins[1:] & joins[:-1]):
+            raise DynamicsError("schedule grid must be increasing, with a repeated time only "
+                                "as a join between pieces of >= 2 points")
         off = ~self.mask.entries
         bad = np.abs(W_seq[:, off]).max(initial=0.0)
         if bad > 0.0:
@@ -160,8 +168,14 @@ class WeightSchedule:
     def n(self) -> int:
         return self.mask.n
 
+    def pieces(self) -> list:
+        """The join-free schedules the grid's joins separate, in order."""
+        cuts = [0, *(np.flatnonzero(np.diff(self.grid) == 0.0) + 1), self.grid.size]
+        return [WeightSchedule(grid=self.grid[a:b], W_seq=self.W_seq[a:b], mask=self.mask)
+                for a, b in zip(cuts, cuts[1:])]
+
     def W_at(self, t: float) -> np.ndarray:
-        """Piecewise-linear interpolation of the samples; clamped at the ends."""
+        """Linear interpolation of the samples, clamped at the ends; the later piece's at a join."""
         g = self.grid
         if t <= g[0]:
             return self.W_seq[0]
@@ -229,14 +243,17 @@ def _rk4(f, y0: np.ndarray, t0: float, tf: float, steps: int,
 
 
 def _replay(sched: WeightSchedule, y0: np.ndarray, steps: int, caller: str):
-    """RK4 run of ydot = W(t) y from y0 over the schedule's interval; returns
-    (grid, ys). `caller` names the public function in the error message."""
-    pts = list(_rk4(lambda t, y, out: np.matmul(sched.W_at(t), y, out=out),
-                     y0, sched.t0, sched.tf, steps))
-    ys = np.array([y for _, y in pts])
-    if not np.all(np.isfinite(ys)):
-        raise DynamicsError(f"{caller}: non-finite values encountered")
-    return np.array([t for t, _ in pts]), ys
+    """RK4 run of ydot = W(t) y from y0, `steps` steps per piece, each piece starting where
+    the last one ended; returns (grid, ys) with each join's time once. `caller` names the
+    public function in the error message."""
+    pts = [(sched.t0, y0)]
+    for piece in sched.pieces():
+        run = list(_rk4(lambda t, y, out: np.matmul(piece.W_at(t), y, out=out),
+                        pts[-1][1], piece.t0, piece.tf, steps))
+        if not np.all(np.isfinite(run[-1][1])):  # a non-finite value stays non-finite
+            raise DynamicsError(f"{caller}: non-finite values encountered")
+        pts += run[1:]
+    return np.array([t for t, _ in pts]), np.array([y for _, y in pts])
 
 
 def integrate_transition(sched: WeightSchedule, steps: int) -> TransitionTrajectory:
@@ -251,14 +268,16 @@ def integrate_transition(sched: WeightSchedule, steps: int) -> TransitionTraject
 def simulation_steps(sched: WeightSchedule) -> int:
     """Step count for re-integrating an emitted schedule.
 
-    Half the grid intervals when the grid is uniform with an even interval
-    count: every RK4 stage time then lands exactly on a stored sample, so no
-    interpolation error enters and the re-run tracks the producing
-    integration closely. Coarse or non-uniform schedules fall back to a flat
-    default.
+    The count is read from the first piece, and the replay takes that many
+    steps in every piece. Half the grid intervals when the grid is uniform
+    with an even interval count: every RK4 stage time then lands exactly on
+    a stored sample, so no interpolation error enters and the re-run tracks
+    the producing integration closely. Coarse or non-uniform pieces fall
+    back to a flat default.
     """
-    m = sched.grid.size - 1
-    spacing = np.diff(sched.grid)
+    grid = sched.pieces()[0].grid
+    m = grid.size - 1
+    spacing = np.diff(grid)
     if m >= 100 and m % 2 == 0 and np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
         return m // 2
     return max(m, 200)
@@ -270,27 +289,6 @@ def propagate_state(sched: WeightSchedule, xi: np.ndarray, steps: int):
     if xi.shape != (sched.n,):
         raise DynamicsError(f"initial state has shape {xi.shape}, expected ({sched.n},)")
     return _replay(sched, xi, steps, "propagate_state")
-
-
-def propagate_state_through(schedules, xi: np.ndarray, steps_per_segment: int):
-    """Propagate node states through a sequence of schedule segments.
-
-    Segments are chained (each starts from the previous final state); the
-    duplicated join points are dropped so the returned grid is increasing.
-    """
-    schedules = list(schedules)
-    if not schedules:
-        raise DynamicsError("propagate_state_through: no schedule segments")
-    x = np.asarray(xi, dtype=float)
-    grids, states = [], []
-    for idx, sched in enumerate(schedules):
-        g, xs = propagate_state(sched, x, steps_per_segment)
-        x = xs[-1]
-        if idx:
-            g, xs = g[1:], xs[1:]
-        grids.append(g)
-        states.append(xs)
-    return np.concatenate(grids), np.concatenate(states)
 
 
 def liouville_residual(traj: TransitionTrajectory, sched: WeightSchedule) -> float:

@@ -27,14 +27,6 @@ class Graph:
     def neighbors(self, i: int) -> list:
         return sorted(j for (a, j) in self.edges if a == i and j != i)
 
-    def loop_edge_count(self) -> int:
-        """Number of self-loops (always n for a valid graph)."""
-        return sum(1 for (i, j) in self.edges if i == j)
-
-    def nonloop_edge_count(self) -> int:
-        """Number of undirected non-loop edges (each counted once)."""
-        return sum(1 for (i, j) in self.edges if i < j)
-
     def to_json_dict(self) -> dict:
         nonloop = sorted((i, j) for (i, j) in self.edges if i < j)
         return {"nodes": self.n, "edges": [[i, j] for (i, j) in nonloop]}
@@ -49,13 +41,6 @@ class SparsityMask:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def conforms(self, W: np.ndarray) -> bool:
-        """True iff W is zero everywhere the pattern is False."""
-        W = np.asarray(W)
-        if W.shape != self.entries.shape:
-            return False
-        return bool(np.all(W[~self.entries] == 0.0))
 
     def apply(self, W: np.ndarray) -> np.ndarray:
         """Zero out all off-pattern entries of W, or of each matrix of a stack."""

@@ -69,6 +69,12 @@ class AlgebraElement:
         return AlgebraElement(coeffs=-self.coeffs)
 
 
+def _shown_det(det: float, sign: int) -> float | None:
+    """det, or None when its float product over- or underflowed: when it is
+    not finite, or is 0 though the sign is not."""
+    return det if math.isfinite(det) and (det != 0.0 or sign == 0) else None
+
+
 @dataclass(frozen=True)
 class FeasibilityReport:
     """The gate's verdict. `sign` is the sign of det T (-1, 0 or 1), which
@@ -85,8 +91,7 @@ class FeasibilityReport:
 
     def to_json_dict(self) -> dict:
         """The report as JSON values; a determinant outside the float range is null."""
-        det = self.determinant if math.isfinite(self.determinant) else None
-        return {"det": det, "connected": self.connected,
+        return {"det": _shown_det(self.determinant, self.sign), "connected": self.connected,
                 "feasible": self.feasible, "reason": self.reason}
 
 
@@ -193,7 +198,8 @@ def check_feasible(g: Graph, T: np.ndarray) -> FeasibilityReport:
     elif sign == 0:
         reason = "determinant is zero"
     elif sign < 0:
-        reason = f"determinant is negative ({det})"
+        shown = _shown_det(det, sign)
+        reason = "determinant is negative" + ("" if shown is None else f" ({shown})")
     else:
         reason = "graph is not connected"
     return FeasibilityReport(determinant=float(det), sign=sign, connected=connected,

@@ -121,15 +121,21 @@ class Solution:
     def segments(self) -> list:
         return self.arcs
 
+    @property
+    def schedule(self) -> WeightSchedule:
+        """The arcs' schedules joined into one; each join's time appears twice."""
+        return WeightSchedule(grid=np.concatenate([a.schedule.grid for a in self.arcs]),
+                              W_seq=np.concatenate([a.schedule.W_seq for a in self.arcs]),
+                              mask=self.arcs[0].schedule.mask)
+
     def transition(self):
         """The composed (grid, X) over all arcs; each join's time appears once."""
         B = np.eye(self.target.shape[0])
-        grids, mats = [], []
-        for k, arc in enumerate(self.arcs):
-            Xg = arc.X_seq @ B
+        grids, mats = [self.arcs[0].grid[:1]], [B[None]]
+        for arc in self.arcs:
+            grids.append(arc.grid[1:])
+            mats.append((arc.X_seq @ B)[1:])
             B = arc.final @ B
-            grids.append(arc.grid[1:] if k else arc.grid)
-            mats.append(Xg[1:] if k else Xg)
         return np.concatenate(grids), np.concatenate(mats)
 
     @property
@@ -359,6 +365,14 @@ def _tries(JTJ: np.ndarray, g: np.ndarray, mu: float):
             return
 
 
+def _check_reach(target: np.ndarray, what: str) -> None:
+    """Reject a target with an entry beyond DIVERGENCE_LIMIT, since a shoot
+    whose X passes that limit counts as diverged; `what` names the target."""
+    if np.abs(target).max() > DIVERGENCE_LIMIT:
+        raise OptimalControlError(f"{what} has entries beyond the divergence limit "
+                                  f"{DIVERGENCE_LIMIT:.0e}, which no shoot reaches")
+
+
 def _newton_from(prob: BvpProblem, lam0: np.ndarray):
     """Damped Gauss-Newton (Levenberg-style) from one starting costate.
 
@@ -419,13 +433,10 @@ def solve_bvp(prob: BvpProblem, initial_guess: np.ndarray | None = None) -> Extr
     (exact for T = I); on stall the solver restarts from seeded random
     costates, each restart drawing its own RNG stream from seed + restart
     index. The first converged start wins; otherwise the start with the
-    smallest residual is reported. A target with an entry beyond
-    DIVERGENCE_LIMIT is rejected before any shoot, since a shoot whose X
-    passes that limit counts as diverged.
+    smallest residual is reported. A target that no shoot reaches is
+    rejected before any shoot (see _check_reach).
     """
-    if np.abs(prob.target).max() > DIVERGENCE_LIMIT:
-        raise OptimalControlError(f"target has entries beyond the divergence limit "
-                                  f"{DIVERGENCE_LIMIT:.0e}, which no shoot reaches")
+    _check_reach(prob.target, "target")
     n = prob.graph.n
     total_iters = 0
     starts = [(0, np.zeros((n, n)))]
@@ -483,18 +494,23 @@ def solve_with_waypoints(prob: BvpProblem, waypoints) -> Solution:
         rep = check_feasible(prob.graph, B)
         if not rep.feasible:
             raise InfeasibleError(f"waypoint {k + 1} infeasible: {rep.reason}")
-    arc_targets = []  # B_k B_{k-1}^{-1}, all formed before any arc is solved
+    ends = ["I", *(f"waypoint {k}" for k in range(1, len(waypoints) + 1)), "the target"]
+    arc_targets = []  # B_k B_{k-1}^{-1}, all formed and checked before any arc is solved
     for k, (prev, B) in enumerate(zip([np.eye(prob.graph.n)] + waypoints,
                                       waypoints + [prob.target])):
         try:
             arc_targets.append(solve_linear(prev.T, B.T).T)
         except DynamicsError as exc:  # prev is waypoint k
             raise InfeasibleError(f"waypoint {k} is singular to working precision") from exc
+        if waypoints:
+            _check_reach(arc_targets[-1], f"the target of arc {k + 1} ({ends[k]} to {ends[k + 1]})")
     times = np.linspace(prob.t0, prob.tf, len(arc_targets) + 1)
     arcs = []
     warm = None
     for k, target in enumerate(arc_targets):
-        arc_prob = replace(prob, target=target, t0=float(times[k]), tf=float(times[k + 1]),
+        # start on the last time of the arc before, which can differ from times[k] in the last bit
+        t0 = arcs[-1].grid[-1] if arcs else prob.t0
+        arc_prob = replace(prob, target=target, t0=float(t0), tf=float(times[k + 1]),
                            seed=prob.seed + 1000 * k)
         arc = solve_bvp(arc_prob, initial_guess=warm)
         arcs.append(arc)

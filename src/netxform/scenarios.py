@@ -14,8 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import (constant_schedule, determinant, expm, propagate_state,
-                       propagate_state_through, simulation_steps)
+from .dynamics import constant_schedule, determinant, expm, propagate_state, simulation_steps
 from .graph import Graph, is_connected, laplacian, mask, node_pairs, numeric_array
 from .optimal_control import BvpProblem, Solution, solve_with_waypoints
 
@@ -159,8 +158,8 @@ def default_initial_state(n: int, seed: int) -> np.ndarray:
 def _run(prob: BvpProblem, waypoints, xi: np.ndarray) -> ScenarioReport:
     """Solve through the waypoints and replay the schedule on xi."""
     sol = solve_with_waypoints(prob, waypoints)
-    schedules = [seg.schedule for seg in sol.segments()]
-    grid, xs = propagate_state_through(schedules, xi, simulation_steps(schedules[0]))
+    sched = sol.schedule
+    grid, xs = propagate_state(sched, xi, simulation_steps(sched))
     return ScenarioReport(grid=grid, node_states=xs, xi=xi, target=prob.target, solution=sol)
 
 

@@ -154,6 +154,17 @@ def test_check_decides_from_the_determinant_sign(tmp_path, capsys, diagonal, cod
     assert report["feasible"] is (code == 0)
 
 
+@pytest.mark.parametrize("diagonal", [
+    [1e200, 1e200], [1e-200, 1e-200], [-1e200, 1e200], [-1e-200, 1e-200],
+])
+def test_check_det_is_null_when_the_product_leaves_the_float_range(tmp_path, capsys, diagonal):
+    # the sign is known, so a product of inf or 0 would mislead
+    cfg = _write_cfg(tmp_path, "d.json", {**PATH2_CFG, "target": np.diag(diagonal).tolist()})
+    main(["check", "--config", cfg])
+    report = json.loads(capsys.readouterr().out)
+    assert report["det"] is None and "(" not in report["reason"]
+
+
 def test_unknown_command_exit_one(capsys):
     assert main(["frobnicate"]) == 1
 
@@ -170,7 +181,7 @@ def test_solve_scalar_bundle(scalar_cfg, tmp_path, capsys):
     assert abs(sol["cost"] - 0.5 * np.log(2.0) ** 2) < 1e-8
     assert abs(sol["lambda0"][0][0] + np.log(2.0)) < 1e-6
 
-    (sched,) = read_schedule_csv(out / "schedule.csv")
+    sched = read_schedule_csv(out / "schedule.csv")
     assert np.abs(sched.W_seq[:, 0, 0] - np.log(2.0)).max() < 1e-6
     grid, X_seq = read_matrix_trajectory_csv(out / "transition.csv")
     assert abs(X_seq[-1][0, 0] - 2.0) < 1e-8
@@ -188,7 +199,7 @@ def test_solve_identity_target_zero_schedule(tmp_path):
     })
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-    (sched,) = read_schedule_csv(out / "schedule.csv")
+    sched = read_schedule_csv(out / "schedule.csv")
     assert not sched.W_seq.any()
 
 
@@ -243,8 +254,8 @@ def test_solve_with_config_waypoints(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     sol = json.loads((out / "solution.json").read_text())
     assert len(sol["segments"]) == 2
-    segs = read_schedule_csv(out / "schedule.csv")
-    assert len(segs) == 2
+    sched = read_schedule_csv(out / "schedule.csv")
+    assert len(sched.pieces()) == 2
     grid, X_seq = read_matrix_trajectory_csv(out / "transition.csv")
     assert np.all(np.diff(grid) > 0)
     assert abs(X_seq[-1][0, 0] - 4.0) < 1e-7
@@ -341,6 +352,15 @@ def test_solve_unreachable_target_exit_three(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_solve_unreachable_waypoint_exit_three(tmp_path, capsys):
+    # the target I is reachable, but the arc from I to waypoint 1 is not
+    cfg = _write_cfg(tmp_path, "far.json",
+                     {**PATH2_CFG, "waypoints": [np.diag([1.0, 1e13]).tolist()]})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    _assert_one_error_line(capsys, "waypoint 1", "divergence limit")
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # shared flags
 
@@ -380,7 +400,7 @@ def test_simulate_zero_schedule_keeps_state(tmp_path):
     sched = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, msk)
     from netxform.csvio import write_schedule_csv
     spath = tmp_path / "s.csv"
-    write_schedule_csv(spath, [sched])
+    write_schedule_csv(spath, sched)
     out = tmp_path / "out"
     assert main(["simulate", "--schedule", str(spath), "--xi", "1,2",
                  "--out", str(out)]) == 0
@@ -411,12 +431,36 @@ def test_simulate_reproduces_transition_action(path3_cfg, tmp_path):
     assert np.linalg.norm(xs[-1] - X_seq[-1] @ xi) < 1e-7
 
 
+def test_simulate_backwards_join_exit_one(tmp_path, capsys):
+    # the second piece would start before the first one ends
+    spath = tmp_path / "s.csv"
+    spath.write_text("t,w_1_1\n0.0,0.0\n0.5,0.0\n1.0,0.0\n0.2,0.0\n0.6,0.0\n")
+    assert main(["simulate", "--schedule", str(spath), "--xi", "1",
+                 "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys, str(spath))
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_joined_scenario_schedule_matches_its_nodes(tmp_path):
+    # the swap's schedule has a join; simulate replays it as the scenario did
+    cfg = _write_cfg(tmp_path, "swap.json", {
+        "graph": {"nodes": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]},
+        "pairs": [[1, 2], [3, 4]],
+    })
+    out, sim = tmp_path / "out", tmp_path / "sim"
+    assert main(["scenario", "swap", "--config", cfg, "--out", str(out)]) == 0
+    assert len(read_schedule_csv(out / "schedule.csv").pieces()) == 2
+    assert main(["simulate", "--schedule", str(out / "schedule.csv"), "--xi", "1,2,3,4",
+                 "--out", str(sim)]) == 0
+    assert (sim / "nodes.csv").read_bytes() == (out / "nodes.csv").read_bytes()
+
+
 def test_simulate_mask_mismatch_exit_one(tmp_path, capsys):
     msk = nx.mask(nx.complete_graph(3))
     sched = nx.constant_schedule(np.zeros((3, 3)), 0.0, 1.0, msk)
     from netxform.csvio import write_schedule_csv
     spath = tmp_path / "s.csv"
-    write_schedule_csv(spath, [sched])
+    write_schedule_csv(spath, sched)
     cfg = _write_cfg(tmp_path, "g.json",
                      {"graph": {"nodes": 3, "edges": [[1, 2], [2, 3]]},
                       "target": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
@@ -430,7 +474,7 @@ def test_simulate_bad_xi_exit_one(tmp_path, capsys):
     sched = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, msk)
     from netxform.csvio import write_schedule_csv
     spath = tmp_path / "s.csv"
-    write_schedule_csv(spath, [sched])
+    write_schedule_csv(spath, sched)
     assert main(["simulate", "--schedule", str(spath), "--xi", "1,2,3",
                  "--out", str(tmp_path / "o")]) == 1
     assert main(["simulate", "--schedule", str(spath),
@@ -453,7 +497,7 @@ def test_simulate_bad_xi_values_exit_one(tmp_path, capsys, flag, value):
     sched = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, msk)
     from netxform.csvio import write_schedule_csv
     spath = tmp_path / "s.csv"
-    write_schedule_csv(spath, [sched])
+    write_schedule_csv(spath, sched)
     if flag == "--xi-file":
         (tmp_path / "xi.csv").write_text(value + "\n")
         value = str(tmp_path / "xi.csv")
@@ -467,7 +511,7 @@ def test_simulate_bad_steps_exit_one(tmp_path, capsys):
     sched = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, msk)
     from netxform.csvio import write_schedule_csv
     spath = tmp_path / "s.csv"
-    write_schedule_csv(spath, [sched])
+    write_schedule_csv(spath, sched)
     assert main(["simulate", "--schedule", str(spath), "--xi", "1,2", "--steps", "0",
                  "--out", str(tmp_path / "o")]) == 1
     _assert_one_error_line(capsys)

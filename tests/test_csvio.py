@@ -21,8 +21,8 @@ def _random_schedule(rng, t0=0.0, tf=1.0):
 def test_schedule_round_trip_is_exact(tmp_path):
     sched = _random_schedule(np.random.default_rng(0))
     path = tmp_path / "sched.csv"
-    write_schedule_csv(path, [sched])
-    (back,) = read_schedule_csv(path)
+    write_schedule_csv(path, sched)
+    back = read_schedule_csv(path)
     assert np.array_equal(back.grid, sched.grid)
     assert np.array_equal(back.W_seq, sched.W_seq)
     assert np.array_equal(back.mask.entries, sched.mask.entries)
@@ -31,7 +31,7 @@ def test_schedule_round_trip_is_exact(tmp_path):
 def test_schedule_header_lists_only_pattern_entries(tmp_path):
     sched = _random_schedule(np.random.default_rng(1))
     path = tmp_path / "sched.csv"
-    write_schedule_csv(path, [sched])
+    write_schedule_csv(path, sched)
     header = path.read_text().splitlines()[0]
     assert header.split(",")[1:] == [f"w_{i}_{j}" for (i, j)
                                      in sched.mask.index_pairs()]
@@ -41,9 +41,11 @@ def test_multi_segment_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     s1 = _random_schedule(rng, 0.0, 0.5)
     s2 = _random_schedule(rng, 0.5, 1.0)
+    joined = nx.WeightSchedule(grid=np.concatenate([s1.grid, s2.grid]),
+                               W_seq=np.concatenate([s1.W_seq, s2.W_seq]), mask=s1.mask)
     path = tmp_path / "sched.csv"
-    write_schedule_csv(path, [s1, s2])
-    back = read_schedule_csv(path)
+    write_schedule_csv(path, joined)
+    back = read_schedule_csv(path).pieces()
     assert len(back) == 2
     assert np.array_equal(back[0].W_seq, s1.W_seq)
     assert np.array_equal(back[1].W_seq, s2.W_seq)

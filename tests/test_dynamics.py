@@ -7,8 +7,7 @@ import scipy.linalg
 import netxform as nx
 from netxform.dynamics import (DynamicsError, determinant, expm,
                                integrate_transition, liouville_residual,
-                               propagate_state, propagate_state_through,
-                               simulation_steps, solve_linear)
+                               propagate_state, simulation_steps, solve_linear)
 from netxform.graph import mask
 
 from conftest import SWAP_TARGET, single_node_average_map
@@ -120,6 +119,25 @@ def test_schedule_rejects_bad_grid():
         nx.WeightSchedule(grid=np.array([0.0]), W_seq=W[:1], mask=msk)
 
 
+@pytest.mark.parametrize("grid, ok", [
+    ([0.0, 0.5, 0.5, 1.0], True),        # one join
+    ([0.0, 0.5, 0.2, 1.0], False),       # a time that goes backwards
+    ([0.0, 0.5, 0.5, 0.5, 1.0], False),  # two joins in a row
+    ([0.0, 0.0, 0.5, 1.0], False),       # a join at the start
+    ([0.0, 0.5, 1.0, 1.0], False),       # a join at the end
+])
+def test_schedule_join_rules(grid, ok):
+    msk = mask(nx.build_graph(1, []))
+    W_seq = np.arange(len(grid), dtype=float).reshape(-1, 1, 1)
+    if not ok:
+        with pytest.raises(DynamicsError):
+            nx.WeightSchedule(grid=np.array(grid), W_seq=W_seq, mask=msk)
+        return
+    pieces = nx.WeightSchedule(grid=np.array(grid), W_seq=W_seq, mask=msk).pieces()
+    assert [p.grid.tolist() for p in pieces] == [[0.0, 0.5], [0.5, 1.0]]
+    assert [p.W_seq.ravel().tolist() for p in pieces] == [[0.0, 1.0], [2.0, 3.0]]
+
+
 def test_schedule_interpolation_is_linear_and_clamped():
     msk = mask(nx.complete_graph(2))
     W_seq = np.array([np.zeros((2, 2)), np.ones((2, 2))])
@@ -179,12 +197,13 @@ def test_propagate_zero_state_stays_zero():
     assert not xs.any()
 
 
-def test_propagate_state_through_chains_segments():
+def test_propagate_state_chains_pieces():
     msk = mask(nx.build_graph(1, []))
-    s1 = nx.constant_schedule(np.array([[np.log(2.0)]]), 0.0, 0.5, msk)
-    s2 = nx.constant_schedule(np.array([[np.log(2.0)]]), 0.5, 1.0, msk)
-    grid, xs = propagate_state_through([s1, s2], np.array([1.0]), 100)
+    sched = nx.WeightSchedule(grid=np.array([0.0, 0.5, 0.5, 1.0]),
+                              W_seq=np.full((4, 1, 1), np.log(2.0)), mask=msk)
+    grid, xs = propagate_state(sched, np.array([1.0]), 100)
     assert np.all(np.diff(grid) > 0)
+    assert grid.size == 201 and grid[100] == 0.5
     assert abs(xs[-1, 0] - 2.0) < 1e-10
 
 

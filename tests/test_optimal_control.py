@@ -510,6 +510,19 @@ def test_waypoint_segments_split_the_horizon_evenly():
     assert segs[1].grid[0] == 0.5 and segs[1].grid[-1] == 1.0
 
 
+def test_solution_schedule_joins_the_arcs():
+    # on [0, 1.8] the first arc's last time t0 + steps h is not 0.9 but one
+    # bit above; the second arc starts there, so the join is one repeated time
+    prob = BvpProblem(graph=nx.build_graph(1, []), target=np.array([[4.0]]), tf=1.8)
+    sol = solve_with_waypoints(prob, [np.array([[2.0]])])
+    first, second = sol.arcs
+    assert first.grid[-1] == second.grid[0] == np.nextafter(0.9, 1.0)
+    sched = sol.schedule
+    assert [p.grid.tolist() for p in sched.pieces()] == [first.grid.tolist(),
+                                                         second.grid.tolist()]
+    assert np.array_equal(sched.W_seq, np.concatenate([a.schedule.W_seq for a in sol.arcs]))
+
+
 # ---------------------------------------------------------------------------
 # singularity scan
 
