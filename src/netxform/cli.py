@@ -59,14 +59,18 @@ def _require(cfg: dict, key: str):
 def _settings(cfg: dict) -> dict:
     """The horizon and solver settings the config sets. They are BvpProblem's
     fields with defaults, which also give their kinds and ranges: t0 and tf
-    sit at the top level, the others under "solver"."""
+    sit at the top level, the others under "solver", which holds nothing else."""
     solver = cfg.get("solver", {})
     if not isinstance(solver, dict):
         raise ConfigError("field 'solver' must be an object")
+    settable = [f for f in fields(BvpProblem) if f.default is not MISSING]
+    solver_names = [f.name for f in settable if f.name not in ("t0", "tf")]
+    for key in (key for key in solver if key not in solver_names):
+        raise ConfigError(f"field 'solver.{key}' is not one of {', '.join(solver_names)}")
     settings = {}
-    for f in fields(BvpProblem):
-        section, name = (cfg, f.name) if f.name in ("t0", "tf") else (solver, f"solver.{f.name}")
-        if f.default is not MISSING and f.name in section:
+    for f in settable:
+        section, name = (solver, f"solver.{f.name}") if f.name in solver_names else (cfg, f.name)
+        if f.name in section:
             kind = type(f.default)
             settings[f.name] = kind(numeric_array(section[f.name], f"field {name!r}", (),
                                                   whole=kind is int, error=ConfigError))

@@ -79,7 +79,10 @@ def read_schedule_csv(path) -> WeightSchedule:
         m = re.fullmatch(r"w_([1-9][0-9]*)_([1-9][0-9]*)", name)
         if m is None:
             raise CsvFormatError(f"{path}: bad schedule column {name!r}")
-        pairs.append((int(m[1]) - 1, int(m[2]) - 1))
+        pair = (int(m[1]) - 1, int(m[2]) - 1)
+        if pair in pairs:
+            raise CsvFormatError(f"{path}: repeated schedule column {name!r}")
+        pairs.append(pair)
     if not pairs:
         raise CsvFormatError(f"{path}: header has no w_i_j columns")
     n = max(max(p) for p in pairs) + 1

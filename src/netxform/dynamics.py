@@ -294,10 +294,16 @@ def propagate_state(sched: WeightSchedule, xi: np.ndarray, steps: int):
 def liouville_residual(traj: TransitionTrajectory, sched: WeightSchedule) -> float:
     """Max relative gap between det X(t) and exp of the integrated trace of W.
 
-    The trace integral uses the trapezoid rule on the trajectory grid, so the
-    identity det X(t) = exp(int tr W) holds up to integrator accuracy.
+    The trace integral uses the trapezoid rule on the grid of `traj`, the run
+    of integrate_transition (equal steps per piece), one piece at a time with
+    that piece's W, so a join belongs to both pieces. The identity
+    det X(t) = exp(int tr W) then holds up to integrator accuracy.
     """
-    traces = np.array([np.trace(sched.W_at(t)) for t in traj.grid])
-    h = np.diff(traj.grid)
-    cum = np.concatenate(([0.0], np.cumsum(h * (traces[:-1] + traces[1:]) / 2.0)))
+    pieces = sched.pieces()
+    steps = (traj.grid.size - 1) // len(pieces)
+    cum = [0.0]
+    for k, piece in enumerate(pieces):
+        t = traj.grid[k * steps:(k + 1) * steps + 1]
+        traces = np.array([np.trace(piece.W_at(s)) for s in t])
+        cum.extend(cum[-1] + np.cumsum(np.diff(t) * (traces[:-1] + traces[1:]) / 2.0))
     return float(np.max(np.abs(traj.dets - np.exp(cum)) / traj.dets))

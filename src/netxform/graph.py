@@ -128,17 +128,25 @@ def graph_from_json_dict(d: dict) -> Graph:
     return build_graph(n, node_pairs(d.get("edges", []), "graph edges"))
 
 
+def _components(g: Graph) -> list:
+    """The vertex sets of the connected components, by depth-first search
+    from each vertex not yet reached (self-loops do not connect)."""
+    comps = []
+    for v in range(1, g.n + 1):
+        if not any(v in comp for comp in comps):
+            comp, stack = {v}, [v]
+            while stack:
+                for j in g.neighbors(stack.pop()):
+                    if j not in comp:
+                        comp.add(j)
+                        stack.append(j)
+            comps.append(comp)
+    return comps
+
+
 def is_connected(g: Graph) -> bool:
     """Reachability of every vertex from vertex 1 (self-loops do not connect)."""
-    seen = {1}
-    stack = [1]
-    while stack:
-        i = stack.pop()
-        for j in g.neighbors(i):
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == g.n
+    return len(_components(g)) == 1
 
 
 def adjacency(g: Graph) -> np.ndarray:

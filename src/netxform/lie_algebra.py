@@ -16,14 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _determinant, _eliminate
-from .graph import Graph, is_connected
+from .graph import Graph, _components, is_connected
 
 
 class LieAlgebraError(ValueError):
     """Index out of range or dimension mismatch."""
 
 
-# Relative threshold below which a pivot or a residual counts as zero.
+# Relative threshold below which a pivot of matrix_rank counts as zero.
 RANK_TOL = 1e-10
 
 
@@ -61,12 +61,6 @@ class AlgebraElement:
     @property
     def n(self) -> int:
         return self.coeffs.shape[0]
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(coeffs=self.coeffs + other.coeffs)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(coeffs=-self.coeffs)
 
 
 def _shown_det(det: float, sign: int) -> float | None:
@@ -129,58 +123,24 @@ def matrix_rank(A: np.ndarray) -> int:
     return len(_eliminate(A, None, RANK_TOL * np.abs(A).max(initial=0.0))[0])
 
 
-def _closure_basis(g: Graph) -> list:
-    """Orthonormal basis (as n x n matrices) of the commutator closure of the
-    edge coefficient matrices, built by iterated sweeps."""
-    n = g.n
-    basis_vecs: list[np.ndarray] = []
-    mats: list[np.ndarray] = []
-
-    def try_add(M: np.ndarray) -> None:
-        v = M.ravel().astype(float)
-        thresh = max(RANK_TOL, RANK_TOL * np.linalg.norm(v))
-        for _ in range(2):  # re-orthogonalize for stability
-            for b in basis_vecs:
-                v = v - (b @ v) * b
-        nrm = np.linalg.norm(v)
-        if nrm > thresh:
-            v = v / nrm
-            basis_vecs.append(v)
-            mats.append(v.reshape(n, n))
-
-    for (i, j) in sorted(g.edges):
-        try_add(index_matrix(n, i, j))
-
-    processed = 0
-    while len(mats) < n * n:
-        m = len(mats)
-        if processed >= m:
-            break
-        for jdx in range(processed, m):
-            for idx in range(jdx):
-                A, B = mats[idx], mats[jdx]
-                try_add(B @ A - A @ B)
-                if len(mats) >= n * n:
-                    break
-            if len(mats) >= n * n:
-                break
-        processed = m
-    return mats
-
-
 def generated_algebra_dimension(g: Graph) -> int:
     """Dimension of the smallest matrix space containing the edge index
-    matrices and closed under commutators."""
-    return len(_closure_basis(g))
+    matrices and closed under commutators: exactly the matrices that are
+    block-diagonal over the components of the graph. Within a component,
+    E_ij E_jk - E_jk E_ij = E_ik (i != k) along paths reaches every
+    off-diagonal unit, and the self-loops, which build_graph always inserts,
+    give the diagonal. Units in different components commute."""
+    return sum(len(comp) ** 2 for comp in _components(g))
 
 
 def closure_contains(g: Graph, C: np.ndarray) -> float:
-    """Residual norm of C after projection onto the closure span."""
-    v = np.asarray(C, dtype=float).ravel()
-    for M in _closure_basis(g):
-        b = M.ravel()
-        v = v - (b @ v) * b
-    return float(np.linalg.norm(v))
+    """Residual norm of C after projection onto the closure span: the norm of
+    the entries of C that join two components."""
+    label = np.empty(g.n, dtype=int)
+    for k, comp in enumerate(_components(g)):
+        label[[v - 1 for v in comp]] = k
+    C = np.asarray(C, dtype=float)
+    return float(np.linalg.norm(C[label[:, None] != label[None, :]]))
 
 
 def check_feasible(g: Graph, T: np.ndarray) -> FeasibilityReport:

@@ -278,6 +278,7 @@ WHOLE_SETTINGS = ("steps", "max_iter", "restarts", "seed")
     *({"solver": {key: bad}} for key in (*WHOLE_SETTINGS, "newton_tol") for bad in BAD_NUMBERS),
     *({"solver": {key: 1.5}} for key in WHOLE_SETTINGS),
     *({key: bad} for key in ("t0", "tf") for bad in BAD_NUMBERS),
+    {"solver": {"max_iters": 1, "restart": 0}}, {"solver": {"tf": 2.0}},  # not solver keys
 ])
 def test_solve_bad_solver_settings_exit_one(path3_cfg, tmp_path, capsys, fields):
     cfg = json.loads(Path(path3_cfg).read_text())
@@ -286,6 +287,7 @@ def test_solve_bad_solver_settings_exit_one(path3_cfg, tmp_path, capsys, fields)
     assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 1
     (key, value), = fields.items()
     _assert_one_error_line(capsys, next(iter(value)) if key == "solver" else key)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("fields", [
@@ -441,6 +443,16 @@ def test_simulate_backwards_join_exit_one(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_simulate_repeated_column_exit_one(tmp_path, capsys):
+    # two values for one weight: neither may silently win
+    spath = tmp_path / "s.csv"
+    spath.write_text("t,w_1_1,w_1_1\n0,1,2\n1,1,2\n")
+    assert main(["simulate", "--schedule", str(spath), "--xi", "1",
+                 "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys, str(spath), "repeated", "w_1_1")
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_joined_scenario_schedule_matches_its_nodes(tmp_path):
     # the swap's schedule has a join; simulate replays it as the scenario did
     cfg = _write_cfg(tmp_path, "swap.json", {
@@ -583,6 +595,10 @@ def test_scenario_densify_horizon_from_config(tmp_path):
     ("densify", DENSIFY3, {"t0": 2.0}),
     ("swap", SWAP4, {"solver": {"restarts": -1}}),
     ("swap", SWAP4, {"solver": {"max_iter": "x"}}),
+    ("densify", DENSIFY3, {"solver": {"max_iters": 1}}),
+    ("densify", DENSIFY3, {"solver": {"tf": 2.0}}),
+    ("swap", SWAP4, {"solver": {"restart": 0}}),
+    ("swap", SWAP4, {"solver": {"t0": 0.5}}),
 ])
 def test_scenario_bad_solver_settings_exit_one(tmp_path, capsys, kind, base, fields):
     cfg = _write_cfg(tmp_path, "bad.json", {**base, **fields})

@@ -224,6 +224,16 @@ def test_liouville_residual_random_schedule():
     assert liouville_residual(integrate_transition(sched, 400), sched) < 1e-6
 
 
+def test_liouville_residual_takes_each_side_of_a_join():
+    # W = 0 on [0, 0.5], then W = 1 on [0.5, 1]: the trace jumps at the join
+    msk = mask(nx.build_graph(1, []))
+    sched = nx.WeightSchedule(grid=np.array([0.0, 0.5, 0.5, 1.0]),
+                              W_seq=np.array([0.0, 0.0, 1.0, 1.0]).reshape(4, 1, 1), mask=msk)
+    traj = integrate_transition(sched, 100)
+    assert abs(traj.final[0, 0] - np.exp(0.5)) < 1e-10
+    assert liouville_residual(traj, sched) < 1e-9
+
+
 def test_convergence_is_fourth_order():
     rng = np.random.default_rng(7)
     g = nx.path_graph(3)

@@ -194,6 +194,33 @@ def test_closure_contains_every_unit_element_when_connected():
                 assert closure_contains(g, index_matrix(4, i, j)) < 1e-9
 
 
+def _random_graph_with_components(rng, n, k):
+    """A random graph on n vertices with exactly k components, and their labels."""
+    label = rng.permutation(np.arange(n) % k)
+    edges = []
+    for c in range(k):
+        comp = [int(v) + 1 for v in rng.permutation(np.flatnonzero(label == c))]
+        edges += [(comp[int(rng.integers(m))], comp[m]) for m in range(1, len(comp))]
+        edges += [(a, b) for a in comp for b in comp if a < b and rng.random() < 0.3]
+    return nx.build_graph(n, edges), label
+
+
+def test_closure_is_block_diagonal_over_random_components():
+    rng = np.random.default_rng(12)
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for _ in range(2):
+                g, label = _random_graph_with_components(rng, n, k)
+                assert nx.generated_algebra_dimension(g) == brute_force_closure_dimension(g)
+                for i in range(1, n + 1):
+                    for j in range(1, n + 1):
+                        res = closure_contains(g, index_matrix(n, i, j))
+                        if label[i - 1] == label[j - 1]:
+                            assert res < 1e-9
+                        else:
+                            assert abs(res - 1.0) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # feasibility and controllability
 
