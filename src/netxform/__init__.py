@@ -16,7 +16,7 @@ from .optimal_control import (BvpProblem, ExtremalSolution, Solution,
                               shoot, solve_bvp, solve_with_waypoints,
                               weights_from_costate)
 from .scenarios import (DensifyScenario, SwapScenario, agreement_error,
-                        contraction_waypoints, densification_target,
-                        run_densify, run_swap, swap_target)
+                        densification_target, run_densify, run_swap,
+                        swap_target)
 
 __version__ = "0.1.0"

@@ -230,10 +230,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _joined_xi(argv) -> list:
+    """argv with each `--xi V` written `--xi=V`, since argparse would take an
+    initial state that starts with a minus sign, such as -1,2, for a flag."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--xi" and not arg.startswith("--"):
+            out[-1] = f"--xi={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined_xi(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

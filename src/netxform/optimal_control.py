@@ -203,27 +203,16 @@ def _extremal_rate(Z: np.ndarray, off: np.ndarray):
     return rate
 
 
-def _extremal_at(lam: np.ndarray, X: np.ndarray, msk: SparsityMask):
-    """(W, [W X, -(W^T lam)^T]) at checked single or stacked inputs."""
-    lam = np.asarray(lam, dtype=float)
-    X = np.asarray(X, dtype=float)
-    n = msk.n
-    if lam.shape[-2:] != (n, n) or X.shape != lam.shape:
-        raise OptimalControlError("weights_from_costate: dimension mismatch")
-    Z = np.empty((3,) + X.shape)
-    Z[0] = X
-    Z[2] = np.swapaxes(lam, -1, -2)
-    out = np.empty((2,) + X.shape)
-    _extremal_rate(Z, np.broadcast_to(~msk.entries, X.shape))(None, None, out)
-    return Z[1], out
-
-
 def weights_from_costate(lam: np.ndarray, X: np.ndarray, msk: SparsityMask) -> np.ndarray:
     """Stationarity condition: W = -(lam X^T) restricted to the edge pattern.
 
     lam and X are single (n, n) matrices or equal-shaped stacks (..., n, n).
     """
-    return _extremal_at(lam, X, msk)[0]
+    lam = np.asarray(lam, dtype=float)
+    X = np.asarray(X, dtype=float)
+    if lam.shape[-2:] != (msk.n, msk.n) or X.shape != lam.shape:
+        raise OptimalControlError("weights_from_costate: dimension mismatch")
+    return msk.apply(-(lam @ np.swapaxes(X, -1, -2)))
 
 
 def extremal_rhs(X: np.ndarray, lam: np.ndarray, msk: SparsityMask) -> np.ndarray:
@@ -231,8 +220,8 @@ def extremal_rhs(X: np.ndarray, lam: np.ndarray, msk: SparsityMask) -> np.ndarra
 
     Returns one array of shape (2,) + X.shape holding W X and -W^T lam.
     """
-    dX, dlamT = _extremal_at(lam, X, msk)[1]
-    return np.stack([dX, np.swapaxes(dlamT, -1, -2)])
+    W = weights_from_costate(lam, X, msk)
+    return np.stack([W @ X, -np.swapaxes(W, -1, -2) @ lam])
 
 
 def _shoot_batch(prob: BvpProblem, lam0s: np.ndarray, record: bool = False):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import constant_schedule, determinant, expm, propagate_state, simulation_steps
+from .dynamics import constant_schedule, expm, propagate_state, simulation_steps
 from .graph import Graph, is_connected, laplacian, mask, node_pairs, numeric_array
 from .optimal_control import BvpProblem, Solution, solve_with_waypoints
 
@@ -32,7 +32,7 @@ SWAP_WAYPOINT_4 = np.array([
     [0.0, 0.0, 0.0, 1.0],
 ])
 
-# Largest contraction -log det of one segment of contraction_waypoints.
+# Largest contraction -log det of one arc of the densification solve.
 MAX_LOG_CONTRACTION = 4.0
 
 
@@ -122,32 +122,6 @@ def swap_target(n: int, pairs) -> np.ndarray:
     return T
 
 
-def contraction_waypoints(T: np.ndarray) -> list:
-    """Intermediate targets T^(k/K) for a strongly contracting symmetric
-    positive definite T.
-
-    Shooting over the whole horizon is exponentially ill-conditioned once
-    det(T) is many orders of magnitude below 1; routing through matrix-power
-    waypoints keeps every segment's contraction below e^-MAX_LOG_CONTRACTION.
-    Returns an empty list when T is mild or is not symmetric positive
-    definite (no canonical real power path exists then).
-    """
-    T = np.asarray(T, dtype=float)
-    if not np.allclose(T, T.T, rtol=1e-10, atol=1e-12):
-        return []
-    det = determinant(T)
-    if det <= 0.0:
-        return []
-    shrink = -np.log(det)
-    if shrink <= MAX_LOG_CONTRACTION:
-        return []
-    evals, evecs = np.linalg.eigh(T)
-    if evals.min() <= 0.0:
-        return []
-    K = int(np.ceil(shrink / MAX_LOG_CONTRACTION))
-    return [evecs @ np.diag(evals ** (k / K)) @ evecs.T for k in range(1, K)]
-
-
 def default_initial_state(n: int, seed: int) -> np.ndarray:
     """Seeded random state with the mean removed (agreement error of a
     constant vector is identically zero and uninformative)."""
@@ -167,10 +141,12 @@ def run_densify(s: DensifyScenario, max_iter: int = 300, **settings) -> Scenario
     """Solve the densification BVP and compare three agreement-error curves:
     plain sparse consensus, plain dense consensus, and the synthesized run.
 
-    A dense target contracts by e^-tr(L_d)dt, so for more than a few nodes
-    it is routed through matrix-power waypoints (see contraction_waypoints);
-    the iteration budget default is sized for those segment solves. The
-    horizon and the other solver settings default to BvpProblem's.
+    The dense target exp(-L_d tau), tau = tf - t0, contracts by
+    det = e^-tr(L_d)tau, so the solve is routed through the dense consensus
+    maps at k/K of the horizon, K just large enough that no arc contracts by
+    more than e^-MAX_LOG_CONTRACTION; the iteration budget default is sized
+    for those arc solves. The horizon and the other solver settings default
+    to BvpProblem's.
     """
     n = s.sparse_graph.n
     # the target depends on the horizon, which BvpProblem checks and defaults
@@ -179,7 +155,10 @@ def run_densify(s: DensifyScenario, max_iter: int = 300, **settings) -> Scenario
     prob = replace(prob, target=T)
     # drawn once BvpProblem has checked the seed
     xi = default_initial_state(n, prob.seed) if s.initial_state is None else s.initial_state
-    report = _run(prob, contraction_waypoints(T), xi)
+    tau = prob.tf - prob.t0
+    K = math.ceil(np.trace(laplacian(s.dense_graph)) * tau / MAX_LOG_CONTRACTION)
+    waypoints = [densification_target(s.dense_graph, 0.0, tau * k / K) for k in range(1, K)]
+    report = _run(prob, waypoints, xi)
 
     # plain consensus runs share the synthesized run's (possibly segmented) grid
     total_steps = report.grid.size - 1

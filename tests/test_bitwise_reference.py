@@ -3,9 +3,9 @@ reference loops, bit for bit.
 
 The RK4 references allocate a fresh array at every stage and evaluate
 y + h/2 k and y + h/6 (k1 + 2 k2 + 2 k3 + k4) as written. The extremal
-reference takes its rates from the public extremal_rhs, which
-test_extremal_rhs_is_one_stacked_rate pins to the plain formulas
-W = -(lam X^T) on the edge pattern, W X and -W^T lam. The elimination
+reference takes its rates from the public extremal_rhs, which evaluates
+the plain formulas W = -(lam X^T) on the edge pattern, W X and -W^T lam,
+without the buffered kernel that the shoot runs. The elimination
 references are the three separate pivoting loops that determinant,
 solve_linear and matrix_rank each ran before they shared one.
 """

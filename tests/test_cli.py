@@ -410,6 +410,21 @@ def test_simulate_zero_schedule_keeps_state(tmp_path):
     assert np.array_equal(xs[-1], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("xi", ["-1,2", "-0.5,-2", "-1e-3,4"])
+def test_simulate_negative_first_xi(tmp_path, xi):
+    # a spaced value that starts with a minus sign is the initial state, not a flag
+    msk = nx.mask(nx.path_graph(2))
+    sched = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, msk)
+    from netxform.csvio import write_schedule_csv
+    spath = tmp_path / "s.csv"
+    write_schedule_csv(spath, sched)
+    out = tmp_path / "out"
+    assert main(["simulate", "--schedule", str(spath), "--xi", xi,
+                 "--out", str(out)]) == 0
+    _, xs = read_vector_trajectory_csv(out / "nodes.csv")
+    assert np.array_equal(xs[-1], [float(v) for v in xi.split(",")])
+
+
 def test_simulate_solved_schedule_reaches_target(path3_cfg, tmp_path):
     out = tmp_path / "solve_out"
     assert main(["solve", "--config", path3_cfg, "--out", str(out)]) == 0
@@ -501,6 +516,7 @@ def test_simulate_bad_xi_exit_one(tmp_path, capsys):
     ("--xi", "true,1"),      # a boolean
     ("--xi", "1,abc"),       # non-numeric cell
     ("--xi", "1,-inf"),      # non-finite entry
+    ("--xi", "-inf,1"),      # non-finite first entry, which starts with a minus sign
     ("--xi", "1,2,3"),       # wrong length
     ("--xi-file", "1,2\n3,4"),  # wrong shape
 ])

@@ -5,10 +5,10 @@ import pytest
 import scipy.linalg
 
 import netxform as nx
-from netxform.dynamics import determinant
-from netxform.scenarios import (ScenarioError, agreement_error,
-                                contraction_waypoints, default_initial_state,
-                                densification_target, swap_target)
+from netxform import scenarios
+from netxform.scenarios import (MAX_LOG_CONTRACTION, ScenarioError, agreement_error,
+                                default_initial_state, densification_target,
+                                swap_target)
 
 
 # ---------------------------------------------------------------------------
@@ -54,40 +54,49 @@ def test_default_initial_state_is_centered_and_seeded():
 
 
 # ---------------------------------------------------------------------------
-# contraction waypoints
+# densification waypoints
 
 
-def test_waypoints_empty_for_mild_targets():
-    assert contraction_waypoints(np.eye(3)) == []
-    assert contraction_waypoints(np.diag([0.5, 1.0])) == []
+def _densify_waypoints(monkeypatch, dense, **settings):
+    """The waypoints and target that run_densify hands to the solver, caught
+    before any arc is solved; the sparse graph is a path."""
+    seen = {}
+
+    class Caught(Exception):
+        pass
+
+    def catch(prob, waypoints):
+        seen.update(target=prob.target, waypoints=list(waypoints))
+        raise Caught
+
+    monkeypatch.setattr(scenarios, "solve_with_waypoints", catch)
+    with pytest.raises(Caught):
+        nx.run_densify(nx.DensifyScenario(sparse_graph=nx.path_graph(dense.n),
+                                          dense_graph=dense), **settings)
+    return seen["waypoints"], seen["target"]
 
 
-def test_waypoints_empty_without_a_real_power_path():
-    rotation = np.array([[0.0, -1.0], [1.0, 0.0]])  # not symmetric
-    assert contraction_waypoints(rotation) == []
-    assert contraction_waypoints(np.diag([-1.0, -np.exp(10.0)])) == []
-
-
-def test_waypoints_telescope_to_the_target():
-    T = densification_target(nx.complete_graph(5), 0.0, 1.0)
-    wps = contraction_waypoints(T)
-    assert len(wps) >= 2
-    prev = np.eye(5)
-    composed = np.eye(5)
-    for B in wps + [T]:
-        step = B @ np.linalg.inv(prev)
-        assert -np.log(determinant(step)) < 4.0 + 1e-9
-        composed = step @ composed
-        prev = B
-    assert np.abs(composed - T).max() < 1e-10
-
-
-def test_waypoints_are_matrix_powers():
-    T = np.diag([np.exp(-6.0), np.exp(-6.0), 1.0])
-    wps = contraction_waypoints(T)
-    assert len(wps) == 2  # K = 3 segments
-    assert np.abs(wps[0] - scipy.linalg.fractional_matrix_power(T, 1 / 3)).max() < 1e-12
-    assert np.abs(wps[1] - scipy.linalg.fractional_matrix_power(T, 2 / 3)).max() < 1e-12
+@pytest.mark.parametrize("dense, t0, tf, K", [
+    (nx.complete_graph(5), 0.0, 1.0, 5),  # tr(L) tau = 20: the curated densify
+    (nx.complete_graph(3), 1.0, 1.5, 1),  # 3: mild, so no waypoint
+    (nx.complete_graph(3), 0.0, 2.0, 3),  # 12
+    (nx.cycle_graph(6), 0.5, 3.0, 8),     # 30
+    (nx.star_graph(6), 0.0, 0.9, 3),      # 9
+])
+def test_densify_waypoints_follow_the_dense_flow(monkeypatch, dense, t0, tf, K):
+    waypoints, T = _densify_waypoints(monkeypatch, dense, t0=t0, tf=tf)
+    L = nx.laplacian(dense)
+    tau = tf - t0
+    assert len(waypoints) == K - 1
+    for k, B in enumerate(waypoints, start=1):
+        assert np.abs(B - scipy.linalg.expm(-L * tau * k / K)).max() < 1e-12
+    # every arc target B_k B_{k-1}^-1 contracts by at most e^-MAX_LOG_CONTRACTION
+    ends = [np.eye(dense.n), *waypoints, T]
+    for prev, B in zip(ends, ends[1:]):
+        sign, logdet = np.linalg.slogdet(np.linalg.solve(prev.T, B.T).T)
+        assert sign > 0 and -logdet <= MAX_LOG_CONTRACTION + 1e-9
+    # and one arc fewer would not do
+    assert np.trace(L) * tau > MAX_LOG_CONTRACTION * (K - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +144,15 @@ def test_densify_final_state_matches_exponential_oracle(densify_report):
     want = scipy.linalg.expm(-L) @ rep.xi
     assert np.linalg.norm(rep.final_state - want) < 1e-6
     assert np.linalg.norm(rep.target @ rep.xi - want) < 1e-12
+    # tr(L) tau = 20 makes five arcs, and the state follows dense consensus
+    # at every join too
+    arcs = rep.solution.segments()
+    assert len(arcs) == 5
+    for arc in arcs[:-1]:
+        t = arc.grid[-1]
+        k = np.argmin(np.abs(rep.grid - t))
+        assert abs(rep.grid[k] - t) < 1e-12
+        assert np.linalg.norm(rep.node_states[k] - scipy.linalg.expm(-L * t) @ rep.xi) < 1e-6
 
 
 def test_densify_same_graph_reproduces_consensus():
