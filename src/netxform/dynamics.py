@@ -95,18 +95,18 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def expm(A: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring over a truncated series.
 
-    The input is scaled by 2**-s until its norm is at most 1/2, the series is
-    summed to relative machine precision, and the result squared s times.
+    The input is scaled by 2**-s, the least s >= 0 that brings its norm to at
+    most 1/2, the series is summed to relative machine precision, and the
+    result squared s times; squarings that leave the float range raise.
     """
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise DynamicsError("expm: non-finite input")
     n = A.shape[0]
     norm = np.abs(A).sum(axis=1).max() if n else 0.0
-    s = 0
-    while norm / (2 ** s) > 0.5:
-        s += 1
-    B = A / (2 ** s)
+    m, e = math.frexp(norm)  # norm = m 2**e with 1/2 <= m < 1
+    s = 0 if norm <= 0.5 else (e if m == 0.5 else e + 1)
+    B = np.ldexp(A, -s)
     E = np.eye(n)
     term = np.eye(n)
     k = 1
@@ -116,8 +116,13 @@ def expm(A: np.ndarray) -> np.ndarray:
         if np.abs(term).max() < 1e-16 * max(np.abs(E).max(), 1.0):
             break
         k += 1
-    for _ in range(s):
-        E = E @ E
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for _ in range(s):
+            E = E @ E
+    # exp(A) is invertible, so an entry that overflowed or a row that underflowed
+    # to zeros is out of the float range
+    if not (np.all(np.isfinite(E)) and np.all(np.any(E != 0, axis=1))):
+        raise DynamicsError(f"expm: {s} squarings leave the float range")
     return E
 
 

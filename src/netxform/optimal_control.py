@@ -468,16 +468,29 @@ def homotopy_singularity_scan(T: np.ndarray):
     return float(best_val), best_s
 
 
-def solve_with_waypoints(prob: BvpProblem, waypoints) -> Solution:
-    """Sequential shooting through intermediate target matrices; with no
-    waypoints this is one shooting solve over the whole horizon.
+def solve_arcs(prob: BvpProblem, arc_targets) -> Solution:
+    """Solve arc k from I to arc_targets[k] on the k-th equal share of [t0, tf],
+    warm-started from the arc before; the arcs compose to their product."""
+    times = np.linspace(prob.t0, prob.tf, len(arc_targets) + 1)
+    arcs = []
+    warm = None
+    for k, target in enumerate(arc_targets):
+        # start on the last time of the arc before, which can differ from times[k] in the last bit
+        t0 = arcs[-1].grid[-1] if arcs else prob.t0
+        arc_prob = replace(prob, target=target, t0=float(t0), tf=float(times[k + 1]),
+                           seed=prob.seed + 1000 * k)
+        arc = solve_bvp(arc_prob, initial_guess=warm)
+        arcs.append(arc)
+        warm = arc.lambda0 if arc.converged else None
+    return Solution(arcs=arcs, target=prob.target)
 
-    Arc k is reformulated from the identity with target B_k B_{k-1}^{-1}
-    (B_0 = I, B_last = T); the composed transition telescopes to T and each
-    arc starts well-conditioned near the identity. Waypoints split [t0, tf]
-    into equal sub-intervals; the dynamics are autonomous, so each arc's
-    converged costate is a natural warm start for the next one.
-    """
+
+def solve_with_waypoints(prob: BvpProblem, waypoints) -> Solution:
+    """Sequential shooting through intermediate target matrices: arc k goes
+    from I to B_k B_{k-1}^{-1} (B_0 = I, B_last = T), so the arcs telescope to
+    T, and with no waypoints one arc spans the whole horizon. A caller that
+    holds its arc maps, as run_densify holds K equal arcs exp(-L_d tau/K),
+    hands them to solve_arcs and divides nothing."""
     waypoints = [np.asarray(W, dtype=float) for W in waypoints]
     for k, B in enumerate(waypoints):
         rep = check_feasible(prob.graph, B)
@@ -493,15 +506,4 @@ def solve_with_waypoints(prob: BvpProblem, waypoints) -> Solution:
             raise InfeasibleError(f"waypoint {k} is singular to working precision") from exc
         if waypoints:
             _check_reach(arc_targets[-1], f"the target of arc {k + 1} ({ends[k]} to {ends[k + 1]})")
-    times = np.linspace(prob.t0, prob.tf, len(arc_targets) + 1)
-    arcs = []
-    warm = None
-    for k, target in enumerate(arc_targets):
-        # start on the last time of the arc before, which can differ from times[k] in the last bit
-        t0 = arcs[-1].grid[-1] if arcs else prob.t0
-        arc_prob = replace(prob, target=target, t0=float(t0), tf=float(times[k + 1]),
-                           seed=prob.seed + 1000 * k)
-        arc = solve_bvp(arc_prob, initial_guess=warm)
-        arcs.append(arc)
-        warm = arc.lambda0 if arc.converged else None
-    return Solution(arcs=arcs, target=prob.target)
+    return solve_arcs(prob, arc_targets)

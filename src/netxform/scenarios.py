@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import constant_schedule, expm, propagate_state, simulation_steps
+from .dynamics import DynamicsError, constant_schedule, expm, propagate_state, simulation_steps
 from .graph import Graph, is_connected, laplacian, mask, node_pairs, numeric_array
-from .optimal_control import BvpProblem, Solution, solve_with_waypoints
+from .optimal_control import BvpProblem, Solution, solve_arcs, solve_with_waypoints
 
 
 class ScenarioError(ValueError):
@@ -98,11 +98,12 @@ class ScenarioReport:
 def densification_target(dense_graph: Graph, t0: float, tf: float) -> np.ndarray:
     """Terminal consensus map of the dense graph: exp(-L_d (tf - t0))."""
     L = laplacian(dense_graph)
-    # Python floats, so an overflow is caught here rather than warned about
-    if not math.isfinite(float(np.abs(L).max()) * (tf - t0)):
+    try:
+        with np.errstate(over="ignore"):  # expm rejects an -L (tf - t0) that overflowed
+            return expm(-L * (tf - t0))
+    except DynamicsError as exc:
         raise ScenarioError(f"horizon tf - t0 = {tf - t0} overflows the consensus map "
-                            f"exp(-L (tf - t0)) of the dense graph")
-    return expm(-L * (tf - t0))
+                            f"exp(-L (tf - t0)) of the dense graph") from exc
 
 
 def agreement_error(x: np.ndarray, x0: np.ndarray) -> float:
@@ -129,24 +130,22 @@ def default_initial_state(n: int, seed: int) -> np.ndarray:
     return xi - xi.mean()
 
 
-def _run(prob: BvpProblem, waypoints, xi: np.ndarray) -> ScenarioReport:
-    """Solve through the waypoints and replay the schedule on xi."""
-    sol = solve_with_waypoints(prob, waypoints)
+def _replay(sol: Solution, xi: np.ndarray) -> ScenarioReport:
+    """Replay the solved schedule on xi."""
     sched = sol.schedule
     grid, xs = propagate_state(sched, xi, simulation_steps(sched))
-    return ScenarioReport(grid=grid, node_states=xs, xi=xi, target=prob.target, solution=sol)
+    return ScenarioReport(grid=grid, node_states=xs, xi=xi, target=sol.target, solution=sol)
 
 
 def run_densify(s: DensifyScenario, max_iter: int = 300, **settings) -> ScenarioReport:
     """Solve the densification BVP and compare three agreement-error curves:
     plain sparse consensus, plain dense consensus, and the synthesized run.
 
-    The dense target exp(-L_d tau), tau = tf - t0, contracts by
-    det = e^-tr(L_d)tau, so the solve is routed through the dense consensus
-    maps at k/K of the horizon, K just large enough that no arc contracts by
-    more than e^-MAX_LOG_CONTRACTION; the iteration budget default is sized
-    for those arc solves. The horizon and the other solver settings default
-    to BvpProblem's.
+    The dense target exp(-L_d tau), tau = tf - t0, has det e^-tr(L_d)tau,
+    so the solve is K equal arcs of exp(-L_d tau/K), with K just large
+    enough that no arc contracts by more than e^-MAX_LOG_CONTRACTION. The
+    iteration budget default is sized for those arcs; the horizon and the
+    other solver settings default to BvpProblem's.
     """
     n = s.sparse_graph.n
     # the target depends on the horizon, which BvpProblem checks and defaults
@@ -156,9 +155,10 @@ def run_densify(s: DensifyScenario, max_iter: int = 300, **settings) -> Scenario
     # drawn once BvpProblem has checked the seed
     xi = default_initial_state(n, prob.seed) if s.initial_state is None else s.initial_state
     tau = prob.tf - prob.t0
-    K = math.ceil(np.trace(laplacian(s.dense_graph)) * tau / MAX_LOG_CONTRACTION)
-    waypoints = [densification_target(s.dense_graph, 0.0, tau * k / K) for k in range(1, K)]
-    report = _run(prob, waypoints, xi)
+    # one arc at least, though a 1-node graph has tr(L_d) = 0
+    K = max(1, math.ceil(np.trace(laplacian(s.dense_graph)) * tau / MAX_LOG_CONTRACTION))
+    arc = densification_target(s.dense_graph, 0.0, tau / K)
+    report = _replay(solve_arcs(prob, [arc] * K), xi)
 
     # plain consensus runs share the synthesized run's (possibly segmented) grid
     total_steps = report.grid.size - 1
@@ -182,4 +182,4 @@ def run_swap(s: SwapScenario, **settings) -> ScenarioReport:
         waypoints = [SWAP_WAYPOINT_4]
     xi = np.arange(1.0, n + 1.0) if s.initial_state is None else s.initial_state
     prob = BvpProblem(graph=s.graph, target=swap_target(n, s.pairs), **settings)
-    return _run(prob, waypoints, xi)
+    return _replay(solve_with_waypoints(prob, waypoints), xi)

@@ -691,11 +691,13 @@ def test_overflowing_horizon_exit_one(tmp_path, capsys, command, base):
 
 
 def test_densify_overflowing_target_exit_one(tmp_path, capsys):
-    # tf - t0 is finite, but -L (tf - t0) overflows before expm sees it
-    cfg = _write_cfg(tmp_path, "wide.json", {**DENSIFY3, "tf": 1e308})
-    assert main(["scenario", "densify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    _assert_one_error_line(capsys, "tf - t0")
-    assert not (tmp_path / "o").exists()
+    # tf - t0 is finite, but at 1e308 -L (tf - t0) overflows before expm sees
+    # it, and at 3e307 and 1e20 expm's squarings leave the float range
+    for tf in (1e308, 3e307, 1e20):
+        cfg = _write_cfg(tmp_path, "wide.json", {**DENSIFY3, "tf": tf})
+        assert main(["scenario", "densify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        _assert_one_error_line(capsys, "tf - t0")
+        assert not (tmp_path / "o").exists()
 
 
 def test_seed_override_changes_initial_state(tmp_path):

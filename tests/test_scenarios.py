@@ -54,49 +54,84 @@ def test_default_initial_state_is_centered_and_seeded():
 
 
 # ---------------------------------------------------------------------------
-# densification waypoints
+# densification arcs
 
 
-def _densify_waypoints(monkeypatch, dense, **settings):
-    """The waypoints and target that run_densify hands to the solver, caught
+def _densify_arcs(monkeypatch, dense, **settings):
+    """The arc targets and target that run_densify hands to the solver, caught
     before any arc is solved; the sparse graph is a path."""
     seen = {}
 
     class Caught(Exception):
         pass
 
-    def catch(prob, waypoints):
-        seen.update(target=prob.target, waypoints=list(waypoints))
+    def catch(prob, arc_targets):
+        seen.update(target=prob.target, arcs=list(arc_targets))
         raise Caught
 
-    monkeypatch.setattr(scenarios, "solve_with_waypoints", catch)
+    def divide(prob, waypoints):
+        raise AssertionError("densify divided waypoints back into arcs")
+
+    monkeypatch.setattr(scenarios, "solve_arcs", catch)
+    monkeypatch.setattr(scenarios, "solve_with_waypoints", divide)
     with pytest.raises(Caught):
         nx.run_densify(nx.DensifyScenario(sparse_graph=nx.path_graph(dense.n),
                                           dense_graph=dense), **settings)
-    return seen["waypoints"], seen["target"]
+    return seen["arcs"], seen["target"]
 
 
 @pytest.mark.parametrize("dense, t0, tf, K", [
     (nx.complete_graph(5), 0.0, 1.0, 5),  # tr(L) tau = 20: the curated densify
-    (nx.complete_graph(3), 1.0, 1.5, 1),  # 3: mild, so no waypoint
+    (nx.complete_graph(3), 1.0, 1.5, 1),  # 3: mild, so one arc
     (nx.complete_graph(3), 0.0, 2.0, 3),  # 12
     (nx.cycle_graph(6), 0.5, 3.0, 8),     # 30
     (nx.star_graph(6), 0.0, 0.9, 3),      # 9
 ])
 def test_densify_waypoints_follow_the_dense_flow(monkeypatch, dense, t0, tf, K):
-    waypoints, T = _densify_waypoints(monkeypatch, dense, t0=t0, tf=tf)
+    arcs, T = _densify_arcs(monkeypatch, dense, t0=t0, tf=tf)
     L = nx.laplacian(dense)
     tau = tf - t0
-    assert len(waypoints) == K - 1
-    for k, B in enumerate(waypoints, start=1):
-        assert np.abs(B - scipy.linalg.expm(-L * tau * k / K)).max() < 1e-12
-    # every arc target B_k B_{k-1}^-1 contracts by at most e^-MAX_LOG_CONTRACTION
-    ends = [np.eye(dense.n), *waypoints, T]
-    for prev, B in zip(ends, ends[1:]):
-        sign, logdet = np.linalg.slogdet(np.linalg.solve(prev.T, B.T).T)
-        assert sign > 0 and -logdet <= MAX_LOG_CONTRACTION + 1e-9
+    # K equal arcs of the dense flow over tau / K, which compose to T
+    assert len(arcs) == K
+    assert all(np.array_equal(B, arcs[0]) for B in arcs)
+    assert np.abs(arcs[0] - scipy.linalg.expm(-L * tau / K)).max() < 1e-12
+    assert np.abs(np.linalg.matrix_power(arcs[0], K) - T).max() < 1e-12
+    # each contracts by at most e^-MAX_LOG_CONTRACTION
+    sign, logdet = np.linalg.slogdet(arcs[0])
+    assert sign > 0 and -logdet <= MAX_LOG_CONTRACTION + 1e-9
     # and one arc fewer would not do
     assert np.trace(L) * tau > MAX_LOG_CONTRACTION * (K - 1)
+
+
+def test_densify_one_node_is_one_arc():
+    # tr(L_d) = 0 asks for no arc at all; the solve still has one
+    g = nx.build_graph(1, [])
+    rep = nx.run_densify(nx.DensifyScenario(sparse_graph=g, dense_graph=g))
+    assert rep.solution.converged and len(rep.solution.segments()) == 1
+    assert rep.final_state == pytest.approx(rep.xi)
+
+
+@pytest.mark.parametrize("dense, tau", [
+    (nx.complete_graph(2), 26.0),  # 13 arcs
+    (nx.path_graph(3), 15.0),      # 15 arcs
+    (nx.cycle_graph(4), 10.5),     # 21 arcs
+])
+def test_densify_long_horizon_follows_the_dense_flow(dense, tau):
+    # the cumulative waypoints exp(-L_d tau k/K) of these horizons are
+    # numerically singular, but the arc maps exp(-L_d tau/K) are not
+    rep = nx.run_densify(nx.DensifyScenario(sparse_graph=nx.path_graph(dense.n),
+                                            dense_graph=dense), tf=tau)
+    assert rep.solution.converged
+    want = scipy.linalg.expm(-nx.laplacian(dense) * tau) @ rep.xi
+    assert np.linalg.norm(rep.final_state - want) < 1e-6
+
+
+def test_densify_arc_newton_counts():
+    # the first arc converges and warm-starts every later one, which then
+    # needs no Newton iteration
+    rep = nx.run_densify(nx.DensifyScenario(sparse_graph=nx.path_graph(3),
+                                            dense_graph=nx.complete_graph(3)), tf=10.0)
+    assert [arc.iterations for arc in rep.solution.segments()] == [9] + [0] * 14
 
 
 # ---------------------------------------------------------------------------
