@@ -10,7 +10,8 @@ condition lambda0 until the terminal transition matrix hits the target.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -69,6 +70,13 @@ class BvpProblem:
         report = check_feasible(self.graph, self.target)
         if not report.feasible:
             raise InfeasibleError(f"infeasible problem: {report.reason}")
+
+    def _unchecked_replace(self, **changes) -> BvpProblem:
+        """dataclasses.replace without __post_init__'s checks, for settings and
+        a target that are known to pass them."""
+        new = copy(self)
+        vars(new).update(changes)
+        return new
 
 
 def _summary(sol) -> dict:
@@ -236,7 +244,7 @@ def _shoot_batch(prob: BvpProblem, lam0s: np.ndarray, record: bool = False):
     any entry of its final X or lam is beyond the blow-up limit or not
     finite. A member's result does not depend on its batch; batching keeps
     the finite-difference Jacobian to one integration pass, and each group
-    of line-search tries to two.
+    of line-search tries, with the next Jacobian's stencil, to two.
     """
     n = lam0s.shape[-1]
     Z = np.empty((3,) + lam0s.shape)
@@ -283,22 +291,36 @@ def _residuals(prob: BvpProblem, lam0s: np.ndarray) -> list:
     return [None if d else (X - prob.target).ravel() for X, d in zip(X_tf, diverged)]
 
 
-def _jacobian(prob: BvpProblem, lam0: np.ndarray) -> np.ndarray | None:
-    """Central finite-difference Jacobian of the terminal residual w.r.t.
-    the costate initial condition; all 2 m perturbed shoots form one batch."""
-    n = prob.graph.n
-    flat = lam0.ravel()
+def _stencil(lam: np.ndarray):
+    """The m = n^2 forward-difference members lam + h_j e_j, as an (m, n, n)
+    stack, and their steps h_j = 1e-6 (1 + |lam_j|).
+
+    The step is not the textbook sqrt(eps): the Jacobian is graded by graph
+    distance, its column norms falling about tenfold per unit, so the far
+    columns need the larger step to rise above the rounding of X(tf).
+    """
+    flat = lam.ravel()
     m = flat.size
     hs = 1e-6 * (1.0 + np.abs(flat))
-    pert = np.repeat(flat[None, :], 2 * m, axis=0)
-    pert[np.arange(m), np.arange(m)] += hs
-    pert[m + np.arange(m), np.arange(m)] -= hs
-    X_tf, diverged, _ = _shoot_batch(prob, pert.reshape(2 * m, n, n))
-    if diverged.any():
+    members = np.repeat(flat[None, :], m, axis=0)
+    members[np.arange(m), np.arange(m)] += hs
+    return members.reshape((m,) + lam.shape), hs
+
+
+def _jacobian(prob: BvpProblem, lam: np.ndarray, r: np.ndarray,
+              held: list | None = None) -> np.ndarray | None:
+    """Forward-difference Jacobian of the terminal residual w.r.t. the
+    costate initial condition, centred on the residual r held at lam.
+
+    The m stencil members (_stencil) are shot as one batch, unless `held`
+    has their residuals from a pass they rode in. None if a member diverged.
+    """
+    members, hs = _stencil(lam)
+    if held is None:
+        held = _residuals(prob, members)
+    if any(rj is None for rj in held):
         return None
-    up = X_tf[:m].reshape(m, n * n)
-    dn = X_tf[m:].reshape(m, n * n)
-    return ((up - dn) / (2.0 * hs[:, None])).T
+    return ((np.array(held) - r) / hs[:, None]).T
 
 
 def _build_solution(prob: BvpProblem, lam0: np.ndarray, iterations: int,
@@ -375,7 +397,9 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
     the probes of the next tries share one pass and their candidates
     another. The first candidate in order that lowers the residual wins and
     mu continues from its try, so every decision is the one the tries made
-    one by one would reach.
+    one by one would reach. The candidate pass also carries the Jacobian
+    stencil of its first candidate, so when that candidate wins, as most
+    do, the next iteration's Jacobian needs no pass of its own.
 
     Returns (lam0, residual_norm, iterations, converged); a diverging start
     has residual norm inf.
@@ -388,28 +412,30 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
         return lam, np.inf, 0, False
     rnorm = float(np.linalg.norm(r))
     mu = 1e-3
+    held = None  # residuals of lam's stencil, when they rode in the last candidate pass
     iterations = 0
     for _ in range(prob.max_iter):
         if rnorm < prob.newton_tol:
             break
-        J = _jacobian(prob, lam)
+        J = _jacobian(prob, lam, r, held)
         if J is None:
             break
         tries = _tries(J.T @ J, J.T @ r, mu)
-        step = None  # (mu, candidate, residual) of the accepted try
+        step = None  # (mu, candidate, residual, held) of the accepted try
         while step is None and (group := list(islice(tries, TRIES_PER_PASS))):
             ds = [h * delta.reshape(n, n) for _, _, delta in group]
             probes = _residuals(prob, np.stack([v for d in ds for v in (lam + d, lam - d)]))
             cands = [lam + _corrected_step(A, J, r, delta, rp, rm, h).reshape(n, n)
                      for (_, A, delta), rp, rm in zip(group, probes[::2], probes[1::2])]
-            for (mu_try, _, _), cand, rc in zip(group, cands, _residuals(prob, np.stack(cands))):
+            shot = _residuals(prob, np.concatenate([cands, _stencil(cands[0])[0]]))
+            for k, ((mu_try, _, _), cand, rc) in enumerate(zip(group, cands, shot)):
                 if rc is not None and np.linalg.norm(rc) < rnorm:
-                    step = mu_try, cand, rc
+                    step = mu_try, cand, rc, (shot[len(cands):] if k == 0 else None)
                     break
         iterations += 1
         if step is None:
             break
-        mu_try, lam, r = step
+        mu_try, lam, r, held = step
         rnorm = float(np.linalg.norm(r))
         mu = max(mu_try / 3.0, 1e-14)
     return lam, rnorm, iterations, rnorm < prob.newton_tol
@@ -470,15 +496,21 @@ def homotopy_singularity_scan(T: np.ndarray):
 
 def solve_arcs(prob: BvpProblem, arc_targets) -> Solution:
     """Solve arc k from I to arc_targets[k] on the k-th equal share of [t0, tf],
-    warm-started from the arc before; the arcs compose to their product."""
+    warm-started from the arc before; the arcs compose to their product.
+
+    The arc problems take prob's checked settings and are not checked again,
+    so each arc target must be feasible already: a factor of prob's checked
+    target with positive determinant, as the waypoint division and densify's
+    arc map give.
+    """
     times = np.linspace(prob.t0, prob.tf, len(arc_targets) + 1)
     arcs = []
     warm = None
     for k, target in enumerate(arc_targets):
         # start on the last time of the arc before, which can differ from times[k] in the last bit
         t0 = arcs[-1].grid[-1] if arcs else prob.t0
-        arc_prob = replace(prob, target=target, t0=float(t0), tf=float(times[k + 1]),
-                           seed=prob.seed + 1000 * k)
+        arc_prob = prob._unchecked_replace(target=np.asarray(target, dtype=float), t0=float(t0),
+                                           tf=float(times[k + 1]), seed=prob.seed + 1000 * k)
         arc = solve_bvp(arc_prob, initial_guess=warm)
         arcs.append(arc)
         warm = arc.lambda0 if arc.converged else None

@@ -151,14 +151,15 @@ def run_densify(s: DensifyScenario, max_iter: int = 300, **settings) -> Scenario
     # the target depends on the horizon, which BvpProblem checks and defaults
     prob = BvpProblem(graph=s.sparse_graph, target=np.eye(n), max_iter=max_iter, **settings)
     T = densification_target(s.dense_graph, prob.t0, prob.tf)
-    prob = replace(prob, target=T)
     # drawn once BvpProblem has checked the seed
     xi = default_initial_state(n, prob.seed) if s.initial_state is None else s.initial_state
     tau = prob.tf - prob.t0
     # one arc at least, though a 1-node graph has tr(L_d) = 0
     K = max(1, math.ceil(np.trace(laplacian(s.dense_graph)) * tau / MAX_LOG_CONTRACTION))
-    arc = densification_target(s.dense_graph, 0.0, tau / K)
-    report = _replay(solve_arcs(prob, [arc] * K), xi)
+    # the feasibility gate sees the arc map, with det >= e^-MAX_LOG_CONTRACTION, and
+    # not T: det T = e^-tr(L_d) tau > 0, but its float sign is rounding at long horizons
+    arc = replace(prob, target=densification_target(s.dense_graph, 0.0, tau / K)).target
+    report = _replay(solve_arcs(prob._unchecked_replace(target=T), [arc] * K), xi)
 
     # plain consensus runs share the synthesized run's (possibly segmented) grid
     total_steps = report.grid.size - 1

@@ -174,29 +174,87 @@ def test_batch_shoot_matches_single_member_shoots_bitwise():
             assert np.array_equal(shoot(prob, lam0s[b])[0], X_tf[b])
 
 
+def _central_jacobian(prob, lam):
+    # the oracle: central differences over 2 n^2 shoots, with the solver's steps
+    flat = lam.ravel()
+    cols = []
+    for j in range(flat.size):
+        e = np.zeros(flat.size)
+        e[j] = 1e-6 * (1.0 + abs(flat[j]))
+        up, dn = (shoot(prob, (flat + s * e).reshape(lam.shape))[0] for s in (1.0, -1.0))
+        cols.append((up - dn).ravel() / (2.0 * e[j]))
+    return np.array(cols).T
+
+
+def _residual(prob, lam):
+    return (shoot(prob, lam)[0] - prob.target).ravel()
+
+
+@pytest.mark.parametrize("graph", [nx.path_graph(5), nx.path_graph(6), nx.cycle_graph(4)],
+                         ids=["path5", "path6", "cycle4"])
+def test_forward_jacobian_matches_the_central_oracle(graph):
+    prob = BvpProblem(graph=graph, target=np.eye(graph.n))
+    lam = 0.3 * np.random.default_rng(7).standard_normal((graph.n, graph.n))
+    J = optimal_control._jacobian(prob, lam, _residual(prob, lam))
+    oracle = _central_jacobian(prob, lam)
+    err = np.linalg.norm(J - oracle, axis=0) / np.linalg.norm(oracle, axis=0)
+    assert err.max() < 1e-3, err.max()
+
+
+def test_forward_jacobian_at_the_zero_start_keeps_the_edge_pattern():
+    # at lam = 0 a costate entry off the pattern moves no weight, so X(tf)
+    # stays I to the bit and its column is exactly zero
+    graph = nx.path_graph(5)
+    prob = BvpProblem(graph=graph, target=np.eye(5) * 0.8 + 0.04)
+    lam = np.zeros((5, 5))
+    J = optimal_control._jacobian(prob, lam, _residual(prob, lam))
+    off = ~mask(graph).entries.ravel()
+    assert off.sum() == 12 and not J[:, off].any()
+    assert np.linalg.matrix_rank(J) == 13
+
+
+def test_jacobian_from_a_candidate_pass_is_bitwise_the_separate_one():
+    prob = BvpProblem(graph=nx.cycle_graph(4), target=np.eye(4))
+    rng = np.random.default_rng(8)
+    lam, other = rng.uniform(-0.5, 0.5, (2, 4, 4))
+    shot = optimal_control._residuals(
+        prob, np.concatenate([[lam, other], optimal_control._stencil(lam)[0]]))
+    J = optimal_control._jacobian(prob, lam, shot[0], shot[2:])
+    assert np.array_equal(J, optimal_control._jacobian(prob, lam, shot[0]))
+    assert np.array_equal(shot[0], _residual(prob, lam))
+
+
 def _checked_shoot_plan(monkeypatch, graph, target, settings, starts):
-    # one letter per batch shoot, by batch size: J = the 2 n^2 Jacobian
-    # members, F = the recorded final shoot, and 1, 2, 4 = the other batch
-    # sizes. A start is its residual (1), then one J per iteration, each
-    # followed by its line-search tries shot two at a time: the probes
-    # lam +- h delta of both tries (4), then their candidates (2). Only an
-    # iteration's last group may hold one try: probes (2), candidate (1).
-    plan = []
-    real = optimal_control._shoot_batch
+    # one letter per batch shoot, by batch size: J = the n^2 Jacobian stencil
+    # members, F = the recorded final shoot, 1, 2, 4 = the other batch sizes,
+    # and C, c = two candidates or one with the first one's stencil. A start is
+    # its residual (1), then iterations whose line-search tries are shot two at
+    # a time: the probes lam +- h delta of both tries (4), then their
+    # candidates (C). Only an iteration's last group may hold one try: probes
+    # (2), candidate (c). The first iteration opens with a J pass, and so does
+    # every later one whose accepted candidate did not open its group.
+    plan, reused = [], []
+    real, real_jacobian = optimal_control._shoot_batch, optimal_control._jacobian
+    m = graph.n ** 2
 
     def counted(prob, lam0s, record=False):
         B = lam0s.shape[0]
-        plan.append("F" if record else {1: "1", 2: "2", 4: "4", 2 * graph.n ** 2: "J"}[B])
+        plan.append("F" if record else {1: "1", 2: "2", 4: "4", m: "J", m + 1: "c", m + 2: "C"}[B])
         assert B == 1 or not record
         return real(prob, lam0s, record)
 
+    def jacobian(prob, lam, r, held=None):
+        reused.append(held is not None)
+        return real_jacobian(prob, lam, r, held)
+
     monkeypatch.setattr(optimal_control, "_shoot_batch", counted)
+    monkeypatch.setattr(optimal_control, "_jacobian", jacobian)
     sol = solve_bvp(BvpProblem(graph=graph, target=target, **settings))
     plan = "".join(plan)
-    start = r"1(?:J(?:42)*(?:42|21))*"
+    start = r"1(?:J(?:4C|2c)+)*"
     assert re.fullmatch(rf"(?:{start})+F", plan), plan
     assert len(re.findall(start, plan)) == starts
-    assert plan.count("J") == sol.iterations
+    assert len(reused) == sol.iterations and reused.count(False) == plan.count("J")
     return plan
 
 
@@ -212,7 +270,7 @@ def test_shoot_plan_across_try_groups(monkeypatch):
     # the last iteration of the second start makes 7 tries: four groups
     plan = _checked_shoot_plan(monkeypatch, nx.path_graph(4), np.eye(4)[[1, 0, 3, 2]],
                                {"max_iter": 3, "restarts": 1}, 2)
-    assert max(len(m) // 2 for m in re.findall(r"J((?:42|21)+)", plan)) == 4
+    assert max(len(m) // 2 for m in re.findall(r"J((?:4C|2c)+)", plan)) == 4
 
 
 def test_line_search_groups_keep_the_sequential_schedule(monkeypatch):
@@ -220,6 +278,8 @@ def test_line_search_groups_keep_the_sequential_schedule(monkeypatch):
     # rejected. Taken one by one, the tries run mu from 1e-3 to 1e-2, accept,
     # continue from 1e-2 / 3, and stop after the 17th rejection takes mu past
     # 1e14: 2 + 17 tries. Shot two at a time, the last group holds one try.
+    # The accepted try does not open its group, so its stencil is not taken
+    # and the second iteration shoots its own Jacobian.
     prob = BvpProblem(graph=nx.path_graph(3), target=np.eye(3) * 0.7 + 0.1)
     real = optimal_control._residuals
     r0, = real(prob, np.zeros((1, 3, 3)))
@@ -227,19 +287,19 @@ def test_line_search_groups_keep_the_sequential_schedule(monkeypatch):
 
     def scripted(prob, lam0s):
         sizes.append(lam0s.shape[0])
-        if len(sizes) == 1 or len(sizes) % 2 == 0:  # start residual, probes
+        if lam0s.shape[0] <= 9:  # start residual, Jacobian stencil, probes
             return real(prob, lam0s)
         out = []
-        for _ in lam0s:
+        for _ in lam0s[:-9]:  # the candidates, then the first one's stencil
             tries.append(None)
             out.append(0.5 * r0 if len(tries) == 2 else None)
-        return out
+        return out + [None] * 9
 
     monkeypatch.setattr(optimal_control, "_residuals", scripted)
     _, rnorm, iterations, converged = optimal_control._newton_from(prob, np.zeros((3, 3)))
     assert (iterations, converged, len(tries)) == (2, False, 19)
     assert rnorm == 0.5 * np.linalg.norm(r0)
-    assert sizes == [1] + [4, 2] * 9 + [2, 1]
+    assert sizes == [1, 9, 4, 2 + 9, 9] + [4, 2 + 9] * 8 + [2, 1 + 9]
 
 
 def _tries_one_by_one(mu, singular, accepted):
@@ -300,13 +360,14 @@ def test_singular_tries_count_without_a_shoot(monkeypatch, singular1, accepted1,
             return [r0]
         if len(sizes) % 2 == 0:  # probes: none finite, so no geodesic correction
             return [None] * lam0s.shape[0]
-        cands.extend(lam0s)
-        return [0.5 * r0 if len(cands) - len(lam0s) + i + 1 == accept_at else None
-                for i in range(lam0s.shape[0])]
+        k = lam0s.shape[0] - m  # the candidates, then the first one's stencil
+        cands.extend(lam0s[:k])
+        return [0.5 * r0 if len(cands) - k + i + 1 == accept_at else None
+                for i in range(k)] + [None] * m
 
     monkeypatch.setattr(optimal_control, "solve_linear", step_solve)
     monkeypatch.setattr(optimal_control, "_residuals", scripted)
-    monkeypatch.setattr(optimal_control, "_jacobian", lambda prob, lam: np.eye(m))
+    monkeypatch.setattr(optimal_control, "_jacobian", lambda prob, lam, r, held=None: np.eye(m))
     prob = BvpProblem(graph=nx.path_graph(3), target=np.eye(3) * 0.7 + 0.1, max_iter=2)
     lam, rnorm, iterations, converged = optimal_control._newton_from(prob, np.zeros((3, 3)))
     # each try, singular or not, raises mu tenfold and uses up one of the 30
@@ -314,8 +375,8 @@ def test_singular_tries_count_without_a_shoot(monkeypatch, singular1, accepted1,
     assert (iterations, converged, rnorm) == (2, False, 0.5 * np.linalg.norm(r0))
     assert np.array_equal(lam, cands[accept_at - 1])
 
-    def passes(shot):  # probes, then candidates, of the tries shot two at a time
-        return [s for k in range(0, shot, 2) for s in (2 * min(2, shot - k), min(2, shot - k))]
+    def passes(shot):  # probes, then candidates and a stencil, of the tries shot two at a time
+        return [s for k in range(0, shot, 2) for s in (2 * min(2, shot - k), min(2, shot - k) + m)]
     assert sizes == [1] + passes(_shot(mus1, singular1)) + passes(_shot(mus2, singular2))
 
 

@@ -115,10 +115,12 @@ def test_densify_one_node_is_one_arc():
     (nx.complete_graph(2), 26.0),  # 13 arcs
     (nx.path_graph(3), 15.0),      # 15 arcs
     (nx.cycle_graph(4), 10.5),     # 21 arcs
+    (nx.complete_graph(3), 13.0),  # 20 arcs; the float det of T is 0
 ])
 def test_densify_long_horizon_follows_the_dense_flow(dense, tau):
     # the cumulative waypoints exp(-L_d tau k/K) of these horizons are
-    # numerically singular, but the arc maps exp(-L_d tau/K) are not
+    # numerically singular, but the arc maps exp(-L_d tau/K) are not, and
+    # the feasibility gate sees only the arc map
     rep = nx.run_densify(nx.DensifyScenario(sparse_graph=nx.path_graph(dense.n),
                                             dense_graph=dense), tf=tau)
     assert rep.solution.converged
