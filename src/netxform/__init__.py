@@ -13,7 +13,7 @@ from .dynamics import (TransitionTrajectory, WeightSchedule, constant_schedule,
                        solve_linear)
 from .optimal_control import (BvpProblem, ExtremalSolution, Solution,
                               cost, extremal_rhs, homotopy_singularity_scan,
-                              shoot, solve_arcs, solve_bvp, solve_with_waypoints,
+                              shoot, solve_bvp, solve_with_waypoints,
                               weights_from_costate)
 from .scenarios import (DensifyScenario, SwapScenario, agreement_error,
                         densification_target, run_densify, run_swap,

@@ -10,8 +10,7 @@ condition lambda0 until the terminal transition matrix hits the target.
 from __future__ import annotations
 
 from collections import deque
-from copy import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
@@ -71,13 +70,6 @@ class BvpProblem:
         if not report.feasible:
             raise InfeasibleError(f"infeasible problem: {report.reason}")
 
-    def _unchecked_replace(self, **changes) -> BvpProblem:
-        """dataclasses.replace without __post_init__'s checks, for settings and
-        a target that are known to pass them."""
-        new = copy(self)
-        vars(new).update(changes)
-        return new
-
 
 def _summary(sol) -> dict:
     """The six aggregate solution.json keys of an arc or a whole solution."""
@@ -93,10 +85,10 @@ def _summary(sol) -> dict:
 
 @dataclass
 class ExtremalSolution:
-    """One extremal arc: the result of a single shooting solve from X = I."""
+    """One extremal arc from X = I: the result of a single shooting solve, or
+    a copy of one on another interval (moved_to)."""
 
     lambda0: np.ndarray
-    grid: np.ndarray
     X_seq: np.ndarray
     lambda_seq: np.ndarray
     schedule: WeightSchedule
@@ -107,8 +99,19 @@ class ExtremalSolution:
     restart_used: int
 
     @property
+    def grid(self) -> np.ndarray:
+        return self.schedule.grid
+
+    @property
     def final(self) -> np.ndarray:
         return self.X_seq[-1]
+
+    def moved_to(self, t0: float, tf: float) -> ExtremalSolution:
+        """This arc on np.linspace(t0, tf, grid.size), as a copy that spent no
+        Newton iteration or restart. The extremal system is autonomous, so the
+        arc reaches the same map on any interval of its length."""
+        sched = replace(self.schedule, grid=np.linspace(t0, tf, self.grid.size))
+        return replace(self, schedule=sched, iterations=0, restart_used=0)
 
     def to_json_dict(self) -> dict:
         return _summary(self)
@@ -118,7 +121,7 @@ class ExtremalSolution:
 class Solution:
     """A schedule on [t0, tf] as consecutive extremal arcs.
 
-    Every arc is solved from the identity, so the transition on arc k is the
+    Every arc starts from the identity, so the transition on arc k is the
     arc's own X(t) times the composed transition at the arc's start. A solve
     without waypoints has one arc.
     """
@@ -332,7 +335,7 @@ def _build_solution(prob: BvpProblem, lam0: np.ndarray, iterations: int,
     sched = WeightSchedule(grid=info["grid"], W_seq=W_seq, mask=msk)
     return ExtremalSolution(
         lambda0=np.asarray(lam0, dtype=float).copy(),
-        grid=info["grid"], X_seq=info["X_seq"], lambda_seq=info["lambda_seq"],
+        X_seq=info["X_seq"], lambda_seq=info["lambda_seq"],
         schedule=sched, cost=cost(sched),
         residual_norm=float(np.linalg.norm(X_tf - prob.target)),
         converged=converged, iterations=iterations, restart_used=restart_used)
@@ -494,35 +497,11 @@ def homotopy_singularity_scan(T: np.ndarray):
     return float(best_val), best_s
 
 
-def solve_arcs(prob: BvpProblem, arc_targets) -> Solution:
-    """Solve arc k from I to arc_targets[k] on the k-th equal share of [t0, tf],
-    warm-started from the arc before; the arcs compose to their product.
-
-    The arc problems take prob's checked settings and are not checked again,
-    so each arc target must be feasible already: a factor of prob's checked
-    target with positive determinant, as the waypoint division and densify's
-    arc map give.
-    """
-    times = np.linspace(prob.t0, prob.tf, len(arc_targets) + 1)
-    arcs = []
-    warm = None
-    for k, target in enumerate(arc_targets):
-        # start on the last time of the arc before, which can differ from times[k] in the last bit
-        t0 = arcs[-1].grid[-1] if arcs else prob.t0
-        arc_prob = prob._unchecked_replace(target=np.asarray(target, dtype=float), t0=float(t0),
-                                           tf=float(times[k + 1]), seed=prob.seed + 1000 * k)
-        arc = solve_bvp(arc_prob, initial_guess=warm)
-        arcs.append(arc)
-        warm = arc.lambda0 if arc.converged else None
-    return Solution(arcs=arcs, target=prob.target)
-
-
 def solve_with_waypoints(prob: BvpProblem, waypoints) -> Solution:
     """Sequential shooting through intermediate target matrices: arc k goes
-    from I to B_k B_{k-1}^{-1} (B_0 = I, B_last = T), so the arcs telescope to
-    T, and with no waypoints one arc spans the whole horizon. A caller that
-    holds its arc maps, as run_densify holds K equal arcs exp(-L_d tau/K),
-    hands them to solve_arcs and divides nothing."""
+    from I to B_k B_{k-1}^{-1} (B_0 = I, B_last = T) on the k-th equal share
+    of [t0, tf], warm-started from the arc before, so the arcs telescope to
+    T, and with no waypoints one arc spans the whole horizon."""
     waypoints = [np.asarray(W, dtype=float) for W in waypoints]
     for k, B in enumerate(waypoints):
         rep = check_feasible(prob.graph, B)
@@ -538,4 +517,14 @@ def solve_with_waypoints(prob: BvpProblem, waypoints) -> Solution:
             raise InfeasibleError(f"waypoint {k} is singular to working precision") from exc
         if waypoints:
             _check_reach(arc_targets[-1], f"the target of arc {k + 1} ({ends[k]} to {ends[k + 1]})")
-    return solve_arcs(prob, arc_targets)
+    times = np.linspace(prob.t0, prob.tf, len(arc_targets) + 1)
+    arcs = []
+    warm = None
+    for k, target in enumerate(arc_targets):
+        # start on the last time of the arc before, which can differ from times[k] in the last bit
+        t0 = arcs[-1].grid[-1] if arcs else prob.t0
+        arc = solve_bvp(replace(prob, target=target, t0=float(t0), tf=float(times[k + 1]),
+                                seed=prob.seed + 1000 * k), initial_guess=warm)
+        arcs.append(arc)
+        warm = arc.lambda0 if arc.converged else None
+    return Solution(arcs=arcs, target=prob.target)

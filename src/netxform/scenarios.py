@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import DynamicsError, constant_schedule, expm, propagate_state, simulation_steps
 from .graph import Graph, is_connected, laplacian, mask, node_pairs, numeric_array
-from .optimal_control import BvpProblem, Solution, solve_arcs, solve_with_waypoints
+from .optimal_control import BvpProblem, Solution, solve_bvp, solve_with_waypoints
 
 
 class ScenarioError(ValueError):
@@ -142,10 +142,12 @@ def run_densify(s: DensifyScenario, max_iter: int = 300, **settings) -> Scenario
     plain sparse consensus, plain dense consensus, and the synthesized run.
 
     The dense target exp(-L_d tau), tau = tf - t0, has det e^-tr(L_d)tau,
-    so the solve is K equal arcs of exp(-L_d tau/K), with K just large
+    so the schedule is K equal arcs of exp(-L_d tau/K), with K just large
     enough that no arc contracts by more than e^-MAX_LOG_CONTRACTION. The
-    iteration budget default is sized for those arcs; the horizon and the
-    other solver settings default to BvpProblem's.
+    extremal system is autonomous, so the K arcs are one problem: it is
+    solved once, on the first share of the horizon, and the arc is repeated
+    on the others. The iteration budget default is sized for that arc; the
+    horizon and the other solver settings default to BvpProblem's.
     """
     n = s.sparse_graph.n
     # the target depends on the horizon, which BvpProblem checks and defaults
@@ -156,10 +158,15 @@ def run_densify(s: DensifyScenario, max_iter: int = 300, **settings) -> Scenario
     tau = prob.tf - prob.t0
     # one arc at least, though a 1-node graph has tr(L_d) = 0
     K = max(1, math.ceil(np.trace(laplacian(s.dense_graph)) * tau / MAX_LOG_CONTRACTION))
+    times = np.linspace(prob.t0, prob.tf, K + 1)
     # the feasibility gate sees the arc map, with det >= e^-MAX_LOG_CONTRACTION, and
     # not T: det T = e^-tr(L_d) tau > 0, but its float sign is rounding at long horizons
-    arc = replace(prob, target=densification_target(s.dense_graph, 0.0, tau / K)).target
-    report = _replay(solve_arcs(prob._unchecked_replace(target=T), [arc] * K), xi)
+    arcs = [solve_bvp(replace(prob, target=densification_target(s.dense_graph, 0.0, tau / K),
+                              tf=times[1]))]
+    for t in times[2:]:
+        # start on the last time of the copy before, so every join repeats its time
+        arcs.append(arcs[0].moved_to(arcs[-1].grid[-1], t))
+    report = _replay(Solution(arcs=arcs, target=T), xi)
 
     # plain consensus runs share the synthesized run's (possibly segmented) grid
     total_steps = report.grid.size - 1

@@ -199,6 +199,11 @@ def test_criterion_7_conservation(scalar_solution, densify_report, swap_report):
         scale = max(np.abs(lamX[0]).max(), 1e-30)
         assert np.abs(lamX - lamX[0]).max() / scale < 1e-7
 
+        # so M = lam X^T = X^-T (X^T lam) X^T is isospectral along the arc
+        M = sol.lambda_seq @ np.swapaxes(sol.X_seq, 1, 2)
+        coeffs = np.array([np.poly(Mk) for Mk in M])
+        assert np.abs(coeffs - coeffs[0]).max() / np.abs(coeffs[0]).max() < 1e-6
+
         norms = np.linalg.norm(sol.schedule.W_seq, axis=(1, 2))
         if norms.mean() > 0.0:
             assert (norms.max() - norms.min()) / norms.mean() < 1e-6

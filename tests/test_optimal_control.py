@@ -1,9 +1,11 @@
 """Shooting solver, extremal structure, and waypoint composition."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import netxform as nx
 from netxform import optimal_control
@@ -519,6 +521,77 @@ def test_solve_in_process_determinism():
         finals.append((sol.lambda0.copy(), sol.cost, sol.residual_norm))
     assert np.array_equal(finals[0][0], finals[1][0])
     assert finals[0][1:] == finals[1][1:]
+
+
+# ---------------------------------------------------------------------------
+# closed-form extremals and the horizon scale
+#
+# For T = exp(L) with L normal and on the edge pattern, M = lam X^T = -L/tau
+# is a fixed point of the extremal flow, so lambda0 = -L/tau is an exact
+# extremal with W = L/tau and energy J = |L|^2 / (2 tau).
+
+
+def _swap_rotation():
+    # the pi rotation in the plane of (e1 - e3)/sqrt 2 and (e2 - e4)/sqrt 2,
+    # which is the swap (1,3)(2,4) and lies on cycle4's pattern
+    u = np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
+    v = np.array([0.0, 1.0, 0.0, -1.0]) / np.sqrt(2.0)
+    return np.pi * (np.outer(v, u) - np.outer(u, v))
+
+
+def _cyclic_skew(n):
+    P = np.roll(np.eye(n), 1, axis=1)
+    return P - P.T
+
+
+CLOSED_FORM = (
+    [pytest.param(nx.cycle_graph(4), _swap_rotation(), tau, id=f"cycle4-swap-tau{tau}")
+     for tau in (0.5, 1.0, 2.0)]
+    + [pytest.param(nx.path_graph(n), -0.5 * nx.laplacian(nx.path_graph(n)), 1.0,
+                    id=f"path{n}-consensus") for n in (3, 5, 8, 12)]
+    + [pytest.param(nx.cycle_graph(n), 0.8 * _cyclic_skew(n), 1.0, id=f"cycle{n}-rotation")
+       for n in (4, 5, 8, 12)])
+
+
+def _closed_form_problem(graph, L, tau):
+    # on [1, 1 + tau]: the extremal does not depend on where the horizon starts
+    T = scipy.linalg.expm(L)
+    return BvpProblem(graph=graph, target=T, t0=1.0, tf=1.0 + tau), np.sum(L * L) / (2.0 * tau)
+
+
+def _recorded_cost(prob, info):
+    msk = mask(prob.graph)
+    W_seq = weights_from_costate(info["lambda_seq"], info["X_seq"], msk)
+    return cost(nx.WeightSchedule(grid=info["grid"], W_seq=W_seq, mask=msk))
+
+
+@pytest.mark.parametrize("graph, L, tau", CLOSED_FORM)
+def test_shoot_from_a_normal_log_is_the_closed_form_extremal(graph, L, tau):
+    prob, J = _closed_form_problem(graph, L, tau)
+    X_tf, info = shoot(prob, -L / tau)
+    assert np.linalg.norm(X_tf - prob.target) < 1e-7
+    assert abs(_recorded_cost(prob, info) - J) < 1e-9 * J
+
+
+@pytest.mark.parametrize("graph, L, tau", CLOSED_FORM)
+def test_solve_from_a_normal_log_keeps_the_closed_form_energy(graph, L, tau):
+    prob, J = _closed_form_problem(graph, L, tau)
+    sol = solve_bvp(prob, initial_guess=-L / tau)
+    assert sol.converged and sol.iterations <= 1
+    assert abs(sol.cost - J) < 1e-7 * J
+
+
+@pytest.mark.parametrize("c", [2.0, 0.25, 7.0])
+def test_a_shifted_and_rescaled_horizon_reshoots_the_same_arc(c):
+    # the extremal system is autonomous and quadratic, so (lambda0 / c, c tau)
+    # traces the same X on any start time, with energy J / c
+    prob = BvpProblem(graph=nx.path_graph(3), target=np.eye(3) * 0.8 + 0.2 / 3)
+    sol = solve_bvp(prob)
+    assert sol.converged
+    moved = replace(prob, t0=1.0, tf=1.0 + c * (prob.tf - prob.t0))
+    X_tf, info = shoot(moved, sol.lambda0 / c)
+    assert np.abs(X_tf - sol.final).max() < 1e-14
+    assert abs(_recorded_cost(moved, info) * c - sol.cost) < 1e-12 * sol.cost
 
 
 # ---------------------------------------------------------------------------

@@ -57,27 +57,27 @@ def test_default_initial_state_is_centered_and_seeded():
 # densification arcs
 
 
-def _densify_arcs(monkeypatch, dense, **settings):
-    """The arc targets and target that run_densify hands to the solver, caught
-    before any arc is solved; the sparse graph is a path."""
+def _densify_arc(monkeypatch, dense, **settings):
+    """The one arc problem that run_densify hands to the solver, caught
+    before it is solved; the sparse graph is a path."""
     seen = {}
 
     class Caught(Exception):
         pass
 
-    def catch(prob, arc_targets):
-        seen.update(target=prob.target, arcs=list(arc_targets))
+    def catch(prob, initial_guess=None):
+        seen["prob"] = prob
         raise Caught
 
     def divide(prob, waypoints):
         raise AssertionError("densify divided waypoints back into arcs")
 
-    monkeypatch.setattr(scenarios, "solve_arcs", catch)
+    monkeypatch.setattr(scenarios, "solve_bvp", catch)
     monkeypatch.setattr(scenarios, "solve_with_waypoints", divide)
     with pytest.raises(Caught):
         nx.run_densify(nx.DensifyScenario(sparse_graph=nx.path_graph(dense.n),
                                           dense_graph=dense), **settings)
-    return seen["arcs"], seen["target"]
+    return seen["prob"]
 
 
 @pytest.mark.parametrize("dense, t0, tf, K", [
@@ -88,16 +88,18 @@ def _densify_arcs(monkeypatch, dense, **settings):
     (nx.star_graph(6), 0.0, 0.9, 3),      # 9
 ])
 def test_densify_waypoints_follow_the_dense_flow(monkeypatch, dense, t0, tf, K):
-    arcs, T = _densify_arcs(monkeypatch, dense, t0=t0, tf=tf)
+    prob = _densify_arc(monkeypatch, dense, t0=t0, tf=tf)
+    arc = prob.target
     L = nx.laplacian(dense)
     tau = tf - t0
-    # K equal arcs of the dense flow over tau / K, which compose to T
-    assert len(arcs) == K
-    assert all(np.array_equal(B, arcs[0]) for B in arcs)
-    assert np.abs(arcs[0] - scipy.linalg.expm(-L * tau / K)).max() < 1e-12
-    assert np.abs(np.linalg.matrix_power(arcs[0], K) - T).max() < 1e-12
-    # each contracts by at most e^-MAX_LOG_CONTRACTION
-    sign, logdet = np.linalg.slogdet(arcs[0])
+    # one arc of the dense flow over tau / K, whose K-th power is T
+    assert prob.t0 == t0
+    assert round(tau / (prob.tf - prob.t0)) == K
+    assert np.abs(arc - scipy.linalg.expm(-L * tau / K)).max() < 1e-12
+    T = densification_target(dense, t0, tf)
+    assert np.abs(np.linalg.matrix_power(arc, K) - T).max() < 1e-12
+    # it contracts by at most e^-MAX_LOG_CONTRACTION
+    sign, logdet = np.linalg.slogdet(arc)
     assert sign > 0 and -logdet <= MAX_LOG_CONTRACTION + 1e-9
     # and one arc fewer would not do
     assert np.trace(L) * tau > MAX_LOG_CONTRACTION * (K - 1)
@@ -128,12 +130,40 @@ def test_densify_long_horizon_follows_the_dense_flow(dense, tau):
     assert np.linalg.norm(rep.final_state - want) < 1e-6
 
 
-def test_densify_arc_newton_counts():
-    # the first arc converges and warm-starts every later one, which then
-    # needs no Newton iteration
+def test_densify_arc_newton_counts(monkeypatch):
+    # the arc is solved once and repeated, so the copies spent no Newton
+    # iteration, and each copy starts on the last time of the one before
+    calls = []
+
+    def counted(prob, initial_guess=None):
+        calls.append(prob)
+        return nx.solve_bvp(prob, initial_guess)
+
+    monkeypatch.setattr(scenarios, "solve_bvp", counted)
     rep = nx.run_densify(nx.DensifyScenario(sparse_graph=nx.path_graph(3),
                                             dense_graph=nx.complete_graph(3)), tf=10.0)
-    assert [arc.iterations for arc in rep.solution.segments()] == [9] + [0] * 14
+    arcs = rep.solution.segments()
+    assert len(calls) == 1
+    assert [arc.iterations for arc in arcs] == [9] + [0] * 14
+    assert arcs[-1].grid[-1] == 10.0
+    assert all(a.grid[-1] == b.grid[0] for a, b in zip(arcs, arcs[1:]))
+
+
+def test_densify_copies_are_fresh_shoots_on_their_intervals(densify_report):
+    # the extremal system is autonomous: shooting the arc's costate again on
+    # a copy's own interval reproduces the copy
+    dense = nx.complete_graph(5)
+    arcs = densify_report.solution.segments()
+    arc_map = densification_target(dense, 0.0, 1.0 / len(arcs))
+    for arc in arcs:
+        prob = nx.BvpProblem(graph=nx.path_graph(5), target=arc_map,
+                             t0=arc.grid[0], tf=arc.grid[-1])
+        _, info = nx.shoot(prob, arc.lambda0)
+        assert np.abs(info["X_seq"] - arc.X_seq).max() < 1e-13
+        W_seq = nx.weights_from_costate(info["lambda_seq"], info["X_seq"], arc.schedule.mask)
+        fresh = nx.cost(nx.WeightSchedule(grid=info["grid"], W_seq=W_seq,
+                                          mask=arc.schedule.mask))
+        assert abs(fresh - arc.cost) < 1e-12 * arc.cost
 
 
 # ---------------------------------------------------------------------------
