@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,29 +27,24 @@ class DynamicsError(ValueError):
 # pivoting order must be deterministic (feasibility reports compare det > 0
 # and the swap targets need exact signs for triangular inputs).
 
-def _eliminate(A: np.ndarray, B: np.ndarray | None, tol: float):
-    """Row-reduce A in place by partial pivoting, applying the same row
-    operations to B when given. A column whose largest remaining entry is at
-    most tol in magnitude is skipped. Returns the pivot columns and the sign
-    of the row permutation."""
-    rows, cols = A.shape
+def _eliminate(M: np.ndarray, cols: int, tol: float):
+    """Row-reduce M in place by partial pivoting on its first `cols` columns,
+    each swap and update spanning the whole row (so a right-hand side past
+    `cols` follows). A column whose largest remaining entry is at most tol in
+    magnitude is skipped. Returns the pivot columns and the permutation sign."""
+    rows = M.shape[0]
     pivots, sign = [], 1.0
     for c in range(cols):
         r = len(pivots)
         if r == rows:
             break
-        p = r + int(np.argmax(np.abs(A[r:, c])))
-        if abs(A[p, c]) <= tol:
+        p = r + int(np.argmax(np.abs(M[r:, c])))
+        if abs(M[p, c]) <= tol:
             continue
         if p != r:
-            A[[r, p]] = A[[p, r]]
-            if B is not None:
-                B[[r, p]] = B[[p, r]]
+            M[[r, p]] = M[[p, r]]
             sign = -sign
-        fac = A[r + 1:, c] / A[r, c]
-        A[r + 1:, c + 1:] -= np.outer(fac, A[r, c + 1:])
-        if B is not None:
-            B[r + 1:] -= np.outer(fac, B[r])
+        M[r + 1:, c + 1:] -= np.outer(M[r + 1:, c] / M[r, c], M[r, c + 1:])
         pivots.append(c)
     return pivots, sign
 
@@ -61,7 +57,7 @@ def _determinant(A: np.ndarray) -> tuple:
     n = A.shape[0]
     if A.shape != (n, n):
         raise DynamicsError(f"determinant needs a square matrix, got {A.shape}")
-    pivots, sign = _eliminate(A, None, 0.0)
+    pivots, sign = _eliminate(A, n, 0.0)
     if len(pivots) < n:
         return 0.0, 0
     d = A.diagonal()
@@ -75,21 +71,21 @@ def determinant(A: np.ndarray) -> float:
 
 
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b by pivoted elimination; raises on numerically singular A."""
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
+    """Solve A x = b by pivoted elimination of [A | b]; raises on numerically singular A."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n) or b.shape[0] != n:
         raise DynamicsError("solve_linear: dimension mismatch")
-    vec = b.ndim == 1
-    B = b.reshape(n, -1)
     tiny = n * np.finfo(float).eps * max(np.abs(A).max(), 1.0)
-    if len(_eliminate(A, B, tiny)[0]) < n:
+    M = np.hstack([A, b.reshape(n, -1)])
+    if len(_eliminate(M, n, tiny)[0]) < n:
         raise DynamicsError("solve_linear: matrix singular to working precision")
+    A, B = M[:, :n], M[:, n:]
     X = np.zeros_like(B)
     for k in range(n - 1, -1, -1):
         X[k] = (B[k] - A[k, k + 1:] @ X[k + 1:]) / A[k, k]
-    return X[:, 0] if vec else X
+    return X[:, 0] if b.ndim == 1 else X
 
 
 def expm(A: np.ndarray) -> np.ndarray:
@@ -212,7 +208,7 @@ class TransitionTrajectory:
 
 
 def _rk4(f, y0: np.ndarray, t0: float, tf: float, steps: int,
-         stage: np.ndarray | None = None):
+         stage: np.ndarray | None = None, sign=1.0):
     """Fixed-step RK4; yields (t_k, y_k) for every grid point including t0.
 
     The rate function f(t, s, out) writes the rate at the stage input s into
@@ -220,12 +216,15 @@ def _rk4(f, y0: np.ndarray, t0: float, tf: float, steps: int,
     caller-owned view whose layout the rate function reads directly), and
     k1..k4 are allocated once per integration. Each stage performs the same
     floating-point operations in the same order as y + h/2 k and
-    y + h/6 (k1 + 2 k2 + 2 k3 + k4), so buffering changes no bits. Every
+    y + h/6 (k1 + 2 k2 + 2 k3 + k4), so buffering changes no bits. `sign`
+    (+-1 per component, broadcast against y) multiplies h/2, h and h/6, so f
+    may write a rate negated where its sign is -1 with no bit changed. Every
     yielded y_k is a fresh array.
     """
     if steps < 1:
         raise DynamicsError("steps must be >= 1")
     h = (tf - t0) / steps
+    half, full, sixth = sign * (h / 2), sign * h, sign * (h / 6)
     y = np.array(y0, dtype=float)
     s = np.empty_like(y) if stage is None else stage
     k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
@@ -234,26 +233,28 @@ def _rk4(f, y0: np.ndarray, t0: float, tf: float, steps: int,
         t = t0 + k * h
         np.copyto(s, y)
         f(t, s, k1)
-        np.add(y, np.multiply(k1, h / 2, out=s), out=s)
+        np.add(y, np.multiply(k1, half, out=s), out=s)
         f(t + h / 2, s, k2)
-        np.add(y, np.multiply(k2, h / 2, out=s), out=s)
+        np.add(y, np.multiply(k2, half, out=s), out=s)
         f(t + h / 2, s, k3)
-        np.add(y, np.multiply(k3, h, out=s), out=s)
+        np.add(y, np.multiply(k3, full, out=s), out=s)
         f(t + h, s, k4)
         np.add(k1, np.multiply(k2, 2, out=k2), out=k2)
         np.add(k2, np.multiply(k3, 2, out=k3), out=k2)
         np.add(k2, k4, out=k2)
-        y = y + np.multiply(k2, h / 6, out=k2)
+        y = y + np.multiply(k2, sixth, out=k2)
         yield t0 + (k + 1) * h, y
 
 
 def _replay(sched: WeightSchedule, y0: np.ndarray, steps: int, caller: str):
     """RK4 run of ydot = W(t) y from y0, `steps` steps per piece, each piece starting where
     the last one ended; returns (grid, ys) with each join's time once. `caller` names the
-    public function in the error message."""
+    public function in the error message. W_at keeps its last (t, W), since RK4's middle
+    stages share a time and a step's end is often the next step's start."""
     pts = [(sched.t0, y0)]
     for piece in sched.pieces():
-        run = list(_rk4(lambda t, y, out: np.matmul(piece.W_at(t), y, out=out),
+        W_at = lru_cache(maxsize=1)(piece.W_at)
+        run = list(_rk4(lambda t, y, out: np.matmul(W_at(t), y, out=out),
                         pts[-1][1], piece.t0, piece.tf, steps))
         if not np.all(np.isfinite(run[-1][1])):  # a non-finite value stays non-finite
             raise DynamicsError(f"{caller}: non-finite values encountered")

@@ -120,7 +120,7 @@ def matrix_rank(A: np.ndarray) -> int:
     factorization-library variation.
     """
     A = np.array(A, dtype=float)
-    return len(_eliminate(A, None, RANK_TOL * np.abs(A).max(initial=0.0))[0])
+    return len(_eliminate(A, A.shape[1], RANK_TOL * np.abs(A).max(initial=0.0))[0])
 
 
 def generated_algebra_dimension(g: Graph) -> int:

@@ -192,25 +192,21 @@ def hamiltonian(X: np.ndarray, lam: np.ndarray, W: np.ndarray) -> float:
 
 
 def _extremal_rate(Z: np.ndarray, off: np.ndarray):
-    """The extremal rate function on one buffer Z = [X, W, lam^T].
+    """The extremal rate function on one buffer Z = [X, V, lam^T], V = -W.
 
-    Z has shape (3, ..., n, n), and off is the complement of the edge
-    pattern broadcast to X's shape. The returned rate(t, _, out) reads X and
-    lam^T from Z, fills Z[1] with the weights W = -(lam X^T) zeroed off the
-    pattern, and writes [W X, -(lam^T W)] into out: the state rate and the
-    costate rate -W^T lam, transposed. Carrying lam^T makes both products one
-    matmul over the contiguous slices [W, lam^T] and [X, W].
+    Z has shape (3, ..., n, n) and off is the complement of the edge pattern
+    broadcast to X's shape. rate(t, _, out) writes V = lam X^T, zeroed off
+    the pattern, into Z[1] through its transpose, and [V X, lam^T V] into
+    out: the state rate W X negated and the costate rate -W^T lam,
+    transposed. Both products are one matmul over [V, lam^T] and [X, V].
     """
-    X, W, lamT = Z
-    W_lamT, X_W = Z[1:], Z[:2]
+    X, V, lamT = Z
+    V_lamT, X_V, VT = Z[1:], Z[:2], V.swapaxes(-1, -2)
 
     def rate(t, _, out):
-        scratch = out[1]
-        np.matmul(X, lamT, out=scratch)  # (lam X^T)^T
-        np.negative(scratch.swapaxes(-1, -2), out=W)
-        np.putmask(W, off, 0.0)
-        np.matmul(W_lamT, X_W, out=out)
-        np.negative(scratch, out=scratch)
+        np.matmul(X, lamT, out=VT)
+        np.putmask(V, off, 0.0)
+        np.matmul(V_lamT, X_V, out=out)
     return rate
 
 
@@ -238,23 +234,26 @@ def extremal_rhs(X: np.ndarray, lam: np.ndarray, msk: SparsityMask) -> np.ndarra
 def _shoot_batch(prob: BvpProblem, lam0s: np.ndarray, record: bool = False):
     """RK4 over a batch of costate initial conditions at once.
 
-    The integration runs on one buffer Z = [X, W, lam^T] of shape
+    The integration runs on one buffer Z = [X, V, lam^T] of shape
     (3, B, n, n) (see _extremal_rate). Its state is the view Z[::2], into
     which _rk4 writes every stage input, and it starts from
-    (I, lam0s[b]^T). Returns (X_tf, diverged, points), where points is the
-    list of (t, Y) with Y = (X, lam^T) of shape (2, B, n, n) on every grid
-    point if record=True and the last one otherwise. A member diverges when
-    any entry of its final X or lam is beyond the blow-up limit or not
-    finite. A member's result does not depend on its batch; batching keeps
-    the finite-difference Jacobian to one integration pass, and each group
-    of line-search tries, with the next Jacobian's stencil, to two.
+    (I, lam0s[b]^T). The state's rate comes out negated, so _rk4 steps with
+    sign -1 on X and +1 on lam^T. Returns (X_tf, diverged, points), where
+    points is the list of (t, Y) with Y = (X, lam^T) of shape (2, B, n, n)
+    on every grid point if record=True and the last one otherwise. A member
+    diverges when any entry of its final X or lam is beyond the blow-up
+    limit or not finite. A member's result does not depend on its batch;
+    batching keeps the finite-difference Jacobian to one integration pass,
+    and each group of line-search tries, with the next Jacobian's stencil,
+    to two.
     """
     n = lam0s.shape[-1]
     Z = np.empty((3,) + lam0s.shape)
     Y0 = np.stack([np.broadcast_to(np.eye(n), lam0s.shape), np.swapaxes(lam0s, -1, -2)])
     rate = _extremal_rate(Z, np.broadcast_to(~mask(prob.graph).entries, lam0s.shape))
     with np.errstate(over="ignore", invalid="ignore"):
-        stepper = _rk4(rate, Y0, prob.t0, prob.tf, prob.steps, stage=Z[::2])
+        stepper = _rk4(rate, Y0, prob.t0, prob.tf, prob.steps, stage=Z[::2],
+                       sign=np.array([-1.0, 1.0]).reshape(2, 1, 1, 1))
         points = list(stepper) if record else deque(stepper, maxlen=1)
         Y = points[-1][1]
         diverged = ~(np.abs(Y).max(axis=(0, 2, 3)) <= DIVERGENCE_LIMIT)

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import netxform as nx
-from netxform.dynamics import (DynamicsError, determinant, integrate_transition,
-                               propagate_state, solve_linear)
+from netxform.dynamics import (DynamicsError, _rk4, determinant, integrate_transition,
+                               propagate_state, simulation_steps, solve_linear)
 from netxform.graph import mask
 from netxform.lie_algebra import matrix_rank
 from netxform.optimal_control import (DIVERGENCE_LIMIT, BvpProblem, _shoot_batch,
@@ -114,6 +114,55 @@ def test_state_integrators_match_the_reference_loop(graph):
     grid, ref = reference_rk4(rate, xi, sched.t0, sched.tf, 37)
     assert_same_bits(g, grid)
     assert_same_bits(xs, ref)
+
+
+def test_signed_rk4_matches_plain_rk4():
+    """A component whose rate is written negated and stepped with sign -1 gives the
+    plain integration's bits, inf and nan included."""
+    rng = np.random.default_rng(17)
+    A = rng.normal(size=(2, 3, 3))
+    A[0] *= 2000.0  # component 0 overflows to inf, then inf - inf gives nan
+    y0 = rng.normal(size=(2, 3, 4))
+
+    def plain(t, y, out):
+        np.matmul(A * (1.0 + t), y, out=out)
+
+    def signed(t, y, out):
+        plain(t, y, out)
+        np.negative(out[0], out=out[0])
+
+    sign = np.array([-1.0, 1.0]).reshape(2, 1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = list(_rk4(plain, y0, 0.25, 1.5, 60))
+        got = list(_rk4(signed, y0, 0.25, 1.5, 60, sign=sign))
+        grid, ref = reference_rk4(lambda t, y: (A * (1.0 + t)) @ y, y0, 0.25, 1.5, 60)
+    assert not np.all(np.isfinite(want[-1][1][0])) and np.all(np.isfinite(want[-1][1][1]))
+    assert_same_bits([t for t, _ in got], [t for t, _ in want])
+    assert_same_bits(np.array([y for _, y in got]), np.array([y for _, y in want]))
+    assert_same_bits(np.array([y for _, y in want]), ref)
+
+
+def test_replay_reads_each_stage_time_once(monkeypatch):
+    """The replay's rate keeps the last W(t): RK4's middle stages share a time, and
+    a step's end is often the next step's start (216 reads here, 400 uncached)."""
+    graph = nx.path_graph(4)
+    msk = mask(graph)
+    rng = np.random.default_rng(4)
+    grid = np.linspace(0.0, 1.0, 201)
+    W_seq = np.array([msk.apply(rng.normal(size=(4, 4))) for _ in grid])
+    sched = nx.WeightSchedule(grid=grid, W_seq=W_seq, mask=msk)
+    steps = simulation_steps(sched)
+    xi = rng.normal(size=4)
+    want_grid, want = reference_rk4(lambda t, y: sched.W_at(t) @ y, xi, sched.t0, sched.tf,
+                                    steps)
+
+    times = []
+    W_at = nx.WeightSchedule.W_at
+    monkeypatch.setattr(nx.WeightSchedule, "W_at", lambda self, t: times.append(t) or W_at(self, t))
+    g, xs = propagate_state(sched, xi, steps)
+    assert len(times) <= 3 * steps + 1
+    assert_same_bits(g, want_grid)
+    assert_same_bits(xs, want)
 
 
 def reference_determinant(A):
@@ -231,3 +280,28 @@ def test_rectangular_rank_matches_the_reference_loop(kind):
                 A = _elimination_input(rng, rows, cols, kind)
                 with np.errstate(all="ignore"):
                     assert matrix_rank(A) == reference_matrix_rank(A)
+
+
+RHS_KINDS = ["scaled up", "scaled down", "non-finite"]
+
+
+@pytest.mark.parametrize("kind", RHS_KINDS)
+def test_right_hand_sides_match_the_reference_loop(kind):
+    """solve_linear eliminates [A | b] as one matrix; a right-hand side near the ends of
+    the float range or holding a non-finite entry gets the loop's bits."""
+    rng = np.random.default_rng(200 + RHS_KINDS.index(kind))
+    for n in range(1, 9):
+        for _ in range(40):
+            A = _elimination_input(rng, n, n, KINDS[rng.integers(len(KINDS))])
+            b = rng.standard_normal((n,) if rng.integers(2) else (n, 3))
+            if kind == "non-finite":
+                b.flat[rng.integers(b.size)] = rng.choice([np.nan, np.inf, -np.inf])
+            else:
+                b *= 10.0 ** (300 if kind == "scaled up" else -300)
+            with np.errstate(all="ignore"):
+                want = reference_solve_linear(A, b)
+                if want is None:
+                    with pytest.raises(DynamicsError, match="singular"):
+                        solve_linear(A, b)
+                else:
+                    assert_same_bits(solve_linear(A, b), want)
