@@ -23,11 +23,13 @@ class CsvFormatError(ValueError):
 
 
 def _write_table(path, header, table) -> None:
-    """Write a header row, then one row of numbers per row of the 2-D table."""
+    """Write a header row, then one row of numbers per row of the 2-D table.
+    A float's repr never needs quoting, so the rows are joined directly, to
+    the bytes csv.writer would give."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(map(repr, row) for row in np.asarray(table, dtype=float).tolist())
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(map(repr, row)) + "\r\n"
+                      for row in np.asarray(table, dtype=float).tolist())
 
 
 def _read_table(path, what: str):

@@ -343,17 +343,21 @@ def _build_solution(prob: BvpProblem, lam0: np.ndarray, iterations: int,
 def _corrected_step(A, J, r, delta, rp, rm, h):
     """The damped step delta plus half its geodesic acceleration, taken from
     the probes rp, rm at lam +- h delta when both stayed finite and the
-    correction is at most 0.75 |delta|."""
+    correction is at most 0.75 |delta|. Returns (step, model), where the
+    model |r + J step + r''/2|, with r'' the probes' second difference,
+    predicts the candidate's residual norm; it is inf when a probe diverged."""
     if rp is None or rm is None:
-        return delta
+        return delta, np.inf
     rpp = (rp - 2.0 * r + rm) / (h * h)
+    step = delta
     try:
         accel = solve_linear(A, -(J.T @ rpp) / 2.0)
     except DynamicsError:
-        return delta
-    if np.linalg.norm(accel) <= 0.75 * np.linalg.norm(delta):
-        return delta + 0.5 * accel
-    return delta
+        pass
+    else:
+        if np.linalg.norm(accel) <= 0.75 * np.linalg.norm(delta):
+            step = delta + 0.5 * accel
+    return step, float(np.linalg.norm(r + J @ step + 0.5 * rpp))
 
 
 def _tries(JTJ: np.ndarray, g: np.ndarray, mu: float):
@@ -400,8 +404,10 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
     another. The first candidate in order that lowers the residual wins and
     mu continues from its try, so every decision is the one the tries made
     one by one would reach. The candidate pass also carries the Jacobian
-    stencil of its first candidate, so when that candidate wins, as most
-    do, the next iteration's Jacobian needs no pass of its own.
+    stencil of the first candidate whose model from the probes
+    (_corrected_step) predicts a residual below |r|, or else of the first,
+    so when that candidate wins, as nearly all do, the next iteration's
+    Jacobian needs no pass of its own. No bit depends on the pick.
 
     Returns (lam0, residual_norm, iterations, converged); a diverging start
     has residual norm inf.
@@ -427,12 +433,14 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
         while step is None and (group := list(islice(tries, TRIES_PER_PASS))):
             ds = [h * delta.reshape(n, n) for _, _, delta in group]
             probes = _residuals(prob, np.stack([v for d in ds for v in (lam + d, lam - d)]))
-            cands = [lam + _corrected_step(A, J, r, delta, rp, rm, h).reshape(n, n)
-                     for (_, A, delta), rp, rm in zip(group, probes[::2], probes[1::2])]
-            shot = _residuals(prob, np.concatenate([cands, _stencil(cands[0])[0]]))
+            corrected = [_corrected_step(A, J, r, delta, rp, rm, h)
+                         for (_, A, delta), rp, rm in zip(group, probes[::2], probes[1::2])]
+            cands = [lam + s.reshape(n, n) for s, _ in corrected]
+            ride = next((k for k, (_, model) in enumerate(corrected) if model < rnorm), 0)
+            shot = _residuals(prob, np.concatenate([cands, _stencil(cands[ride])[0]]))
             for k, ((mu_try, _, _), cand, rc) in enumerate(zip(group, cands, shot)):
                 if rc is not None and np.linalg.norm(rc) < rnorm:
-                    step = mu_try, cand, rc, (shot[len(cands):] if k == 0 else None)
+                    step = mu_try, cand, rc, (shot[len(cands):] if k == ride else None)
                     break
         iterations += 1
         if step is None:

@@ -1,5 +1,7 @@
 """Exact round-trips and format validation for the CSV layer."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,23 @@ def test_columns_csv_layout(tmp_path):
     assert lines[0] == "t,err"
     assert lines[1] == "0.0,1.0"
     assert lines[2] == "0.5,0.25"
+
+
+def test_rows_are_the_bytes_csv_writer_gives(tmp_path):
+    # the rows are joined without csv.writer; awkward floats must still come
+    # out as the bytes it writes (the header still goes through it, quoting
+    # a name that holds a comma)
+    tiny = np.nextafter(0.0, 1.0)
+    values = [-0.0, 0.0, tiny, -tiny, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+              0.1 + 0.2, 1.0 / 3.0, np.nextafter(1.0, 2.0), -123456.78901234567, 1e16]
+    header = ["t", "x,1", "x_2"]
+    table = np.array(values[:12]).reshape(4, 3)
+    path, ref = tmp_path / "cols.csv", tmp_path / "ref.csv"
+    write_columns_csv(path, header, table.T)
+    with open(ref, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(map(repr, row) for row in table.tolist())
+    assert path.read_bytes() == ref.read_bytes()
+    assert b"-0.0," in path.read_bytes() and b"5e-324" in path.read_bytes()
+    assert b'"x,1"' in path.read_bytes() and path.read_bytes().count(b"\r\n") == 5

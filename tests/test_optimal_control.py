@@ -215,15 +215,18 @@ def test_forward_jacobian_at_the_zero_start_keeps_the_edge_pattern():
     assert np.linalg.matrix_rank(J) == 13
 
 
-def test_jacobian_from_a_candidate_pass_is_bitwise_the_separate_one():
+@pytest.mark.parametrize("ride", [0, 1], ids=["after-the-first", "after-the-second"])
+def test_jacobian_from_a_candidate_pass_is_bitwise_the_separate_one(ride):
+    # the stencil of candidate `ride` shot behind both candidates
     prob = BvpProblem(graph=nx.cycle_graph(4), target=np.eye(4))
     rng = np.random.default_rng(8)
     lam, other = rng.uniform(-0.5, 0.5, (2, 4, 4))
+    cands = [other, lam] if ride else [lam, other]
     shot = optimal_control._residuals(
-        prob, np.concatenate([[lam, other], optimal_control._stencil(lam)[0]]))
-    J = optimal_control._jacobian(prob, lam, shot[0], shot[2:])
-    assert np.array_equal(J, optimal_control._jacobian(prob, lam, shot[0]))
-    assert np.array_equal(shot[0], _residual(prob, lam))
+        prob, np.concatenate([cands, optimal_control._stencil(lam)[0]]))
+    J = optimal_control._jacobian(prob, lam, shot[ride], shot[2:])
+    assert np.array_equal(J, optimal_control._jacobian(prob, lam, shot[ride]))
+    assert np.array_equal(shot[ride], _residual(prob, lam))
 
 
 def _checked_shoot_plan(monkeypatch, graph, target, settings, starts):
@@ -233,8 +236,11 @@ def _checked_shoot_plan(monkeypatch, graph, target, settings, starts):
     # its residual (1), then iterations whose line-search tries are shot two at
     # a time: the probes lam +- h delta of both tries (4), then their
     # candidates (C). Only an iteration's last group may hold one try: probes
-    # (2), candidate (c). The first iteration opens with a J pass, and so does
-    # every later one whose accepted candidate did not open its group.
+    # (2), candidate (c). A candidate pass ends with the stencil of one of its
+    # candidates: the first whose model from the probes predicts a residual
+    # below |r|, or else the first. The first iteration opens with a J pass,
+    # and so does every later one whose accepted candidate did not carry the
+    # stencil.
     plan, reused = [], []
     real, real_jacobian = optimal_control._shoot_batch, optimal_control._jacobian
     m = graph.n ** 2
@@ -243,6 +249,9 @@ def _checked_shoot_plan(monkeypatch, graph, target, settings, starts):
         B = lam0s.shape[0]
         plan.append("F" if record else {1: "1", 2: "2", 4: "4", m: "J", m + 1: "c", m + 2: "C"}[B])
         assert B == 1 or not record
+        if B > m:
+            assert any(np.array_equal(lam0s[B - m:], optimal_control._stencil(c)[0])
+                       for c in lam0s[:B - m])
         return real(prob, lam0s, record)
 
     def jacobian(prob, lam, r, held=None):
@@ -268,6 +277,14 @@ def test_shoot_plan(monkeypatch, graph, target, settings, starts):
     _checked_shoot_plan(monkeypatch, graph, target, settings, starts)
 
 
+def test_shoot_plan_takes_every_later_jacobian_from_a_candidate_pass(monkeypatch):
+    # 11 iterations of one try group each, and only the first shoots a
+    # stand-alone stencil; with the stencil always after the group's first
+    # candidate, 4 did
+    plan = _checked_shoot_plan(monkeypatch, nx.path_graph(3), np.eye(3) * 0.7 + 0.1, {}, 1)
+    assert plan == "1J" + "4C" * 11 + "F"
+
+
 def test_shoot_plan_across_try_groups(monkeypatch):
     # the last iteration of the second start makes 7 tries: four groups
     plan = _checked_shoot_plan(monkeypatch, nx.path_graph(4), np.eye(4)[[1, 0, 3, 2]],
@@ -280,8 +297,11 @@ def test_line_search_groups_keep_the_sequential_schedule(monkeypatch):
     # rejected. Taken one by one, the tries run mu from 1e-3 to 1e-2, accept,
     # continue from 1e-2 / 3, and stop after the 17th rejection takes mu past
     # 1e14: 2 + 17 tries. Shot two at a time, the last group holds one try.
-    # The accepted try does not open its group, so its stencil is not taken
-    # and the second iteration shoots its own Jacobian.
+    # The probes' model predicts a lower residual for both tries of the first
+    # group, so the stencil rides with the first, which is rejected: the
+    # accepted try's stencil is not shot and the second iteration shoots its
+    # own Jacobian. Later groups' models predict no decrease, so their
+    # stencils ride with their first candidates too.
     prob = BvpProblem(graph=nx.path_graph(3), target=np.eye(3) * 0.7 + 0.1)
     real = optimal_control._residuals
     r0, = real(prob, np.zeros((1, 3, 3)))
@@ -291,6 +311,7 @@ def test_line_search_groups_keep_the_sequential_schedule(monkeypatch):
         sizes.append(lam0s.shape[0])
         if lam0s.shape[0] <= 9:  # start residual, Jacobian stencil, probes
             return real(prob, lam0s)
+        assert np.array_equal(lam0s[-9:], optimal_control._stencil(lam0s[0])[0])
         out = []
         for _ in lam0s[:-9]:  # the candidates, then the first one's stencil
             tries.append(None)
@@ -302,6 +323,39 @@ def test_line_search_groups_keep_the_sequential_schedule(monkeypatch):
     assert (iterations, converged, len(tries)) == (2, False, 19)
     assert rnorm == 0.5 * np.linalg.norm(r0)
     assert sizes == [1, 9, 4, 2 + 9, 9] + [4, 2 + 9] * 8 + [2, 1 + 9]
+
+
+def test_the_stencil_rides_with_the_try_the_probes_favour(monkeypatch):
+    # a scripted linear residual r(lam) = r0 + lam, so J = I, except that the
+    # first try of each group has diverging probes and a diverging candidate.
+    # Its model is then inf, while the second try's is about |r| mu / (1 + mu)
+    # < |r|. So the second candidate carries the stencil and wins, and the
+    # second iteration takes its Jacobian from that pass: no B = 9 pass of its
+    # own, where the first candidate's stencil would have cost one.
+    m = 9
+    r0 = np.linspace(1.0, 2.0, m)
+    sizes, riders, cands = [], [], []
+
+    def scripted(prob, lam0s):
+        B = lam0s.shape[0]
+        sizes.append(B)
+        out = [r0 + lam.ravel() for lam in lam0s]
+        if B == 4:  # the probes of two tries
+            out[:2] = [None, None]
+        elif B == 2 + m:  # two candidates, then one's stencil
+            riders.extend(k for k in range(2)
+                          if np.array_equal(lam0s[2:], optimal_control._stencil(lam0s[k])[0]))
+            cands.append(lam0s[1])
+            out[0] = None
+        return out
+
+    monkeypatch.setattr(optimal_control, "_residuals", scripted)
+    prob = BvpProblem(graph=nx.path_graph(3), target=np.eye(3) * 0.7 + 0.1, max_iter=2)
+    lam, rnorm, iterations, converged = optimal_control._newton_from(prob, np.zeros((3, 3)))
+    assert sizes == [1, m, 4, 2 + m, 4, 2 + m]
+    assert riders == [1, 1] and (iterations, converged) == (2, False)
+    assert np.array_equal(lam, cands[-1])
+    assert rnorm == np.linalg.norm(r0 + lam.ravel()) < 1e-3 * np.linalg.norm(r0)
 
 
 def _tries_one_by_one(mu, singular, accepted):
