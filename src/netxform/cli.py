@@ -157,7 +157,7 @@ def cmd_simulate(args) -> int:
     if args.config is not None:
         cfg = _load_config(args.config)
         g = graph_from_json_dict(_require(cfg, "graph"))
-        if not np.array_equal(mask(g).entries, sched.mask.entries):
+        if not np.array_equal(mask(g), sched.mask):
             raise ConfigError("schedule sparsity pattern does not match the graph in --config")
     xi = _parse_xi(args, sched.n)
     # default step count per piece tracks the schedule grid (see simulation_steps)

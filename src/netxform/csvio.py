@@ -15,7 +15,6 @@ import re
 import numpy as np
 
 from .dynamics import DynamicsError, WeightSchedule
-from .graph import SparsityMask
 
 
 class CsvFormatError(ValueError):
@@ -67,9 +66,8 @@ def _read_table(path, what: str):
 def write_schedule_csv(path, sched: WeightSchedule) -> None:
     """Write a schedule, one row per grid time; header lists mask-true entries
     (row-major); off-pattern entries are never serialized."""
-    msk = sched.mask
-    _write_table(path, ["t"] + [f"w_{i}_{j}" for (i, j) in msk.index_pairs()],
-                 np.column_stack([sched.grid, sched.W_seq[:, msk.entries]]))
+    _write_table(path, ["t"] + [f"w_{i}_{j}" for i, j in np.argwhere(sched.mask) + 1],
+                 np.column_stack([sched.grid, sched.W_seq[:, sched.mask]]))
 
 
 def read_schedule_csv(path) -> WeightSchedule:
@@ -89,13 +87,12 @@ def read_schedule_csv(path) -> WeightSchedule:
         raise CsvFormatError(f"{path}: header has no w_i_j columns")
     n = max(max(p) for p in pairs) + 1
     idx = tuple(np.array(pairs).T)
-    entries = np.zeros((n, n), dtype=bool)
-    entries[idx] = True
+    msk = np.zeros((n, n), dtype=bool)
+    msk[idx] = True
     W_seq = np.zeros((len(data), n, n))
     W_seq[:, idx[0], idx[1]] = data[:, 1:]
     try:
-        return WeightSchedule(grid=data[:, 0].copy(), W_seq=W_seq,
-                              mask=SparsityMask(entries=entries))
+        return WeightSchedule(grid=data[:, 0].copy(), W_seq=W_seq, mask=msk)
     except DynamicsError as exc:
         raise CsvFormatError(f"{path}: {exc}") from exc
 

@@ -15,8 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph import SparsityMask
-
 
 class DynamicsError(ValueError):
     """Bad schedule, dimension mismatch, or numerical blow-up."""
@@ -131,18 +129,20 @@ class WeightSchedule:
     """Time-gridded samples of W(t), linearly interpolated between grid points.
 
     A repeated grid time is a join, where W may jump. The grid never goes
-    back, and each piece between joins has two or more times."""
+    back, and each piece between joins has two or more times. Every sample
+    is zero off `mask`, the n-by-n boolean edge pattern (graph.mask)."""
 
     grid: np.ndarray
     W_seq: np.ndarray
-    mask: SparsityMask
+    mask: np.ndarray
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         W_seq = np.asarray(self.W_seq, dtype=float)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "W_seq", W_seq)
-        n = self.mask.n
+        object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
+        n = self.mask.shape[0]
         if W_seq.shape != (grid.size, n, n):
             raise DynamicsError(
                 f"schedule shape {W_seq.shape} does not match grid size {grid.size} and n={n}")
@@ -152,7 +152,7 @@ class WeightSchedule:
                 or np.any(joins[1:] & joins[:-1]):
             raise DynamicsError("schedule grid must be increasing, with a repeated time only "
                                 "as a join between pieces of >= 2 points")
-        off = ~self.mask.entries
+        off = ~self.mask
         bad = np.abs(W_seq[:, off]).max(initial=0.0)
         if bad > 0.0:
             raise DynamicsError(f"schedule violates sparsity pattern (max off-pattern entry {bad})")
@@ -167,7 +167,7 @@ class WeightSchedule:
 
     @property
     def n(self) -> int:
-        return self.mask.n
+        return self.mask.shape[0]
 
     def pieces(self) -> list:
         """The join-free schedules the grid's joins separate, in order."""
@@ -187,7 +187,7 @@ class WeightSchedule:
         return (1.0 - a) * self.W_seq[k] + a * self.W_seq[k + 1]
 
 
-def constant_schedule(W: np.ndarray, t0: float, tf: float, msk: SparsityMask) -> WeightSchedule:
+def constant_schedule(W: np.ndarray, t0: float, tf: float, msk: np.ndarray) -> WeightSchedule:
     """Schedule holding W fixed over [t0, tf]."""
     W = np.asarray(W, dtype=float)
     return WeightSchedule(grid=np.linspace(t0, tf, 2), W_seq=np.repeat(W[None, :, :], 2, axis=0),

@@ -24,34 +24,9 @@ class Graph:
     n: int
     edges: frozenset
 
-    def neighbors(self, i: int) -> list:
-        return sorted(j for (a, j) in self.edges if a == i and j != i)
-
     def to_json_dict(self) -> dict:
         nonloop = sorted((i, j) for (i, j) in self.edges if i < j)
         return {"nodes": self.n, "edges": [[i, j] for (i, j) in nonloop]}
-
-
-@dataclass(frozen=True)
-class SparsityMask:
-    """Boolean n-by-n pattern: True exactly on the edges of the graph."""
-
-    entries: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def apply(self, W: np.ndarray) -> np.ndarray:
-        """Zero out all off-pattern entries of W, or of each matrix of a stack."""
-        out = np.array(W, dtype=float)
-        out[..., ~self.entries] = 0.0
-        return out
-
-    def index_pairs(self) -> list:
-        """Mask-true (i, j) pairs, 1-based, row-major order."""
-        return [(i + 1, j + 1) for i in range(self.n) for j in range(self.n)
-                if self.entries[i, j]]
 
 
 def build_graph(n: int, edge_list) -> Graph:
@@ -131,13 +106,14 @@ def graph_from_json_dict(d: dict) -> Graph:
 def _components(g: Graph) -> list:
     """The vertex sets of the connected components, by depth-first search
     from each vertex not yet reached (self-loops do not connect)."""
+    rows = mask(g).tolist()
     comps = []
     for v in range(1, g.n + 1):
         if not any(v in comp for comp in comps):
             comp, stack = {v}, [v]
             while stack:
-                for j in g.neighbors(stack.pop()):
-                    if j not in comp:
+                for j, edge in enumerate(rows[stack.pop() - 1], start=1):
+                    if edge and j not in comp:
                         comp.add(j)
                         stack.append(j)
             comps.append(comp)
@@ -151,10 +127,8 @@ def is_connected(g: Graph) -> bool:
 
 def adjacency(g: Graph) -> np.ndarray:
     """0/1 adjacency matrix without self-loops."""
-    A = np.zeros((g.n, g.n))
-    for (i, j) in g.edges:
-        if i != j:
-            A[i - 1, j - 1] = 1.0
+    A = mask(g).astype(float)
+    np.fill_diagonal(A, 0.0)
     return A
 
 
@@ -164,12 +138,14 @@ def laplacian(g: Graph) -> np.ndarray:
     return np.diag(A.sum(axis=1)) - A
 
 
-def mask(g: Graph) -> SparsityMask:
-    """Boolean sparsity pattern of the edge set (diagonal always True)."""
+def mask(g: Graph) -> np.ndarray:
+    """The edge pattern as an n-by-n boolean array: entry [i - 1, j - 1] is
+    True exactly when (i, j) is an edge, so the diagonal is always True.
+    A weight matrix W is local when np.where(mask(g), W, 0.0) equals it."""
     M = np.zeros((g.n, g.n), dtype=bool)
     for (i, j) in g.edges:
         M[i - 1, j - 1] = True
-    return SparsityMask(entries=M)
+    return M
 
 
 def path_graph(n: int) -> Graph:

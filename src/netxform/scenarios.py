@@ -106,13 +106,18 @@ def densification_target(dense_graph: Graph, t0: float, tf: float) -> np.ndarray
                             f"exp(-L (tf - t0)) of the dense graph") from exc
 
 
-def agreement_error(x: np.ndarray, x0: np.ndarray) -> float:
-    """Distance from x to the vector holding the average of the initial state."""
+def agreement_error(x: np.ndarray, x0: np.ndarray):
+    """Distance from x, or from each vector of a stack (..., n), to the vector
+    holding the average of the initial state x0: a float for one vector, an
+    array for a stack. Each distance is the square root of the dot product
+    d . d that np.linalg.norm takes of one vector, so its bits are the same."""
     x = np.asarray(x, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    if x.shape != x0.shape:
+    if x0.ndim != 1 or x.shape[-1:] != x0.shape:
         raise ScenarioError("agreement_error: dimension mismatch")
-    return float(np.linalg.norm(x - np.mean(x0)))
+    d = x - np.mean(x0)
+    err = np.sqrt(np.matmul(d[..., None, :], d[..., :, None]))[..., 0, 0]
+    return float(err) if x.ndim == 1 else err
 
 
 def swap_target(n: int, pairs) -> np.ndarray:
@@ -175,8 +180,7 @@ def run_densify(s: DensifyScenario, max_iter: int = 300, **settings) -> Scenario
         sched = constant_schedule(-laplacian(g), prob.t0, prob.tf, mask(g))
         curves[name] = propagate_state(sched, xi, total_steps)[1]
     curves["err_synth"] = report.node_states
-    report.errors = {name: np.array([agreement_error(x, xi) for x in xs])
-                     for name, xs in curves.items()}
+    report.errors = {name: agreement_error(xs, xi) for name, xs in curves.items()}
     return report
 
 

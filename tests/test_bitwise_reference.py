@@ -93,7 +93,7 @@ def _random_schedule(graph, samples, seed):
     msk = mask(graph)
     rng = np.random.default_rng(seed)
     grid = np.sort(rng.uniform(0.0, 2.0, samples))
-    W_seq = np.array([msk.apply(rng.normal(size=(graph.n, graph.n))) for _ in grid])
+    W_seq = np.array([np.where(msk, rng.normal(size=(graph.n, graph.n)), 0.0) for _ in grid])
     return nx.WeightSchedule(grid=grid, W_seq=W_seq, mask=msk)
 
 
@@ -149,7 +149,7 @@ def test_replay_reads_each_stage_time_once(monkeypatch):
     msk = mask(graph)
     rng = np.random.default_rng(4)
     grid = np.linspace(0.0, 1.0, 201)
-    W_seq = np.array([msk.apply(rng.normal(size=(4, 4))) for _ in grid])
+    W_seq = np.array([np.where(msk, rng.normal(size=(4, 4)), 0.0) for _ in grid])
     sched = nx.WeightSchedule(grid=grid, W_seq=W_seq, mask=msk)
     steps = simulation_steps(sched)
     xi = rng.normal(size=4)

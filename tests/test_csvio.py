@@ -16,7 +16,7 @@ from netxform.graph import mask
 def _random_schedule(rng, t0=0.0, tf=1.0):
     msk = mask(nx.path_graph(3))
     grid = np.linspace(t0, tf, 7)
-    W_seq = np.array([msk.apply(rng.normal(size=(3, 3))) for _ in grid])
+    W_seq = np.array([np.where(msk, rng.normal(size=(3, 3)), 0.0) for _ in grid])
     return nx.WeightSchedule(grid=grid, W_seq=W_seq, mask=msk)
 
 
@@ -27,7 +27,7 @@ def test_schedule_round_trip_is_exact(tmp_path):
     back = read_schedule_csv(path)
     assert np.array_equal(back.grid, sched.grid)
     assert np.array_equal(back.W_seq, sched.W_seq)
-    assert np.array_equal(back.mask.entries, sched.mask.entries)
+    assert np.array_equal(back.mask, sched.mask)
 
 
 def test_schedule_header_lists_only_pattern_entries(tmp_path):
@@ -35,8 +35,8 @@ def test_schedule_header_lists_only_pattern_entries(tmp_path):
     path = tmp_path / "sched.csv"
     write_schedule_csv(path, sched)
     header = path.read_text().splitlines()[0]
-    assert header.split(",")[1:] == [f"w_{i}_{j}" for (i, j)
-                                     in sched.mask.index_pairs()]
+    assert header.split(",")[1:] == ["w_1_1", "w_1_2", "w_2_1", "w_2_2", "w_2_3", "w_3_2",
+                                     "w_3_3"]
 
 
 def test_multi_segment_round_trip(tmp_path):

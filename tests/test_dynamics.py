@@ -24,7 +24,7 @@ def random_conforming_schedule(rng):
     g = builders[int(rng.integers(0, len(builders)))](n)
     msk = mask(g)
     grid = np.linspace(0.0, 1.0, 9)
-    W_seq = np.array([msk.apply(rng.uniform(-1.0, 1.0, (n, n))) for _ in grid])
+    W_seq = np.array([np.where(msk, rng.uniform(-1.0, 1.0, (n, n)), 0.0) for _ in grid])
     return nx.WeightSchedule(grid=grid, W_seq=W_seq, mask=msk)
 
 
@@ -219,7 +219,7 @@ def test_liouville_residual_random_schedule():
     rng = np.random.default_rng(6)
     msk = mask(nx.complete_graph(4))
     grid = np.linspace(0.0, 1.0, 9)
-    W_seq = np.array([msk.apply(rng.uniform(-1, 1, (4, 4))) for _ in grid])
+    W_seq = np.array([np.where(msk, rng.uniform(-1, 1, (4, 4)), 0.0) for _ in grid])
     sched = nx.WeightSchedule(grid=grid, W_seq=W_seq, mask=msk)
     assert liouville_residual(integrate_transition(sched, 400), sched) < 1e-6
 
@@ -239,7 +239,7 @@ def test_convergence_is_fourth_order():
     g = nx.path_graph(3)
     msk = mask(g)
     grid = np.linspace(0.0, 1.0, 26)
-    W_seq = np.array([msk.apply(rng.uniform(-1, 1, (3, 3))) for _ in grid])
+    W_seq = np.array([np.where(msk, rng.uniform(-1, 1, (3, 3)), 0.0) for _ in grid])
     sched = nx.WeightSchedule(grid=grid, W_seq=W_seq, mask=msk)
     ref = integrate_transition(sched, 10000).final
     errs = [np.linalg.norm(integrate_transition(sched, s).final - ref)

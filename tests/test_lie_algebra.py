@@ -54,7 +54,7 @@ def brute_force_closure_dimension(g) -> int:
     n = g.n
     basis = []
     span = _ExactSpan(n * n)
-    for (i, j) in mask(g).index_pairs():
+    for (i, j) in np.argwhere(mask(g)) + 1:
         M = np.zeros((n, n), dtype=int)
         M[i - 1, j - 1] = 1
         if span.add(M.ravel()):

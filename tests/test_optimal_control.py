@@ -100,7 +100,7 @@ def test_extremal_rhs_is_one_stacked_rate(stack):
     lam = rng.normal(size=stack + (5, 5))
     X0, lam0 = X.copy(), lam.copy()
     W = weights_from_costate(lam, X, msk)
-    assert np.array_equal(W, msk.apply(-(lam @ np.swapaxes(X, -1, -2))))
+    assert np.array_equal(W, np.where(msk, -(lam @ np.swapaxes(X, -1, -2)), 0.0))
     assert np.array_equal(X, X0) and np.array_equal(lam, lam0)
     rate = extremal_rhs(X, lam, msk)
     assert rate.shape == (2,) + X.shape
@@ -147,7 +147,7 @@ def test_shoot_conserves_costate_state_product():
     prob = BvpProblem(graph=nx.path_graph(3),
                       target=np.eye(3) * 0.9 + 0.1 / 3)
     rng = np.random.default_rng(2)
-    lam0 = mask(prob.graph).apply(rng.uniform(-0.3, 0.3, (3, 3)))
+    lam0 = np.where(mask(prob.graph), rng.uniform(-0.3, 0.3, (3, 3)), 0.0)
     _, info = shoot(prob, lam0)
     lamX = np.einsum("kji,kjl->kil", info["lambda_seq"], info["X_seq"])
     assert np.abs(lamX - lamX[0]).max() < 1e-8
@@ -210,7 +210,7 @@ def test_forward_jacobian_at_the_zero_start_keeps_the_edge_pattern():
     prob = BvpProblem(graph=graph, target=np.eye(5) * 0.8 + 0.04)
     lam = np.zeros((5, 5))
     J = optimal_control._jacobian(prob, lam, _residual(prob, lam))
-    off = ~mask(graph).entries.ravel()
+    off = ~mask(graph).ravel()
     assert off.sum() == 12 and not J[:, off].any()
     assert np.linalg.matrix_rank(J) == 13
 
@@ -357,6 +357,36 @@ def test_the_stencil_rides_with_the_try_the_probes_favour(monkeypatch):
     assert rnorm == np.linalg.norm(r0 + lam.ravel()) < 1e-3 * np.linalg.norm(r0)
 
 
+@pytest.mark.parametrize("diverging_pass", [1, 3], ids=["own-pass", "riding-pass"])
+def test_a_diverging_stencil_member_stops_the_start(monkeypatch, diverging_pass):
+    # a scripted linear residual r(lam) = r0 + lam, so J = I and the first
+    # candidate wins, carrying its stencil, except that the last stencil
+    # member diverges: in the first Jacobian's own pass (pass 1), or in the
+    # candidate pass that carries the second Jacobian's stencil (pass 3).
+    # There is then no Jacobian, and the start stops on the costate and
+    # residual it holds, without counting the iteration that found none.
+    m = 9
+    r0 = np.linspace(1.0, 2.0, m)
+    sizes, costates = [], [np.zeros((3, 3))]
+
+    def scripted(prob, lam0s):
+        sizes.append(lam0s.shape[0])
+        out = [r0 + lam.ravel() for lam in lam0s]
+        if len(sizes) == 4:  # two candidates, then the first one's stencil
+            costates.append(lam0s[0])
+        if len(sizes) == diverging_pass + 1:
+            out[-1] = None
+        return out
+
+    monkeypatch.setattr(optimal_control, "_residuals", scripted)
+    prob = BvpProblem(graph=nx.path_graph(3), target=np.eye(3) * 0.7 + 0.1)
+    lam, rnorm, iterations, converged = optimal_control._newton_from(prob, costates[0])
+    assert sizes == [1, m, 4, 2 + m][:diverging_pass + 1]
+    assert (iterations, converged) == (diverging_pass // 2, False)
+    assert np.array_equal(lam, costates[-1])
+    assert rnorm == np.linalg.norm(r0 + lam.ravel())
+
+
 def _tries_one_by_one(mu, singular, accepted):
     # one iteration's tries made one at a time: the mu of each try made, and
     # the mu the next iteration starts from (None when no try is accepted)
@@ -446,6 +476,21 @@ def test_solve_rejects_unreachable_target_before_any_shoot(monkeypatch):
         solve_bvp(prob)
 
 
+def test_a_diverging_warm_start_falls_back_to_the_zero_start():
+    # the warm start's first shoot diverges, so it spends no iteration; the
+    # zero start, always tried next, keeps X = I and has the finite residual
+    # I - T, so the solve reports it even with no random restart
+    prob = BvpProblem(graph=nx.path_graph(3), restarts=0,
+                      target=nx.densification_target(nx.complete_graph(3), 0.0, 0.3))
+    warm = 20.0 * np.ones((3, 3))
+    assert optimal_control._newton_from(prob, warm)[1:] == (np.inf, 0, False)
+    sol, cold = solve_bvp(prob, initial_guess=warm), solve_bvp(prob)
+    assert sol.restart_used == 0
+    assert np.array_equal(sol.lambda0, cold.lambda0)
+    assert (sol.iterations, sol.converged, sol.residual_norm) == \
+        (cold.iterations, cold.converged, cold.residual_norm)
+
+
 def test_shoot_rejects_wrong_shape():
     prob = BvpProblem(graph=nx.path_graph(2), target=np.eye(2))
     with pytest.raises(OptimalControlError):
@@ -464,7 +509,7 @@ def test_cost_quadratic_in_the_weights():
     msk = mask(nx.path_graph(3))
     rng = np.random.default_rng(3)
     grid = np.linspace(0.0, 1.0, 11)
-    W_seq = np.array([msk.apply(rng.normal(size=(3, 3))) for _ in grid])
+    W_seq = np.array([np.where(msk, rng.normal(size=(3, 3)), 0.0) for _ in grid])
     s1 = nx.WeightSchedule(grid=grid, W_seq=W_seq, mask=msk)
     s2 = nx.WeightSchedule(grid=grid, W_seq=3.0 * W_seq, mask=msk)
     assert abs(cost(s2) - 9.0 * cost(s1)) < 1e-12

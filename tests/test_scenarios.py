@@ -41,6 +41,24 @@ def test_agreement_error_examples():
         agreement_error(np.zeros(2), np.zeros(3))
 
 
+def test_agreement_error_of_a_stack_is_bitwise_the_per_row_norm():
+    # whole curves at once, as run_densify passes them: each distance must be
+    # the bits np.linalg.norm gives row by row, or errors.csv would move. The
+    # magnitudes take the squares down to subnormals and up past overflow.
+    rng = np.random.default_rng(19)
+    for n in range(2, 13):
+        for scale in (1e-160, 1e-150, 1e-3, 1.0, 1e3, 1e150, 1e154):
+            xs = rng.standard_normal((2, 50, n)) * scale * rng.uniform(0.5, 2.0, (2, 50, 1))
+            x0 = rng.standard_normal(n) * scale
+            with np.errstate(over="ignore", under="ignore"):
+                errs = agreement_error(xs, x0)
+                ref = [[float(np.linalg.norm(x - np.mean(x0))) for x in curve] for curve in xs]
+                one = agreement_error(xs[0, 0], x0)
+            assert errs.shape == (2, 50)
+            assert errs.tobytes() == np.array(ref).tobytes()
+            assert isinstance(one, float) and one == ref[0][0]
+
+
 def test_swap_target_matrix():
     T = swap_target(4, [(1, 2), (3, 4)])
     assert np.array_equal(T @ np.array([1.0, 2.0, 3.0, 4.0]), [2.0, 1.0, 4.0, 3.0])
