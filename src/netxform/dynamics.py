@@ -216,16 +216,17 @@ def _rk4(f, y0: np.ndarray, t0: float, tf: float, steps: int,
     caller-owned view whose layout the rate function reads directly), and
     k1..k4 are allocated once per integration. Each stage performs the same
     floating-point operations in the same order as y + h/2 k and
-    y + h/6 (k1 + 2 k2 + 2 k3 + k4), so buffering changes no bits. `sign`
-    (+-1 per component, broadcast against y) multiplies h/2, h and h/6, so f
-    may write a rate negated where its sign is -1 with no bit changed. Every
-    yielded y_k is a fresh array.
+    y + h/6 (k1 + 2 k2 + 2 k3 + k4), so buffering changes no bits: 2 k is
+    k + k, which is exact. `sign` (+-1 per component, broadcastable to y)
+    multiplies h/2, h and h/6 once, into arrays of y's shape, so f may write
+    a rate negated where its sign is -1 with no bit changed and no stage
+    broadcasts. Every yielded y_k is a fresh array.
     """
     if steps < 1:
         raise DynamicsError("steps must be >= 1")
     h = (tf - t0) / steps
-    half, full, sixth = sign * (h / 2), sign * h, sign * (h / 6)
     y = np.array(y0, dtype=float)
+    half, full, sixth = (np.broadcast_to(sign * c, y.shape).copy() for c in (h / 2, h, h / 6))
     s = np.empty_like(y) if stage is None else stage
     k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
     yield t0, y
@@ -233,16 +234,16 @@ def _rk4(f, y0: np.ndarray, t0: float, tf: float, steps: int,
         t = t0 + k * h
         np.copyto(s, y)
         f(t, s, k1)
-        np.add(y, np.multiply(k1, half, out=s), out=s)
+        np.add(y, np.multiply(k1, half, s), s)
         f(t + h / 2, s, k2)
-        np.add(y, np.multiply(k2, half, out=s), out=s)
+        np.add(y, np.multiply(k2, half, s), s)
         f(t + h / 2, s, k3)
-        np.add(y, np.multiply(k3, full, out=s), out=s)
+        np.add(y, np.multiply(k3, full, s), s)
         f(t + h, s, k4)
-        np.add(k1, np.multiply(k2, 2, out=k2), out=k2)
-        np.add(k2, np.multiply(k3, 2, out=k3), out=k2)
-        np.add(k2, k4, out=k2)
-        y = y + np.multiply(k2, sixth, out=k2)
+        np.add(k1, np.add(k2, k2, k2), k2)
+        np.add(k2, np.add(k3, k3, k3), k2)
+        np.add(k2, k4, k2)
+        y = y + np.multiply(k2, sixth, k2)
         yield t0 + (k + 1) * h, y
 
 

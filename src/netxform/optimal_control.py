@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -192,21 +192,23 @@ def hamiltonian(X: np.ndarray, lam: np.ndarray, W: np.ndarray) -> float:
 
 
 def _extremal_rate(Z: np.ndarray, off: np.ndarray):
-    """The extremal rate function on one buffer Z = [X, V, lam^T], V = -W.
+    """The extremal rate function on one buffer Z = [X, lam^T, V], V = -W.
 
-    Z has shape (3, ..., n, n) and off is the complement of the edge pattern
-    broadcast to X's shape. rate(t, _, out) writes V = lam X^T, zeroed off
-    the pattern, into Z[1] through its transpose, and [V X, lam^T V] into
-    out: the state rate W X negated and the costate rate -W^T lam,
-    transposed. Both products are one matmul over [V, lam^T] and [X, V].
+    Z has shape (3, ..., n, n) and off is the complement of the edge pattern,
+    a contiguous array of X's shape. rate(t, _, out) writes V = lam X^T,
+    zeroed off the pattern, into Z[2] through its transpose, and
+    [V X, lam^T V] into out: the state rate W X negated and the costate rate
+    -W^T lam, transposed. Both products are one matmul over [V, lam^T] and
+    [X, V], the views Z[2:0:-1] and Z[::2]; the state [X, lam^T] is the
+    contiguous Z[:2].
     """
-    X, V, lamT = Z
-    V_lamT, X_V, VT = Z[1:], Z[:2], V.swapaxes(-1, -2)
+    X, lamT, V = Z
+    V_lamT, X_V, VT = Z[2:0:-1], Z[::2], V.swapaxes(-1, -2)
 
     def rate(t, _, out):
-        np.matmul(X, lamT, out=VT)
+        np.matmul(X, lamT, VT)
         np.putmask(V, off, 0.0)
-        np.matmul(V_lamT, X_V, out=out)
+        np.matmul(V_lamT, X_V, out)
     return rate
 
 
@@ -234,9 +236,9 @@ def extremal_rhs(X: np.ndarray, lam: np.ndarray, msk: np.ndarray) -> np.ndarray:
 def _shoot_batch(prob: BvpProblem, lam0s: np.ndarray, record: bool = False):
     """RK4 over a batch of costate initial conditions at once.
 
-    The integration runs on one buffer Z = [X, V, lam^T] of shape
-    (3, B, n, n) (see _extremal_rate). Its state is the view Z[::2], into
-    which _rk4 writes every stage input, and it starts from
+    The integration runs on one buffer Z = [X, lam^T, V] of shape
+    (3, B, n, n) (see _extremal_rate). Its state is the contiguous view
+    Z[:2], into which _rk4 writes every stage input, and it starts from
     (I, lam0s[b]^T). The state's rate comes out negated, so _rk4 steps with
     sign -1 on X and +1 on lam^T. Returns (X_tf, diverged, points), where
     points is the list of (t, Y) with Y = (X, lam^T) of shape (2, B, n, n)
@@ -250,9 +252,9 @@ def _shoot_batch(prob: BvpProblem, lam0s: np.ndarray, record: bool = False):
     n = lam0s.shape[-1]
     Z = np.empty((3,) + lam0s.shape)
     Y0 = np.stack([np.broadcast_to(np.eye(n), lam0s.shape), np.swapaxes(lam0s, -1, -2)])
-    rate = _extremal_rate(Z, np.broadcast_to(~mask(prob.graph), lam0s.shape))
+    rate = _extremal_rate(Z, np.broadcast_to(~mask(prob.graph), lam0s.shape).copy())
     with np.errstate(over="ignore", invalid="ignore"):
-        stepper = _rk4(rate, Y0, prob.t0, prob.tf, prob.steps, stage=Z[::2],
+        stepper = _rk4(rate, Y0, prob.t0, prob.tf, prob.steps, stage=Z[:2],
                        sign=np.array([-1.0, 1.0]).reshape(2, 1, 1, 1))
         points = list(stepper) if record else deque(stepper, maxlen=1)
         Y = points[-1][1]
@@ -457,8 +459,8 @@ def solve_bvp(prob: BvpProblem, initial_guess: np.ndarray | None = None) -> Extr
     An optional warm-start costate is tried first, then the zero costate
     (exact for T = I); on stall the solver restarts from seeded random
     costates, each restart drawing its own RNG stream from seed + restart
-    index. The first converged start wins; otherwise the start with the
-    smallest residual is reported. A target that no shoot reaches is
+    index when it is reached. The first converged start wins; otherwise the
+    start with the smallest residual is reported. A target that no shoot reaches is
     rejected before any shoot (see _check_reach), so the zero start, whose
     X stays I, has the finite residual I - T and some start is reported.
     """
@@ -471,11 +473,10 @@ def solve_bvp(prob: BvpProblem, initial_guess: np.ndarray | None = None) -> Extr
         if guess.shape != (n, n):
             raise OptimalControlError(f"initial_guess has shape {guess.shape}, expected ({n},{n})")
         starts.insert(0, (0, guess))
-    for ridx in range(1, prob.restarts + 1):
-        rng = np.random.default_rng(prob.seed + ridx)
-        starts.append((ridx, rng.uniform(-0.5, 0.5, size=(n, n))))
+    seeded = ((ridx, np.random.default_rng(prob.seed + ridx).uniform(-0.5, 0.5, size=(n, n)))
+              for ridx in range(1, prob.restarts + 1))
     best = (np.inf, None, None)  # (residual_norm, restart_idx, lam)
-    for ridx, lam0 in starts:
+    for ridx, lam0 in chain(starts, seeded):
         lam, rnorm, iters, converged = _newton_from(prob, lam0)
         total_iters += iters
         if converged:

@@ -61,26 +61,30 @@ def reference_shoot(prob, lam0s):
     return grid, Y_seq, diverged
 
 
-@pytest.mark.parametrize("graph, diverging", [
-    (nx.build_graph(1, []), None),
-    (nx.path_graph(5), None),
-    (nx.cycle_graph(4), None),
-    (nx.complete_graph(3), 1),
+@pytest.mark.parametrize("graph, diverging, batch, steps", [
+    pytest.param(nx.build_graph(1, []), None, 3, 60, id="graph0-None"),
+    pytest.param(nx.path_graph(5), None, 3, 60, id="graph1-None"),
+    pytest.param(nx.cycle_graph(4), None, 3, 60, id="graph2-None"),
+    pytest.param(nx.complete_graph(3), 1, 3, 60, id="graph3-1"),
+    # the solver's pass shapes at its default step count: a group of line-search
+    # tries (B = 4) and two tries riding with the Jacobian stencil (B = n^2 + 2)
+    *(pytest.param(nx.path_graph(n), 2, B, 200, id=f"path{n}-B{B}")
+      for n in (4, 5, 8) for B in (4, n * n + 2)),
 ])
-def test_shoot_matches_the_reference_loop(graph, diverging):
+def test_shoot_matches_the_reference_loop(graph, diverging, batch, steps):
     n = graph.n
-    prob = BvpProblem(graph=graph, target=np.eye(n), t0=0.25, tf=1.5, steps=60)
+    prob = BvpProblem(graph=graph, target=np.eye(n), t0=0.25, tf=1.5, steps=steps)
     rng = np.random.default_rng(n)
-    lam0s = rng.uniform(-0.5, 0.5, (3, n, n))
+    lam0s = rng.uniform(-0.5, 0.5, (batch, n, n))
     if diverging is not None:
         lam0s[diverging] = 40.0
     grid, Y_seq, diverged = reference_shoot(prob, lam0s)
-    assert diverged.tolist() == [b == diverging for b in range(3)]
+    assert diverged.tolist() == [b == diverging for b in range(batch)]
 
     X_tf, div, _ = _shoot_batch(prob, lam0s)
     assert_same_bits(X_tf, Y_seq[-1, 0])
     assert np.array_equal(div, diverged)
-    for b in range(3):
+    for b in range(batch):
         X1, info = shoot(prob, lam0s[b])
         assert_same_bits(X1, Y_seq[-1, 0, b])
         assert_same_bits(info["grid"], grid)
@@ -140,6 +144,40 @@ def test_signed_rk4_matches_plain_rk4():
     assert_same_bits([t for t, _ in got], [t for t, _ in want])
     assert_same_bits(np.array([y for _, y in got]), np.array([y for _, y in want]))
     assert_same_bits(np.array([y for _, y in want]), ref)
+
+
+@pytest.mark.parametrize("sign", [1.0, np.array([-1.0, 1.0]).reshape(2, 1, 1)],
+                         ids=["scalar", "per-component"])
+def test_rk4_edge_values_match_the_reference_loop(sign):
+    """Signed zeros, subnormals and overflow through the stages: _rk4, which doubles k2
+    and k3 as k + k and multiplies by h/2, h and h/6 arrays of y's shape, matches the
+    reference loop bit for bit, -0.0, subnormals, inf and nan included."""
+    tiny = np.finfo(float).smallest_subnormal
+    rng = np.random.default_rng(23)
+    y0 = np.array([[[-0.0, 0.0, tiny, -tiny],
+                    [3 * tiny, -1e-310, 1e300, -1e300],
+                    [1.7e308, -1.7e308, 1.0, -0.0],
+                    rng.normal(size=4)]] * 2)
+    y0[1] *= -1.0
+    c = np.array([[[1.5, -2.0, 0.5, 3.0],
+                   [-0.25, 4.0, 1e9, -1e9],  # k overflows, then a stage meets inf - inf
+                   [0.75, -0.75, -1.0, 2.0],  # 2 k overflows where k does not
+                   rng.normal(size=4)]] * 2)
+
+    def rate(t, y, out):
+        np.multiply(c * (1.0 + t), y, out=out)
+        if np.ndim(sign):
+            np.negative(out[0], out=out[0])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = list(_rk4(rate, y0, 0.25, 1.5, 7, sign=sign))
+        grid, ref = reference_rk4(lambda t, y: c * (1.0 + t) * y, y0, 0.25, 1.5, 7)
+    ys = np.array([y for _, y in got])
+    for kind in (np.signbit(ys) & (ys == 0.0), (ys != 0.0) & (np.abs(ys) < np.finfo(float).tiny),
+                 np.isposinf(ys), np.isneginf(ys), np.isnan(ys)):
+        assert kind.any()
+    assert_same_bits([t for t, _ in got], grid)
+    assert_same_bits(ys, ref)
 
 
 def test_replay_reads_each_stage_time_once(monkeypatch):

@@ -17,6 +17,7 @@ from netxform.optimal_control import (BvpProblem, InfeasibleError, OptimalContro
                                       homotopy_singularity_scan, shoot,
                                       solve_bvp, solve_with_waypoints,
                                       weights_from_costate)
+from netxform.scenarios import SWAP_WAYPOINT_4
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +490,28 @@ def test_a_diverging_warm_start_falls_back_to_the_zero_start():
     assert np.array_equal(sol.lambda0, cold.lambda0)
     assert (sol.iterations, sol.converged, sol.residual_norm) == \
         (cold.iterations, cold.converged, cold.residual_norm)
+
+
+@pytest.mark.parametrize("prob, draws", [
+    # converges from the zero start in 3 iterations
+    (BvpProblem(graph=nx.path_graph(2), target=[[1.1, 0.1], [0.1, 1.0]], restarts=50), 0),
+    # the swap scenario's first arc, which converges from restart 2
+    (BvpProblem(graph=nx.cycle_graph(4), target=SWAP_WAYPOINT_4, tf=0.5), 2),
+], ids=["zero-start", "swap4-arc1"])
+def test_restart_costates_are_drawn_only_when_reached(monkeypatch, prob, draws):
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        seeds.append(seed)
+        if len(seeds) > draws:
+            raise AssertionError(f"drew restart costate {len(seeds)} of a solve that needs {draws}")
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    sol = solve_bvp(prob)
+    assert sol.converged and sol.restart_used == draws
+    assert seeds == [prob.seed + r for r in range(1, draws + 1)]
 
 
 def test_shoot_rejects_wrong_shape():
