@@ -128,13 +128,14 @@ def cmd_solve(args) -> int:
     g, target = _graph_and_target(cfg)
     waypoints = _waypoints(cfg, g.n)
     prob = BvpProblem(graph=g, target=target, **_settings(cfg))
-    if not waypoints:
+    sol = solve_with_waypoints(prob, waypoints)
+    if not waypoints and not sol.converged:  # the advice helps only a failed direct solve
         min_det, argmin_s = homotopy_singularity_scan(target)
         if min_det < 0.1:
             print(f"warning: direct homotopy from I to the target is nearly singular "
                   f"(min |det| = {min_det:.3e} at s = {argmin_s}); "
                   f"consider supplying waypoints", file=sys.stderr)
-    return _finish(solve_with_waypoints(prob, waypoints), args.out)
+    return _finish(sol, args.out)
 
 
 def _parse_xi(args, n: int) -> np.ndarray:

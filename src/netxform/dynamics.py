@@ -21,9 +21,9 @@ class DynamicsError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Dense linear algebra kept in-house: the determinant sign convention and the
-# pivoting order must be deterministic (feasibility reports compare det > 0
-# and the swap targets need exact signs for triangular inputs).
+# Dense linear algebra kept in-house: the pivoting order must be deterministic
+# (feasibility reports show det, and the swap targets need exact values for
+# triangular inputs).
 
 def _eliminate(M: np.ndarray, cols: int, tol: float):
     """Row-reduce M in place by partial pivoting on its first `cols` columns,
@@ -47,25 +47,22 @@ def _eliminate(M: np.ndarray, cols: int, tol: float):
     return pivots, sign
 
 
-def _determinant(A: np.ndarray) -> tuple:
-    """det A and its sign (-1, 0 or 1). The sign comes from the row swaps and
-    the signs of the pivots, so it stays right when the product of the
-    pivots overflows or underflows."""
+def _determinant(A: np.ndarray) -> float:
+    """det A as the signed product of the pivots of _eliminate."""
     A = np.array(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n):
         raise DynamicsError(f"determinant needs a square matrix, got {A.shape}")
     pivots, sign = _eliminate(A, n, 0.0)
     if len(pivots) < n:
-        return 0.0, 0
-    d = A.diagonal()
+        return 0.0
     # a product of Python floats overflows to inf without a numpy warning
-    return sign * math.prod(d.tolist()), int(sign) * (-1) ** int(np.count_nonzero(d < 0))
+    return sign * math.prod(A.diagonal().tolist())
 
 
 def determinant(A: np.ndarray) -> float:
     """Determinant by partially pivoted elimination with exact swap signs."""
-    return _determinant(A)[0]
+    return _determinant(A)
 
 
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -245,9 +245,9 @@ def _shoot_batch(prob: BvpProblem, lam0s: np.ndarray, record: bool = False):
     on every grid point if record=True and the last one otherwise. A member
     diverges when any entry of its final X or lam is beyond the blow-up
     limit or not finite. A member's result does not depend on its batch;
-    batching keeps the finite-difference Jacobian to one integration pass,
-    and each group of line-search tries, with the next Jacobian's stencil,
-    to two.
+    batching shoots a Newton start with its Jacobian stencil in one
+    integration pass, and each group of line-search tries, with the next
+    Jacobian's stencil, in two.
     """
     n = lam0s.shape[-1]
     Z = np.empty((3,) + lam0s.shape)
@@ -311,17 +311,11 @@ def _stencil(lam: np.ndarray):
     return members.reshape((m,) + lam.shape), hs
 
 
-def _jacobian(prob: BvpProblem, lam: np.ndarray, r: np.ndarray,
-              held: list | None = None) -> np.ndarray | None:
+def _jacobian(r: np.ndarray, held: list, hs: np.ndarray) -> np.ndarray | None:
     """Forward-difference Jacobian of the terminal residual w.r.t. the
-    costate initial condition, centred on the residual r held at lam.
-
-    The m stencil members (_stencil) are shot as one batch, unless `held`
-    has their residuals from a pass they rode in. None if a member diverged.
-    """
-    members, hs = _stencil(lam)
-    if held is None:
-        held = _residuals(prob, members)
+    costate initial condition, from the residual r at lam and the residuals
+    `held` of lam's stencil members (_stencil, steps hs), whichever pass they
+    rode in; None if a member diverged."""
     if any(rj is None for rj in held):
         return None
     return ((np.array(held) - r) / hs[:, None]).T
@@ -401,15 +395,15 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
     strongly contracting targets produce. Only steps that lower the residual
     are accepted, so the current costate is always the best one seen.
 
-    The tries of an iteration (_tries) are shot TRIES_PER_PASS at a time:
-    the probes of the next tries share one pass and their candidates
-    another. The first candidate in order that lowers the residual wins and
-    mu continues from its try, so every decision is the one the tries made
-    one by one would reach. The candidate pass also carries the Jacobian
-    stencil of the first candidate whose model from the probes
-    (_corrected_step) predicts a residual below |r|, or else of the first,
-    so when that candidate wins, as nearly all do, the next iteration's
-    Jacobian needs no pass of its own. No bit depends on the pick.
+    A start's first pass shoots its costate with its Jacobian stencil. The
+    tries of an iteration (_tries) are shot TRIES_PER_PASS at a time: the
+    probes of the next tries share one pass and their candidates another.
+    The first candidate in order that lowers the residual wins and mu
+    continues from its try, so every decision is the one the tries made one
+    by one would reach. The candidate pass also carries the stencil of the
+    first candidate whose model from the probes (_corrected_step) predicts a
+    residual below |r|, or else of the first; only when another one wins is
+    the next stencil shot alone. No bit depends on the pick.
 
     Returns (lam0, residual_norm, iterations, converged); a diverging start
     has residual norm inf.
@@ -417,17 +411,19 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
     n = prob.graph.n
     h = 0.1
     lam = np.asarray(lam0, dtype=float).copy()
-    r, = _residuals(prob, lam[None])
+    r, *held = _residuals(prob, np.concatenate([lam[None], _stencil(lam)[0]]))
     if r is None:
         return lam, np.inf, 0, False
     rnorm = float(np.linalg.norm(r))
     mu = 1e-3
-    held = None  # residuals of lam's stencil, when they rode in the last candidate pass
     iterations = 0
     for _ in range(prob.max_iter):
         if rnorm < prob.newton_tol:
             break
-        J = _jacobian(prob, lam, r, held)
+        members, hs = _stencil(lam)
+        if held is None:  # lam's stencil did not ride in the last candidate pass
+            held = _residuals(prob, members)
+        J = _jacobian(r, held, hs)
         if J is None:
             break
         tries = _tries(J.T @ J, J.T @ r, mu)

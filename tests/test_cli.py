@@ -244,6 +244,19 @@ def test_solve_warns_on_singular_homotopy(tmp_path, capsys):
     assert (tmp_path / "o" / "solution.json").exists()
 
 
+def test_solve_that_converges_does_not_warn(tmp_path, capsys):
+    # the homotopy to (1 3)(2 4) passes a singular matrix at s = 0.5, but the
+    # direct solve converges (J = pi^2), so waypoints would be no help
+    cfg = _write_cfg(tmp_path, "swap13.json", {
+        "graph": {"nodes": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]},
+        "target": [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
+    })
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    sol = json.loads((tmp_path / "o" / "solution.json").read_text())
+    assert sol["converged"] and abs(sol["cost"] - np.pi ** 2) < 1e-4
+
+
 def test_solve_with_config_waypoints(tmp_path):
     cfg = _write_cfg(tmp_path, "wp.json", {
         "graph": {"nodes": 1, "edges": []},

@@ -286,6 +286,53 @@ def test_feasibility_follows_the_pivot_signs(target, sign):
                       parse_constant=lambda name: pytest.fail(f"{name} in the report"))
 
 
+def _exact_det_sign(T):
+    # the oracle: elimination over the rationals on the float entries' exact values
+    M = [[Fraction(v) for v in row] for row in T.tolist()]
+    n, sign = len(M), 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if M[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            M[k], M[p], sign = M[p], M[k], -sign
+        for i in range(k + 1, n):
+            f = M[i][k] / M[k][k]
+            M[i] = [a - f * b for a, b in zip(M[i], M[k])]
+        sign = sign if M[k][k] > 0 else -sign
+    return sign
+
+
+def _nearly_singular(seed, count, sizes):
+    # rank n - 1 products plus noise of 1e-15, a few units in the last place
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = sizes[k % len(sizes)]
+        A = rng.standard_normal((n, n - 1)) @ rng.standard_normal((n - 1, n))
+        yield A + 1e-15 * rng.standard_normal((n, n))
+
+
+def test_feasibility_sign_is_exact_on_nearly_singular_targets():
+    exactly_singular = np.array([[12.0, 6.0, -18.0], [33.0, 84.0, -72.0], [9.0, 27.0, -21.0]])
+    targets = [*_nearly_singular(0, 3000, (3, 4, 5, 6)),
+               *_nearly_singular(1, 12, tuple(range(7, 13))), exactly_singular]
+    graphs = {n: nx.path_graph(n) for n in range(3, 13)}
+    float_sign_wrong = 0
+    for T in targets:
+        rep = nx.check_feasible(graphs[T.shape[0]], T)
+        sign = _exact_det_sign(T)
+        assert rep.sign == sign and rep.feasible is (sign > 0), T.tolist()
+        # det is shown exactly when the float determinant has the exact sign
+        float_sign_wrong += np.sign(rep.determinant) != sign
+        det = rep.to_json_dict()["det"]
+        assert det == (None if np.sign(rep.determinant) != sign else rep.determinant)
+    # the float elimination gets about 2.5% of these signs wrong, and the
+    # exactly singular one too
+    assert float_sign_wrong >= 30
+    rep = nx.check_feasible(graphs[3], exactly_singular)
+    assert rep.determinant != 0.0 and rep.reason == "determinant is zero"
+
+
 def test_feasibility_report_json_fields():
     d = nx.check_feasible(nx.path_graph(2), np.eye(2)).to_json_dict()
     assert set(d) == {"det", "connected", "feasible", "reason"}

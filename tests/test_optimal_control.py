@@ -193,12 +193,19 @@ def _residual(prob, lam):
     return (shoot(prob, lam)[0] - prob.target).ravel()
 
 
+def _separate_jacobian(prob, lam):
+    # lam's Jacobian from its stencil shot alone
+    members, hs = optimal_control._stencil(lam)
+    return optimal_control._jacobian(_residual(prob, lam),
+                                     optimal_control._residuals(prob, members), hs)
+
+
 @pytest.mark.parametrize("graph", [nx.path_graph(5), nx.path_graph(6), nx.cycle_graph(4)],
                          ids=["path5", "path6", "cycle4"])
 def test_forward_jacobian_matches_the_central_oracle(graph):
     prob = BvpProblem(graph=graph, target=np.eye(graph.n))
     lam = 0.3 * np.random.default_rng(7).standard_normal((graph.n, graph.n))
-    J = optimal_control._jacobian(prob, lam, _residual(prob, lam))
+    J = _separate_jacobian(prob, lam)
     oracle = _central_jacobian(prob, lam)
     err = np.linalg.norm(J - oracle, axis=0) / np.linalg.norm(oracle, axis=0)
     assert err.max() < 1e-3, err.max()
@@ -210,62 +217,77 @@ def test_forward_jacobian_at_the_zero_start_keeps_the_edge_pattern():
     graph = nx.path_graph(5)
     prob = BvpProblem(graph=graph, target=np.eye(5) * 0.8 + 0.04)
     lam = np.zeros((5, 5))
-    J = optimal_control._jacobian(prob, lam, _residual(prob, lam))
+    J = _separate_jacobian(prob, lam)
     off = ~mask(graph).ravel()
     assert off.sum() == 12 and not J[:, off].any()
     assert np.linalg.matrix_rank(J) == 13
 
 
 def test_jacobian_from_a_candidate_pass_is_bitwise_the_separate_one():
-    # lam's stencil shot behind two candidates, lam first or second
+    # lam's stencil shot behind lam alone, as a start's pass shoots it, and
+    # behind two candidates, lam first or second
     prob = BvpProblem(graph=nx.cycle_graph(4), target=np.eye(4))
     rng = np.random.default_rng(8)
     lam, other = rng.uniform(-0.5, 0.5, (2, 4, 4))
-    for ride, cands in enumerate([[lam, other], [other, lam]]):
-        shot = optimal_control._residuals(
-            prob, np.concatenate([cands, optimal_control._stencil(lam)[0]]))
-        J = optimal_control._jacobian(prob, lam, shot[ride], shot[2:])
-        assert np.array_equal(J, optimal_control._jacobian(prob, lam, shot[ride]))
+    members, hs = optimal_control._stencil(lam)
+    separate = _separate_jacobian(prob, lam)
+    for ride, cands in [(0, [lam]), (0, [lam, other]), (1, [other, lam])]:
+        shot = optimal_control._residuals(prob, np.concatenate([cands, members]))
+        J = optimal_control._jacobian(shot[ride], shot[len(cands):], hs)
+        assert np.array_equal(J, separate)
         assert np.array_equal(shot[ride], _residual(prob, lam))
 
 
 def _checked_shoot_plan(monkeypatch, graph, target, settings, starts):
-    # one letter per batch shoot, by batch size: J = the n^2 Jacobian stencil
-    # members, F = the recorded final shoot, 1, 2, 4 = the other batch sizes,
-    # and C, c = two candidates or one with the first one's stencil. A start is
-    # its residual (1), then iterations whose line-search tries are shot two at
-    # a time: the probes lam +- h delta of both tries (4), then their
+    # one letter per batch shoot. S = a start's pass: its costate, then the
+    # n^2 members of its Jacobian stencil; it is told from a one-candidate
+    # pass of the same size by position, as the first pass of its start. The
+    # others by batch size: J = a stencil alone, F = the recorded final
+    # shoot, 2, 4 = probes, and C, c = two candidates or one with one's
+    # stencil. A start's iterations shoot their line-search tries two at a
+    # time: the probes lam +- h delta of both tries (4), then their
     # candidates (C). Only an iteration's last group may hold one try: probes
     # (2), candidate (c). A candidate pass ends with the stencil of one of its
     # candidates: the first whose model from the probes predicts a residual
-    # below |r|, or else the first. The first iteration opens with a J pass,
-    # and so does every later one whose accepted candidate did not carry the
-    # stencil.
-    plan, reused = [], []
+    # below |r|, or else the first. The first iteration takes its Jacobian
+    # from the S pass, and every later one from the candidate pass when the
+    # accepted candidate carried the stencil, or else from a J pass.
+    plan, sources, opening = [], [], []
     real, real_jacobian = optimal_control._shoot_batch, optimal_control._jacobian
+    real_newton = optimal_control._newton_from
     m = graph.n ** 2
+
+    def newton_from(prob, lam0):
+        opening.append(lam0)
+        return real_newton(prob, lam0)
 
     def counted(prob, lam0s, record=False):
         B = lam0s.shape[0]
-        plan.append("F" if record else {1: "1", 2: "2", 4: "4", m: "J", m + 1: "c", m + 2: "C"}[B])
+        if opening:
+            assert B == 1 + m and np.array_equal(lam0s[0], opening.pop())
+            plan.append("S")
+        else:
+            plan.append("F" if record else {2: "2", 4: "4", m: "J", m + 1: "c", m + 2: "C"}[B])
         assert B == 1 or not record
         if B > m:
             assert any(np.array_equal(lam0s[B - m:], optimal_control._stencil(c)[0])
                        for c in lam0s[:B - m])
         return real(prob, lam0s, record)
 
-    def jacobian(prob, lam, r, held=None):
-        reused.append(held is not None)
-        return real_jacobian(prob, lam, r, held)
+    def jacobian(r, held, hs):
+        sources.append(plan[-1])  # the pass the stencil was shot in
+        return real_jacobian(r, held, hs)
 
+    monkeypatch.setattr(optimal_control, "_newton_from", newton_from)
     monkeypatch.setattr(optimal_control, "_shoot_batch", counted)
     monkeypatch.setattr(optimal_control, "_jacobian", jacobian)
     sol = solve_bvp(BvpProblem(graph=graph, target=target, **settings))
     plan = "".join(plan)
-    start = r"1(?:J(?:4C|2c)+)*"
+    start = r"S(?:J?(?:4C|2c)+)*"
     assert re.fullmatch(rf"(?:{start})+F", plan), plan
     assert len(re.findall(start, plan)) == starts
-    assert len(reused) == sol.iterations and reused.count(False) == plan.count("J")
+    assert len(sources) == sol.iterations and set(sources) <= set("SJCc")
+    assert sources.count("J") == plan.count("J")
     return plan
 
 
@@ -278,18 +300,19 @@ def test_shoot_plan(monkeypatch, graph, target, settings, starts):
 
 
 def test_shoot_plan_takes_every_later_jacobian_from_a_candidate_pass(monkeypatch):
-    # 11 iterations of one try group each, and only the first shoots a
-    # stand-alone stencil; with the stencil always after the group's first
-    # candidate, 4 did
+    # 11 iterations of one try group each: the first takes its Jacobian from
+    # the start's pass and every later one from a candidate pass, so no
+    # stencil is shot alone
     plan = _checked_shoot_plan(monkeypatch, nx.path_graph(3), np.eye(3) * 0.7 + 0.1, {}, 1)
-    assert plan == "1J" + "4C" * 11 + "F"
+    assert plan == "S" + "4C" * 11 + "F"
 
 
 def test_shoot_plan_across_try_groups(monkeypatch):
     # the last iteration of the second start makes 7 tries: four groups
     plan = _checked_shoot_plan(monkeypatch, nx.path_graph(4), np.eye(4)[[1, 0, 3, 2]],
                                {"max_iter": 3, "restarts": 1}, 2)
-    assert max(len(m) // 2 for m in re.findall(r"J((?:4C|2c)+)", plan)) == 4
+    assert plan == "S4CJ4C4C" + "S4C4CJ" + "4C" * 4 + "F"
+    assert max(len(m) // 2 for m in re.findall(r"[SJ]((?:4C|2c)+)", plan)) == 4
 
 
 def test_line_search_groups_keep_the_sequential_schedule(monkeypatch):
@@ -309,7 +332,9 @@ def test_line_search_groups_keep_the_sequential_schedule(monkeypatch):
 
     def scripted(prob, lam0s):
         sizes.append(lam0s.shape[0])
-        if lam0s.shape[0] <= 9:  # start residual, Jacobian stencil, probes
+        # the start's pass (by position: a one-candidate pass has its size),
+        # a stencil alone, probes
+        if len(sizes) == 1 or lam0s.shape[0] <= 9:
             return real(prob, lam0s)
         assert np.array_equal(lam0s[-9:], optimal_control._stencil(lam0s[0])[0])
         out = []
@@ -322,7 +347,7 @@ def test_line_search_groups_keep_the_sequential_schedule(monkeypatch):
     _, rnorm, iterations, converged = optimal_control._newton_from(prob, np.zeros((3, 3)))
     assert (iterations, converged, len(tries)) == (2, False, 19)
     assert rnorm == 0.5 * np.linalg.norm(r0)
-    assert sizes == [1, 9, 4, 2 + 9, 9] + [4, 2 + 9] * 8 + [2, 1 + 9]
+    assert sizes == [1 + 9, 4, 2 + 9, 9] + [4, 2 + 9] * 8 + [2, 1 + 9]
 
 
 def test_the_stencil_rides_with_the_try_the_probes_favour(monkeypatch):
@@ -352,18 +377,19 @@ def test_the_stencil_rides_with_the_try_the_probes_favour(monkeypatch):
     monkeypatch.setattr(optimal_control, "_residuals", scripted)
     prob = BvpProblem(graph=nx.path_graph(3), target=np.eye(3) * 0.7 + 0.1, max_iter=2)
     lam, rnorm, iterations, converged = optimal_control._newton_from(prob, np.zeros((3, 3)))
-    assert sizes == [1, m, 4, 2 + m, 4, 2 + m]
+    assert sizes == [1 + m, 4, 2 + m, 4, 2 + m]
     assert riders == [1, 1] and (iterations, converged) == (2, False)
     assert np.array_equal(lam, cands[-1])
     assert rnorm == np.linalg.norm(r0 + lam.ravel()) < 1e-3 * np.linalg.norm(r0)
 
 
-@pytest.mark.parametrize("diverging_pass", [1, 3], ids=["own-pass", "riding-pass"])
+@pytest.mark.parametrize("diverging_pass", [0, 2], ids=["own-pass", "riding-pass"])
 def test_a_diverging_stencil_member_stops_the_start(monkeypatch, diverging_pass):
     # a scripted linear residual r(lam) = r0 + lam, so J = I and the first
     # candidate wins, carrying its stencil, except that the last stencil
-    # member diverges: in the first Jacobian's own pass (pass 1), or in the
-    # candidate pass that carries the second Jacobian's stencil (pass 3).
+    # member diverges: in the start's own pass, which carries the first
+    # Jacobian's stencil (pass 0), or in the candidate pass that carries the
+    # second Jacobian's stencil (pass 2).
     # There is then no Jacobian, and the start stops on the costate and
     # residual it holds, without counting the iteration that found none.
     m = 9
@@ -373,7 +399,7 @@ def test_a_diverging_stencil_member_stops_the_start(monkeypatch, diverging_pass)
     def scripted(prob, lam0s):
         sizes.append(lam0s.shape[0])
         out = [r0 + lam.ravel() for lam in lam0s]
-        if len(sizes) == 4:  # two candidates, then the first one's stencil
+        if len(sizes) == 3:  # two candidates, then the first one's stencil
             costates.append(lam0s[0])
         if len(sizes) == diverging_pass + 1:
             out[-1] = None
@@ -382,7 +408,7 @@ def test_a_diverging_stencil_member_stops_the_start(monkeypatch, diverging_pass)
     monkeypatch.setattr(optimal_control, "_residuals", scripted)
     prob = BvpProblem(graph=nx.path_graph(3), target=np.eye(3) * 0.7 + 0.1)
     lam, rnorm, iterations, converged = optimal_control._newton_from(prob, costates[0])
-    assert sizes == [1, m, 4, 2 + m][:diverging_pass + 1]
+    assert sizes == [1 + m, 4, 2 + m][:diverging_pass + 1]
     assert (iterations, converged) == (diverging_pass // 2, False)
     assert np.array_equal(lam, costates[-1])
     assert rnorm == np.linalg.norm(r0 + lam.ravel())
@@ -441,19 +467,20 @@ def test_singular_tries_count_without_a_shoot(monkeypatch, singular1, accepted1,
         return b / A[0, 0]
 
     def scripted(prob, lam0s):
-        sizes.append(lam0s.shape[0])
-        if len(sizes) == 1:
-            return [r0]
-        if len(sizes) % 2 == 0:  # probes: none finite, so no geodesic correction
-            return [None] * lam0s.shape[0]
-        k = lam0s.shape[0] - m  # the candidates, then the first one's stencil
+        B = lam0s.shape[0]
+        sizes.append(B)
+        if len(sizes) == 1:  # the start's pass: its costate, then its stencil
+            return [r0] + [None] * m
+        if B <= m:  # probes, none finite, so no geodesic correction; or a stencil alone
+            return [None] * B
+        k = B - m  # the candidates, then the first one's stencil
         cands.extend(lam0s[:k])
         return [0.5 * r0 if len(cands) - k + i + 1 == accept_at else None
                 for i in range(k)] + [None] * m
 
     monkeypatch.setattr(optimal_control, "solve_linear", step_solve)
     monkeypatch.setattr(optimal_control, "_residuals", scripted)
-    monkeypatch.setattr(optimal_control, "_jacobian", lambda prob, lam, r, held=None: np.eye(m))
+    monkeypatch.setattr(optimal_control, "_jacobian", lambda r, held, hs: np.eye(m))
     prob = BvpProblem(graph=nx.path_graph(3), target=np.eye(3) * 0.7 + 0.1, max_iter=2)
     lam, rnorm, iterations, converged = optimal_control._newton_from(prob, np.zeros((3, 3)))
     # each try, singular or not, raises mu tenfold and uses up one of the 30
@@ -463,7 +490,11 @@ def test_singular_tries_count_without_a_shoot(monkeypatch, singular1, accepted1,
 
     def passes(shot):  # probes, then candidates and a stencil, of the tries shot two at a time
         return [s for k in range(0, shot, 2) for s in (2 * min(2, shot - k), min(2, shot - k) + m)]
-    assert sizes == [1] + passes(_shot(mus1, singular1)) + passes(_shot(mus2, singular2))
+    # every probe diverges, so the stencil rides with its group's first candidate,
+    # and the second iteration shoots its own when the second was accepted
+    alone = [m] if accept_at % 2 == 0 else []
+    assert sizes == ([1 + m] + passes(_shot(mus1, singular1)) + alone
+                     + passes(_shot(mus2, singular2)))
 
 
 def test_solve_rejects_unreachable_target_before_any_shoot(monkeypatch):
