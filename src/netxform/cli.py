@@ -252,8 +252,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, GraphError, ScenarioError, csvio.CsvFormatError,
-            SettingsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            SettingsError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except OptimalControlError as exc:
         print(f"error: {exc}", file=sys.stderr)

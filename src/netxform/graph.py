@@ -37,6 +37,10 @@ def build_graph(n: int, edge_list) -> Graph:
     """
     if n < 1:
         raise GraphError(f"vertex count must be >= 1, got {n}")
+    try:  # the n-by-n edge pattern must fit in memory before any per-node work
+        np.empty((n, n), dtype=bool)
+    except (MemoryError, ValueError) as exc:
+        raise GraphError(f"vertex count {n} is too large to hold its edge pattern") from exc
     edges = set()
     for pair in edge_list:
         i, j = int(pair[0]), int(pair[1])

@@ -244,10 +244,8 @@ def _shoot_batch(prob: BvpProblem, lam0s: np.ndarray, record: bool = False):
     points is the list of (t, Y) with Y = (X, lam^T) of shape (2, B, n, n)
     on every grid point if record=True and the last one otherwise. A member
     diverges when any entry of its final X or lam is beyond the blow-up
-    limit or not finite. A member's result does not depend on its batch;
-    batching shoots a Newton start with its Jacobian stencil in one
-    integration pass, and each group of line-search tries, with the next
-    Jacobian's stencil, in two.
+    limit or not finite. A member's result does not depend on its batch, so
+    solve_bvp shoots each stack a Newton start yields (_newton_from) as one.
     """
     n = lam0s.shape[-1]
     Z = np.empty((3,) + lam0s.shape)
@@ -286,13 +284,6 @@ def cost(sched: WeightSchedule) -> float:
     vals = 0.5 * np.sum(sched.W_seq * sched.W_seq, axis=(1, 2))
     h = np.diff(sched.grid)
     return float(np.sum(h * (vals[:-1] + vals[1:]) / 2.0))
-
-
-def _residuals(prob: BvpProblem, lam0s: np.ndarray) -> list:
-    """Flattened X(tf) - T per member of a costate stack, shot as one batch;
-    None for a member whose shoot diverged."""
-    X_tf, diverged, _ = _shoot_batch(prob, lam0s)
-    return [None if d else (X - prob.target).ravel() for X, d in zip(X_tf, diverged)]
 
 
 def _stencil(lam: np.ndarray):
@@ -395,8 +386,10 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
     strongly contracting targets produce. Only steps that lower the residual
     are accepted, so the current costate is always the best one seen.
 
-    A start's first pass shoots its costate with its Jacobian stencil. The
-    tries of an iteration (_tries) are shot TRIES_PER_PASS at a time: the
+    It shoots nothing: it yields each costate stack to shoot as one pass and
+    is sent back the flattened residuals X(tf) - T of its members, None for
+    one that diverged. The first stack holds lam0 with its Jacobian stencil.
+    The tries of an iteration (_tries) are shot TRIES_PER_PASS at a time: the
     probes of the next tries share one pass and their candidates another.
     The first candidate in order that lowers the residual wins and mu
     continues from its try, so every decision is the one the tries made one
@@ -405,13 +398,13 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
     residual below |r|, or else of the first; only when another one wins is
     the next stencil shot alone. No bit depends on the pick.
 
-    Returns (lam0, residual_norm, iterations, converged); a diverging start
-    has residual norm inf.
+    Returns (lam, residual_norm, iterations, converged) through
+    StopIteration; a diverging start has residual norm inf.
     """
     n = prob.graph.n
     h = 0.1
     lam = np.asarray(lam0, dtype=float).copy()
-    r, *held = _residuals(prob, np.concatenate([lam[None], _stencil(lam)[0]]))
+    r, *held = yield np.concatenate([lam[None], _stencil(lam)[0]])
     if r is None:
         return lam, np.inf, 0, False
     rnorm = float(np.linalg.norm(r))
@@ -422,7 +415,7 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
             break
         members, hs = _stencil(lam)
         if held is None:  # lam's stencil did not ride in the last candidate pass
-            held = _residuals(prob, members)
+            held = yield members
         J = _jacobian(r, held, hs)
         if J is None:
             break
@@ -430,12 +423,12 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
         step = None  # (mu, candidate, residual, held) of the accepted try
         while step is None and (group := list(islice(tries, TRIES_PER_PASS))):
             ds = [h * delta.reshape(n, n) for _, _, delta in group]
-            probes = _residuals(prob, np.stack([v for d in ds for v in (lam + d, lam - d)]))
+            probes = yield np.stack([v for d in ds for v in (lam + d, lam - d)])
             corrected = [_corrected_step(A, J, r, delta, rp, rm, h)
                          for (_, A, delta), rp, rm in zip(group, probes[::2], probes[1::2])]
             cands = [lam + s.reshape(n, n) for s, _ in corrected]
             ride = next((k for k, (_, model) in enumerate(corrected) if model < rnorm), 0)
-            shot = _residuals(prob, np.concatenate([cands, _stencil(cands[ride])[0]]))
+            shot = yield np.concatenate([cands, _stencil(cands[ride])[0]])
             for k, ((mu_try, _, _), cand, rc) in enumerate(zip(group, cands, shot)):
                 if rc is not None and np.linalg.norm(rc) < rnorm:
                     step = mu_try, cand, rc, (shot[len(cands):] if k == ride else None)
@@ -456,9 +449,11 @@ def solve_bvp(prob: BvpProblem, initial_guess: np.ndarray | None = None) -> Extr
     (exact for T = I); on stall the solver restarts from seeded random
     costates, each restart drawing its own RNG stream from seed + restart
     index when it is reached. The first converged start wins; otherwise the
-    start with the smallest residual is reported. A target that no shoot reaches is
-    rejected before any shoot (see _check_reach), so the zero start, whose
-    X stays I, has the finite residual I - T and some start is reported.
+    start with the smallest residual is reported. Each start (_newton_from)
+    yields the costate stacks it needs; this loop, the one place Newton shoots,
+    shoots each as one pass and sends back its residuals. A target that no shoot
+    reaches is rejected before any shoot (see _check_reach), so the zero start,
+    whose X stays I, has the finite residual I - T and some start is reported.
     """
     _check_reach(prob.target, "target")
     n = prob.graph.n
@@ -473,7 +468,13 @@ def solve_bvp(prob: BvpProblem, initial_guess: np.ndarray | None = None) -> Extr
               for ridx in range(1, prob.restarts + 1))
     best = (np.inf, None, None)  # (residual_norm, restart_idx, lam)
     for ridx, lam0 in chain(starts, seeded):
-        lam, rnorm, iters, converged = _newton_from(prob, lam0)
+        newton, shot = _newton_from(prob, lam0), None
+        try:
+            while True:
+                X_tf, diverged, _ = _shoot_batch(prob, newton.send(shot))
+                shot = [None if d else (X - prob.target).ravel() for X, d in zip(X_tf, diverged)]
+        except StopIteration as done:
+            lam, rnorm, iters, converged = done.value
         total_iters += iters
         if converged:
             return _build_solution(prob, lam, total_iters, ridx, True)

@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, emitted bundles, and round-trips.
 
 Commands are driven through main(argv) in-process; stdout/stderr are
-checked via capsys.
+checked via capsys. Inputs too large to hold run in a child process with a
+capped address space.
 """
 
 import json
+import os
+import resource
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -711,6 +716,30 @@ def test_densify_overflowing_target_exit_one(tmp_path, capsys):
         assert main(["scenario", "densify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         _assert_one_error_line(capsys, "tf - t0")
         assert not (tmp_path / "o").exists()
+
+
+def _run_capped(argv, cwd):
+    # the CLI in a child process that caps its own address space at 2 GiB
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    env = {**os.environ, "PYTHONPATH": str(Path(nx.__file__).resolve().parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "netxform.cli", *argv], cwd=cwd, env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=10)
+
+
+@pytest.mark.parametrize("argv, text", [
+    # 10^12 nodes: an n-by-n edge pattern that no address space holds
+    (["check", "--config"], json.dumps({"graph": {"nodes": 1e12}, "target": [[1.0]]})),
+    # node 100000 in a schedule header: a 9.3 GiB pattern
+    (["simulate", "--xi", "1", "--schedule"], "t,w_1_1,w_100000_100000\n0,0,0\n1,0,0\n"),
+], ids=["check-nodes", "simulate-header"])
+def test_input_too_large_to_hold_exit_one(tmp_path, argv, text):
+    (tmp_path / "input").write_text(text)
+    proc = _run_capped(argv + ["input"], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:"), proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "netxform_out").exists()
 
 
 def test_seed_override_changes_initial_state(tmp_path):

@@ -193,11 +193,28 @@ def _residual(prob, lam):
     return (shoot(prob, lam)[0] - prob.target).ravel()
 
 
+def _residuals(prob, lam0s):
+    # what solve_bvp sends a Newton start for a stack it yields: X(tf) - T
+    # per member, flattened, from one batch shoot; None for a diverged member
+    X_tf, diverged, _ = _shoot_batch(prob, lam0s)
+    return [None if d else (X - prob.target).ravel() for X, d in zip(X_tf, diverged)]
+
+
+def _drive(prob, lam0, residuals):
+    # run one Newton start to its end, answering each stack it yields with
+    # residuals(stack); returns (lam, rnorm, iterations, converged)
+    newton, shot = optimal_control._newton_from(prob, lam0), None
+    try:
+        while True:
+            shot = residuals(newton.send(shot))
+    except StopIteration as done:
+        return done.value
+
+
 def _separate_jacobian(prob, lam):
     # lam's Jacobian from its stencil shot alone
     members, hs = optimal_control._stencil(lam)
-    return optimal_control._jacobian(_residual(prob, lam),
-                                     optimal_control._residuals(prob, members), hs)
+    return optimal_control._jacobian(_residual(prob, lam), _residuals(prob, members), hs)
 
 
 @pytest.mark.parametrize("graph", [nx.path_graph(5), nx.path_graph(6), nx.cycle_graph(4)],
@@ -232,7 +249,7 @@ def test_jacobian_from_a_candidate_pass_is_bitwise_the_separate_one():
     members, hs = optimal_control._stencil(lam)
     separate = _separate_jacobian(prob, lam)
     for ride, cands in [(0, [lam]), (0, [lam, other]), (1, [other, lam])]:
-        shot = optimal_control._residuals(prob, np.concatenate([cands, members]))
+        shot = _residuals(prob, np.concatenate([cands, members]))
         J = optimal_control._jacobian(shot[ride], shot[len(cands):], hs)
         assert np.array_equal(J, separate)
         assert np.array_equal(shot[ride], _residual(prob, lam))
@@ -315,7 +332,42 @@ def test_shoot_plan_across_try_groups(monkeypatch):
     assert max(len(m) // 2 for m in re.findall(r"[SJ]((?:4C|2c)+)", plan)) == 4
 
 
-def test_line_search_groups_keep_the_sequential_schedule(monkeypatch):
+@pytest.mark.parametrize("prob, iterations", [
+    (BvpProblem(graph=nx.path_graph(3), target=np.eye(3) * 0.7 + 0.1), 11),
+    (BvpProblem(graph=nx.cycle_graph(4), target=SWAP_WAYPOINT_4, tf=0.5, max_iter=3,
+                restarts=1), 6),
+], ids=["path3", "swap4-arc1"])
+def test_solve_shoots_the_stacks_newton_yields(monkeypatch, prob, iterations):
+    # Newton shoots nothing itself: every pass solve_bvp makes before the
+    # recorded final shoot is a stack the starts yield, bit for bit and in
+    # order, as their hand-driven generators yield them
+    yielded = []
+
+    def answer(stack):
+        yielded.append(stack)
+        return _residuals(prob, stack)
+
+    n = prob.graph.n
+    done = [_drive(prob, np.zeros((n, n)), answer)]
+    for r in range(1, prob.restarts + 1):  # the seeded restarts, up to a converged start
+        if not done[-1][3]:
+            lam0 = np.random.default_rng(prob.seed + r).uniform(-0.5, 0.5, (n, n))
+            done.append(_drive(prob, lam0, answer))
+    handed = []
+
+    def recorded(prob, lam0s, record=False):
+        handed.append((record, lam0s.copy()))
+        return _shoot_batch(prob, lam0s, record)
+
+    monkeypatch.setattr(optimal_control, "_shoot_batch", recorded)
+    sol = solve_bvp(prob)
+    assert sol.iterations == sum(d[2] for d in done) == iterations
+    assert [record for record, _ in handed] == [False] * len(yielded) + [True]
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
+               for (_, a), b in zip(handed, yielded))
+
+
+def test_line_search_groups_keep_the_sequential_schedule():
     # script the candidates: the second try is accepted, every other one is
     # rejected. Taken one by one, the tries run mu from 1e-3 to 1e-2, accept,
     # continue from 1e-2 / 3, and stop after the 17th rejection takes mu past
@@ -326,16 +378,15 @@ def test_line_search_groups_keep_the_sequential_schedule(monkeypatch):
     # own Jacobian. Later groups' models predict no decrease, so their
     # stencils ride with their first candidates too.
     prob = BvpProblem(graph=nx.path_graph(3), target=np.eye(3) * 0.7 + 0.1)
-    real = optimal_control._residuals
-    r0, = real(prob, np.zeros((1, 3, 3)))
+    r0, = _residuals(prob, np.zeros((1, 3, 3)))
     sizes, tries = [], []
 
-    def scripted(prob, lam0s):
+    def scripted(lam0s):
         sizes.append(lam0s.shape[0])
         # the start's pass (by position: a one-candidate pass has its size),
         # a stencil alone, probes
         if len(sizes) == 1 or lam0s.shape[0] <= 9:
-            return real(prob, lam0s)
+            return _residuals(prob, lam0s)
         assert np.array_equal(lam0s[-9:], optimal_control._stencil(lam0s[0])[0])
         out = []
         for _ in lam0s[:-9]:  # the candidates, then the first one's stencil
@@ -343,14 +394,13 @@ def test_line_search_groups_keep_the_sequential_schedule(monkeypatch):
             out.append(0.5 * r0 if len(tries) == 2 else None)
         return out + [None] * 9
 
-    monkeypatch.setattr(optimal_control, "_residuals", scripted)
-    _, rnorm, iterations, converged = optimal_control._newton_from(prob, np.zeros((3, 3)))
+    _, rnorm, iterations, converged = _drive(prob, np.zeros((3, 3)), scripted)
     assert (iterations, converged, len(tries)) == (2, False, 19)
     assert rnorm == 0.5 * np.linalg.norm(r0)
     assert sizes == [1 + 9, 4, 2 + 9, 9] + [4, 2 + 9] * 8 + [2, 1 + 9]
 
 
-def test_the_stencil_rides_with_the_try_the_probes_favour(monkeypatch):
+def test_the_stencil_rides_with_the_try_the_probes_favour():
     # a scripted linear residual r(lam) = r0 + lam, so J = I, except that the
     # first try of each group has diverging probes and a diverging candidate.
     # Its model is then inf, while the second try's is about |r| mu / (1 + mu)
@@ -361,7 +411,7 @@ def test_the_stencil_rides_with_the_try_the_probes_favour(monkeypatch):
     r0 = np.linspace(1.0, 2.0, m)
     sizes, riders, cands = [], [], []
 
-    def scripted(prob, lam0s):
+    def scripted(lam0s):
         B = lam0s.shape[0]
         sizes.append(B)
         out = [r0 + lam.ravel() for lam in lam0s]
@@ -374,9 +424,8 @@ def test_the_stencil_rides_with_the_try_the_probes_favour(monkeypatch):
             out[0] = None
         return out
 
-    monkeypatch.setattr(optimal_control, "_residuals", scripted)
     prob = BvpProblem(graph=nx.path_graph(3), target=np.eye(3) * 0.7 + 0.1, max_iter=2)
-    lam, rnorm, iterations, converged = optimal_control._newton_from(prob, np.zeros((3, 3)))
+    lam, rnorm, iterations, converged = _drive(prob, np.zeros((3, 3)), scripted)
     assert sizes == [1 + m, 4, 2 + m, 4, 2 + m]
     assert riders == [1, 1] and (iterations, converged) == (2, False)
     assert np.array_equal(lam, cands[-1])
@@ -384,7 +433,7 @@ def test_the_stencil_rides_with_the_try_the_probes_favour(monkeypatch):
 
 
 @pytest.mark.parametrize("diverging_pass", [0, 2], ids=["own-pass", "riding-pass"])
-def test_a_diverging_stencil_member_stops_the_start(monkeypatch, diverging_pass):
+def test_a_diverging_stencil_member_stops_the_start(diverging_pass):
     # a scripted linear residual r(lam) = r0 + lam, so J = I and the first
     # candidate wins, carrying its stencil, except that the last stencil
     # member diverges: in the start's own pass, which carries the first
@@ -396,7 +445,7 @@ def test_a_diverging_stencil_member_stops_the_start(monkeypatch, diverging_pass)
     r0 = np.linspace(1.0, 2.0, m)
     sizes, costates = [], [np.zeros((3, 3))]
 
-    def scripted(prob, lam0s):
+    def scripted(lam0s):
         sizes.append(lam0s.shape[0])
         out = [r0 + lam.ravel() for lam in lam0s]
         if len(sizes) == 3:  # two candidates, then the first one's stencil
@@ -405,9 +454,8 @@ def test_a_diverging_stencil_member_stops_the_start(monkeypatch, diverging_pass)
             out[-1] = None
         return out
 
-    monkeypatch.setattr(optimal_control, "_residuals", scripted)
     prob = BvpProblem(graph=nx.path_graph(3), target=np.eye(3) * 0.7 + 0.1)
-    lam, rnorm, iterations, converged = optimal_control._newton_from(prob, costates[0])
+    lam, rnorm, iterations, converged = _drive(prob, costates[0], scripted)
     assert sizes == [1 + m, 4, 2 + m][:diverging_pass + 1]
     assert (iterations, converged) == (diverging_pass // 2, False)
     assert np.array_equal(lam, costates[-1])
@@ -466,7 +514,7 @@ def test_singular_tries_count_without_a_shoot(monkeypatch, singular1, accepted1,
             raise DynamicsError("scripted singular system")
         return b / A[0, 0]
 
-    def scripted(prob, lam0s):
+    def scripted(lam0s):
         B = lam0s.shape[0]
         sizes.append(B)
         if len(sizes) == 1:  # the start's pass: its costate, then its stencil
@@ -479,10 +527,9 @@ def test_singular_tries_count_without_a_shoot(monkeypatch, singular1, accepted1,
                 for i in range(k)] + [None] * m
 
     monkeypatch.setattr(optimal_control, "solve_linear", step_solve)
-    monkeypatch.setattr(optimal_control, "_residuals", scripted)
     monkeypatch.setattr(optimal_control, "_jacobian", lambda r, held, hs: np.eye(m))
     prob = BvpProblem(graph=nx.path_graph(3), target=np.eye(3) * 0.7 + 0.1, max_iter=2)
-    lam, rnorm, iterations, converged = optimal_control._newton_from(prob, np.zeros((3, 3)))
+    lam, rnorm, iterations, converged = _drive(prob, np.zeros((3, 3)), scripted)
     # each try, singular or not, raises mu tenfold and uses up one of the 30
     assert steps == [1.0 + mu for mu in mus1 + mus2]
     assert (iterations, converged, rnorm) == (2, False, 0.5 * np.linalg.norm(r0))
@@ -515,7 +562,7 @@ def test_a_diverging_warm_start_falls_back_to_the_zero_start():
     prob = BvpProblem(graph=nx.path_graph(3), restarts=0,
                       target=nx.densification_target(nx.complete_graph(3), 0.0, 0.3))
     warm = 20.0 * np.ones((3, 3))
-    assert optimal_control._newton_from(prob, warm)[1:] == (np.inf, 0, False)
+    assert _drive(prob, warm, lambda stack: _residuals(prob, stack))[1:] == (np.inf, 0, False)
     sol, cold = solve_bvp(prob, initial_guess=warm), solve_bvp(prob)
     assert sol.restart_used == 0
     assert np.array_equal(sol.lambda0, cold.lambda0)
