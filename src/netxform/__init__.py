@@ -6,7 +6,7 @@ from .graph import (Graph, GraphError, build_graph, complete_graph, cycle_graph,
                     star_graph)
 from .lie_algebra import (AlgebraElement, FeasibilityReport, IndexField,
                           bracket, bracket_general, check_feasible,
-                          controllable_at, generated_algebra_dimension)
+                          generated_algebra_dimension)
 from .dynamics import (TransitionTrajectory, WeightSchedule, constant_schedule,
                        determinant, expm, integrate_transition,
                        liouville_residual, propagate_state, simulation_steps,

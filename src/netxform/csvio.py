@@ -74,7 +74,7 @@ def read_schedule_csv(path) -> WeightSchedule:
     """Parse a schedule file; the sparsity mask is reconstructed from the
     header, and WeightSchedule decides which times are joins."""
     header, data = _read_table(path, "schedule")
-    pairs = []
+    pairs = {}  # (i, j) -> None, in header order
     for name in header[1:]:
         m = re.fullmatch(r"w_([1-9][0-9]*)_([1-9][0-9]*)", name)
         if m is None:
@@ -82,11 +82,11 @@ def read_schedule_csv(path) -> WeightSchedule:
         pair = (int(m[1]) - 1, int(m[2]) - 1)
         if pair in pairs:
             raise CsvFormatError(f"{path}: repeated schedule column {name!r}")
-        pairs.append(pair)
+        pairs[pair] = None
     if not pairs:
         raise CsvFormatError(f"{path}: header has no w_i_j columns")
     n = max(max(p) for p in pairs) + 1
-    idx = tuple(np.array(pairs).T)
+    idx = tuple(np.array(list(pairs)).T)
     msk = np.zeros((n, n), dtype=bool)
     msk[idx] = True
     W_seq = np.zeros((len(data), n, n))

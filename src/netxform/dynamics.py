@@ -25,17 +25,14 @@ class DynamicsError(ValueError):
 # (feasibility reports show det, and the swap targets need exact values for
 # triangular inputs).
 
-def _eliminate(M: np.ndarray, cols: int, tol: float):
-    """Row-reduce M in place by partial pivoting on its first `cols` columns,
-    each swap and update spanning the whole row (so a right-hand side past
-    `cols` follows). A column whose largest remaining entry is at most tol in
-    magnitude is skipped. Returns the pivot columns and the permutation sign."""
-    rows = M.shape[0]
+def _eliminate(M: np.ndarray, tol: float):
+    """Row-reduce the n-row M in place by partial pivoting on its first n
+    columns, each swap and update spanning the whole row (so a right-hand side
+    past them follows). A column whose largest remaining entry is at most tol
+    in magnitude is skipped. Returns the pivot columns and the permutation sign."""
     pivots, sign = [], 1.0
-    for c in range(cols):
+    for c in range(M.shape[0]):
         r = len(pivots)
-        if r == rows:
-            break
         p = r + int(np.argmax(np.abs(M[r:, c])))
         if abs(M[p, c]) <= tol:
             continue
@@ -53,7 +50,7 @@ def _determinant(A: np.ndarray) -> float:
     n = A.shape[0]
     if A.shape != (n, n):
         raise DynamicsError(f"determinant needs a square matrix, got {A.shape}")
-    pivots, sign = _eliminate(A, n, 0.0)
+    pivots, sign = _eliminate(A, 0.0)
     if len(pivots) < n:
         return 0.0
     # a product of Python floats overflows to inf without a numpy warning
@@ -74,7 +71,7 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DynamicsError("solve_linear: dimension mismatch")
     tiny = n * np.finfo(float).eps * max(np.abs(A).max(), 1.0)
     M = np.hstack([A, b.reshape(n, -1)])
-    if len(_eliminate(M, n, tiny)[0]) < n:
+    if len(_eliminate(M, tiny)[0]) < n:
         raise DynamicsError("solve_linear: matrix singular to working precision")
     A, B = M[:, :n], M[:, n:]
     X = np.zeros_like(B)
@@ -252,8 +249,9 @@ def _replay(sched: WeightSchedule, y0: np.ndarray, steps: int, caller: str):
     pts = [(sched.t0, y0)]
     for piece in sched.pieces():
         W_at = lru_cache(maxsize=1)(piece.W_at)
-        run = list(_rk4(lambda t, y, out: np.matmul(W_at(t), y, out=out),
-                        pts[-1][1], piece.t0, piece.tf, steps))
+        with np.errstate(over="ignore", invalid="ignore"):
+            run = list(_rk4(lambda t, y, out: np.matmul(W_at(t), y, out=out),
+                            pts[-1][1], piece.t0, piece.tf, steps))
         if not np.all(np.isfinite(run[-1][1])):  # a non-finite value stays non-finite
             raise DynamicsError(f"{caller}: non-finite values encountered")
         pts += run[1:]

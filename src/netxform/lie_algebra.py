@@ -4,8 +4,8 @@ Each edge (i, j) contributes the field g_ij(X) = E_ij X, where E_ij is the
 matrix with a single one at row i, column j. The Lie algebra generated by
 these fields decides whether the network can steer the transition matrix
 anywhere in the positive-determinant group: for a connected graph the
-closure spans all of R^(n x n), and pointwise controllability reduces to
-rank(X) = n.
+closure spans all of R^(n x n), and every state a schedule reaches has
+det X > 0, so connectivity and the sign of det T decide the problem.
 """
 
 from __future__ import annotations
@@ -15,16 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _determinant, _eliminate
+from .dynamics import _determinant
 from .graph import Graph, _components, is_connected
 
 
 class LieAlgebraError(ValueError):
     """Index out of range or dimension mismatch."""
-
-
-# Relative threshold below which a pivot of matrix_rank counts as zero.
-RANK_TOL = 1e-10
 
 
 def index_matrix(n: int, i: int, j: int) -> np.ndarray:
@@ -57,10 +53,6 @@ class AlgebraElement:
     """Coefficient matrix C representing the field X -> C X."""
 
     coeffs: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.shape[0]
 
 
 def _det_sign(T: np.ndarray) -> int:
@@ -134,15 +126,6 @@ def bracket_general(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(coeffs=b.coeffs @ a.coeffs - a.coeffs @ b.coeffs)
 
 
-def matrix_rank(A: np.ndarray) -> int:
-    """Numerical rank by row reduction with a pivot threshold of RANK_TOL
-    times the largest absolute entry; deterministic and free of
-    factorization-library variation.
-    """
-    A = np.array(A, dtype=float)
-    return len(_eliminate(A, A.shape[1], RANK_TOL * np.abs(A).max(initial=0.0))[0])
-
-
 def generated_algebra_dimension(g: Graph) -> int:
     """Dimension of the smallest matrix space containing the edge index
     matrices and closed under commutators: exactly the matrices that are
@@ -184,12 +167,3 @@ def check_feasible(g: Graph, T: np.ndarray) -> FeasibilityReport:
         reason = "graph is not connected"
     return FeasibilityReport(determinant=float(det), sign=sign, connected=connected,
                              reason=reason)
-
-
-def controllable_at(g: Graph, X: np.ndarray) -> bool:
-    """Local controllability of the transition dynamics at X: connected graph
-    and full numerical rank of X."""
-    X = np.asarray(X, dtype=float)
-    if X.shape != (g.n, g.n):
-        raise LieAlgebraError(f"state has shape {X.shape}, expected ({g.n},{g.n})")
-    return is_connected(g) and matrix_rank(X) == g.n

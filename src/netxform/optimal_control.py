@@ -66,6 +66,12 @@ class BvpProblem:
         broken = [rule for rule, ok in rules.items() if not ok]
         if broken:
             raise SettingsError(f"solver settings need {', '.join(broken)}")
+        # an RK4 step within a few floats of the horizon's far end repeats grid times
+        h = (self.tf - self.t0) / self.steps
+        limit = 8 * np.spacing(max(abs(self.t0), abs(self.tf)))
+        if h <= limit:
+            raise SettingsError(f"solver settings need (tf - t0) / steps above 8 float "
+                                f"spacings at max(|t0|, |tf|): {h:.3g} <= {limit:.3g}")
         report = check_feasible(self.graph, self.target)
         if not report.feasible:
             raise InfeasibleError(f"infeasible problem: {report.reason}")
@@ -336,14 +342,8 @@ def _corrected_step(A, J, r, delta, rp, rm, h):
     if rp is None or rm is None:
         return delta, np.inf
     rpp = (rp - 2.0 * r + rm) / (h * h)
-    step = delta
-    try:
-        accel = solve_linear(A, -(J.T @ rpp) / 2.0)
-    except DynamicsError:
-        pass
-    else:
-        if np.linalg.norm(accel) <= 0.75 * np.linalg.norm(delta):
-            step = delta + 0.5 * accel
+    accel = solve_linear(A, -(J.T @ rpp) / 2.0)  # _tries solved A, so it is not singular
+    step = delta + 0.5 * accel if np.linalg.norm(accel) <= 0.75 * np.linalg.norm(delta) else delta
     return step, float(np.linalg.norm(r + J @ step + 0.5 * rpp))
 
 

@@ -73,6 +73,19 @@ def test_check_missing_config_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, what", [
+    ("{", "not valid JSON"),
+    ("[]", "top level must be an object"),
+    (json.dumps({**PATH2_CFG, "solver": [1]}), "field 'solver' must be an object"),
+], ids=["not-json", "not-object", "solver-not-object"])
+def test_malformed_config_exit_one(tmp_path, capsys, text, what):
+    (tmp_path / "cfg.json").write_text(text)
+    assert main(["solve", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys, what)
+    assert not (tmp_path / "o").exists()
+
+
 def test_check_missing_target_field_exit_one(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "no_target.json",
                      {"graph": {"nodes": 1, "edges": []}})
@@ -486,6 +499,17 @@ def test_simulate_repeated_column_exit_one(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_simulate_overflowing_schedule_exit_one(tmp_path, capsys):
+    # x_1 grows as e^(800 t) and leaves the float range before t = 1; numpy's
+    # overflow warnings, which tier-1 turns into errors, stay quiet
+    spath = tmp_path / "s.csv"
+    spath.write_text("t,w_1_1,w_2_2\n0,800,0\n1,800,0\n")
+    assert main(["simulate", "--schedule", str(spath), "--xi", "1,1",
+                 "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys, "non-finite")
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_joined_scenario_schedule_matches_its_nodes(tmp_path):
     # the swap's schedule has a join; simulate replays it as the scenario did
     cfg = _write_cfg(tmp_path, "swap.json", {
@@ -705,6 +729,23 @@ def test_overflowing_horizon_exit_one(tmp_path, capsys, command, base):
         assert main(command + ["--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err == "error: solver settings need finite tf - t0\n"
+    assert not (tmp_path / "o").exists()
+
+
+DENSIFY2 = {"sparse_graph": {"nodes": 2, "edges": [[1, 2]]},
+            "dense_graph": {"nodes": 2, "edges": [[1, 2]]}}
+
+
+@pytest.mark.parametrize("command, base, horizon", [
+    (["solve"], PATH2_CFG, {"tf": 1e-322}),
+    (["solve"], PATH2_CFG, {"t0": 1e16, "tf": 1.0000000000000002e16}),
+    (["scenario", "densify"], DENSIFY2, {"t0": 1e16, "tf": 1.0000000000000002e16}),
+], ids=["solve-subnormal", "solve-far", "densify-far"])
+def test_unresolvable_horizon_exit_one(tmp_path, capsys, command, base, horizon):
+    # tf > t0, but an RK4 step is less than a float spacing at the horizon's end
+    cfg = _write_cfg(tmp_path, "narrow.json", {**base, **horizon})
+    assert main(command + ["--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys, "(tf - t0) / steps")
     assert not (tmp_path / "o").exists()
 
 

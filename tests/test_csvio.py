@@ -1,6 +1,7 @@
 """Exact round-trips and format validation for the CSV layer."""
 
 import csv
+import time
 
 import numpy as np
 import pytest
@@ -62,6 +63,18 @@ def test_schedule_bad_header_and_columns(tmp_path):
     p.write_text("t,weight11\n0.0,1.0\n")
     with pytest.raises(CsvFormatError):
         read_schedule_csv(p)
+
+
+def test_wide_schedule_header_parses_in_linear_time(tmp_path):
+    # the complete graph on 200 nodes: 40,000 weight columns, each checked for a repeat
+    p = tmp_path / "wide.csv"
+    names = [f"w_{i}_{j}" for i in range(1, 201) for j in range(1, 201)]
+    p.write_text(",".join(["t", *names]) + "\n" + "".join(
+        ",".join([t, *["0"] * len(names)]) + "\n" for t in ("0", "1")))
+    start = time.perf_counter()
+    sched = read_schedule_csv(p)
+    assert time.perf_counter() - start < 2.0
+    assert sched.mask.shape == (200, 200) and sched.mask.all()
 
 
 MALFORMED = [

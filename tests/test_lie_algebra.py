@@ -14,8 +14,7 @@ import pytest
 
 import netxform as nx
 from netxform.graph import mask
-from netxform.lie_algebra import (LieAlgebraError, closure_contains,
-                                  index_matrix, matrix_rank)
+from netxform.lie_algebra import LieAlgebraError, closure_contains, index_matrix
 
 from conftest import SWAP_TARGET, consensus_map, single_node_average_map
 
@@ -338,18 +337,3 @@ def test_feasibility_report_json_fields():
     assert set(d) == {"det", "connected", "feasible", "reason"}
     assert d["feasible"] is True
 
-
-def test_controllable_at_identity_and_singular():
-    g = nx.path_graph(3)
-    assert nx.controllable_at(g, np.eye(3))
-    singular = np.eye(3)
-    singular[2, 2] = 0.0
-    assert not nx.controllable_at(g, singular)
-    assert not nx.controllable_at(nx.build_graph(3, [(1, 2)]), np.eye(3))
-
-
-def test_matrix_rank_thresholding():
-    A = np.diag([1.0, 1e-14, 0.0])
-    assert matrix_rank(A) == 1
-    assert matrix_rank(np.zeros((3, 3))) == 0
-    assert matrix_rank(np.eye(4)) == 4
