@@ -250,9 +250,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        # no work is done when no output directory can be made at --out
+        out = Path(getattr(args, "out", "."))
+        if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+            raise ConfigError(f"cannot make the output directory {out}: a file is in the way")
         return args.func(args)
     except (ConfigError, GraphError, ScenarioError, csvio.CsvFormatError,
-            SettingsError, MemoryError) as exc:
+            SettingsError, MemoryError, OSError) as exc:  # OSError: writing the output
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except OptimalControlError as exc:

@@ -44,8 +44,8 @@ def _eliminate(M: np.ndarray, tol: float):
     return pivots, sign
 
 
-def _determinant(A: np.ndarray) -> float:
-    """det A as the signed product of the pivots of _eliminate."""
+def determinant(A: np.ndarray) -> float:
+    """Determinant as the product of the pivots of _eliminate, with exact swap signs."""
     A = np.array(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n):
@@ -55,11 +55,6 @@ def _determinant(A: np.ndarray) -> float:
         return 0.0
     # a product of Python floats overflows to inf without a numpy warning
     return sign * math.prod(A.diagonal().tolist())
-
-
-def determinant(A: np.ndarray) -> float:
-    """Determinant by partially pivoted elimination with exact swap signs."""
-    return _determinant(A)
 
 
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -203,7 +198,7 @@ class TransitionTrajectory:
 
 def _rk4(f, y0: np.ndarray, t0: float, tf: float, steps: int,
          stage: np.ndarray | None = None, sign=1.0):
-    """Fixed-step RK4; yields (t_k, y_k) for every grid point including t0.
+    """Fixed-step RK4; yields (t_k, y_k) at t_k = t0 + k h for k < steps, then at tf.
 
     The rate function f(t, s, out) writes the rate at the stage input s into
     out. Every stage input is written into one buffer, `stage` if given (a
@@ -238,7 +233,7 @@ def _rk4(f, y0: np.ndarray, t0: float, tf: float, steps: int,
         np.add(k2, np.add(k3, k3, k3), k2)
         np.add(k2, k4, k2)
         y = y + np.multiply(k2, sixth, k2)
-        yield t0 + (k + 1) * h, y
+        yield (tf if k == steps - 1 else t0 + (k + 1) * h), y
 
 
 def _replay(sched: WeightSchedule, y0: np.ndarray, steps: int, caller: str):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _determinant
+from .dynamics import determinant
 from .graph import Graph, _components, is_connected
 
 
@@ -153,7 +153,7 @@ def check_feasible(g: Graph, T: np.ndarray) -> FeasibilityReport:
         raise LieAlgebraError(f"target has shape {T.shape}, expected ({g.n},{g.n})")
     connected = is_connected(g)
     finite = np.all(np.isfinite(T))
-    det, sign = (_determinant(T), _det_sign(T)) if finite else (np.nan, 0)
+    det, sign = (determinant(T), _det_sign(T)) if finite else (np.nan, 0)
     if not finite:
         reason = "target has non-finite entries"
     elif sign > 0 and connected:

@@ -113,9 +113,10 @@ class ExtremalSolution:
         return self.X_seq[-1]
 
     def moved_to(self, t0: float, tf: float) -> ExtremalSolution:
-        """This arc on np.linspace(t0, tf, grid.size), as a copy that spent no
-        Newton iteration or restart. The extremal system is autonomous, so the
-        arc reaches the same map on any interval of its length."""
+        """This arc on np.linspace(t0, tf, grid.size), which ends on tf itself as
+        a solved arc's grid does, as a copy that spent no Newton iteration or
+        restart. The extremal system is autonomous, so the arc reaches the same
+        map on any interval of its length."""
         sched = replace(self.schedule, grid=np.linspace(t0, tf, self.grid.size))
         return replace(self, schedule=sched, iterations=0, restart_used=0)
 
@@ -503,32 +504,31 @@ def homotopy_singularity_scan(T: np.ndarray):
 
 def solve_with_waypoints(prob: BvpProblem, waypoints) -> Solution:
     """Sequential shooting through intermediate target matrices: arc k goes
-    from I to B_k B_{k-1}^{-1} (B_0 = I, B_last = T) on the k-th equal share
-    of [t0, tf], warm-started from the arc before, so the arcs telescope to
-    T, and with no waypoints one arc spans the whole horizon."""
+    from I to B_k B_{k-1}^{-1} (B_0 = I, B_last = T) on exactly [times[k],
+    times[k+1]] of times = np.linspace(t0, tf, K + 1), warm-started from the
+    arc before, so the arcs telescope to T. Every arc's problem is built, and
+    so checked, before the first shoot."""
     waypoints = [np.asarray(W, dtype=float) for W in waypoints]
     for k, B in enumerate(waypoints):
         rep = check_feasible(prob.graph, B)
         if not rep.feasible:
             raise InfeasibleError(f"waypoint {k + 1} infeasible: {rep.reason}")
     ends = ["I", *(f"waypoint {k}" for k in range(1, len(waypoints) + 1)), "the target"]
-    arc_targets = []  # B_k B_{k-1}^{-1}, all formed and checked before any arc is solved
+    times = np.linspace(prob.t0, prob.tf, len(waypoints) + 2)
+    probs = []
     for k, (prev, B) in enumerate(zip([np.eye(prob.graph.n)] + waypoints,
                                       waypoints + [prob.target])):
         try:
-            arc_targets.append(solve_linear(prev.T, B.T).T)
+            target = solve_linear(prev.T, B.T).T
         except DynamicsError as exc:  # prev is waypoint k
             raise InfeasibleError(f"waypoint {k} is singular to working precision") from exc
         if waypoints:
-            _check_reach(arc_targets[-1], f"the target of arc {k + 1} ({ends[k]} to {ends[k + 1]})")
-    times = np.linspace(prob.t0, prob.tf, len(arc_targets) + 1)
+            _check_reach(target, f"the target of arc {k + 1} ({ends[k]} to {ends[k + 1]})")
+        probs.append(replace(prob, target=target, t0=float(times[k]), tf=float(times[k + 1]),
+                             seed=prob.seed + 1000 * k))
     arcs = []
     warm = None
-    for k, target in enumerate(arc_targets):
-        # start on the last time of the arc before, which can differ from times[k] in the last bit
-        t0 = arcs[-1].grid[-1] if arcs else prob.t0
-        arc = solve_bvp(replace(prob, target=target, t0=float(t0), tf=float(times[k + 1]),
-                                seed=prob.seed + 1000 * k), initial_guess=warm)
-        arcs.append(arc)
-        warm = arc.lambda0 if arc.converged else None
+    for arc_prob in probs:
+        arcs.append(solve_bvp(arc_prob, initial_guess=warm))
+        warm = arcs[-1].lambda0 if arcs[-1].converged else None
     return Solution(arcs=arcs, target=prob.target)

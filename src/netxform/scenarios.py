@@ -150,9 +150,10 @@ def run_densify(s: DensifyScenario, max_iter: int = 300, **settings) -> Scenario
     so the schedule is K equal arcs of exp(-L_d tau/K), with K just large
     enough that no arc contracts by more than e^-MAX_LOG_CONTRACTION. The
     extremal system is autonomous, so the K arcs are one problem: it is
-    solved once, on the first share of the horizon, and the arc is repeated
-    on the others. The iteration budget default is sized for that arc; the
-    horizon and the other solver settings default to BvpProblem's.
+    solved once, on [times[0], times[1]] of times = linspace(t0, tf, K + 1),
+    and copied onto each other share [times[k], times[k+1]]. The iteration
+    budget default is sized for that arc; the horizon and the other solver
+    settings default to BvpProblem's.
     """
     n = s.sparse_graph.n
     # the target depends on the horizon, which BvpProblem checks and defaults
@@ -166,11 +167,9 @@ def run_densify(s: DensifyScenario, max_iter: int = 300, **settings) -> Scenario
     times = np.linspace(prob.t0, prob.tf, K + 1)
     # the feasibility gate sees the arc map, with det >= e^-MAX_LOG_CONTRACTION, and
     # not T: det T = e^-tr(L_d) tau > 0, but its float sign is rounding at long horizons
-    arcs = [solve_bvp(replace(prob, target=densification_target(s.dense_graph, 0.0, tau / K),
-                              tf=times[1]))]
-    for t in times[2:]:
-        # start on the last time of the copy before, so every join repeats its time
-        arcs.append(arcs[0].moved_to(arcs[-1].grid[-1], t))
+    arc = solve_bvp(replace(prob, target=densification_target(s.dense_graph, 0.0, tau / K),
+                            tf=times[1]))
+    arcs = [arc] + [arc.moved_to(a, b) for a, b in zip(times[1:-1], times[2:])]
     report = _replay(Solution(arcs=arcs, target=T), xi)
 
     # plain consensus runs share the synthesized run's (possibly segmented) grid

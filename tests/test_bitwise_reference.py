@@ -31,7 +31,8 @@ def assert_same_bits(a, b):
 
 
 def reference_rk4(f, y0, t0, tf, steps):
-    """Classical RK4 with a fresh array per stage; returns (grid, ys)."""
+    """Classical RK4 with a fresh array per stage; returns (grid, ys). The grid
+    ends on tf itself, which t0 + steps h can miss by a float."""
     h = (tf - t0) / steps
     y = np.array(y0, dtype=float)
     grid, ys = [t0], [y]
@@ -44,6 +45,7 @@ def reference_rk4(f, y0, t0, tf, steps):
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         grid.append(t0 + (k + 1) * h)
         ys.append(y)
+    grid[-1] = tf
     return np.array(grid), np.array(ys)
 
 

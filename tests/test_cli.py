@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import netxform as nx
+from netxform import cli, optimal_control
 from netxform.cli import main
 from netxform.csvio import (read_matrix_trajectory_csv, read_schedule_csv,
                             read_vector_trajectory_csv)
@@ -424,6 +425,41 @@ def test_unread_flags_exit_one(tmp_path, capsys, path3_cfg, command, flag, value
     assert list(tmp_path.iterdir()) == [Path(path3_cfg)]
 
 
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call appends its arguments to the returned list."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or fn(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("command", ["solve", "scenario", "simulate"])
+def test_unusable_out_exit_one_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # no directory can be made at a file or at a path through one, so the
+    # command stops before it shoots or replays, and leaves the file as it was
+    spath = tmp_path / "s.csv"
+    spath.write_text("t,w_1_2,w_2_1\n0,0,0\n1,0,0\n")
+    argv = {"solve": ["solve", "--config", _write_cfg(tmp_path, "c.json", PATH2_CFG)],
+            "scenario": ["scenario", "densify", "--config",
+                         _write_cfg(tmp_path, "d.json", DENSIFY2)],
+            "simulate": ["simulate", "--schedule", str(spath), "--xi", "1,2"]}[command]
+    shots = _count_calls(monkeypatch, optimal_control, "_shoot_batch")
+    replays = _count_calls(monkeypatch, cli, "propagate_state")
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    for out in (blocker, blocker / "sub"):
+        assert main(argv + ["--out", str(out)]) == 1
+        _assert_one_error_line(capsys, "output directory")
+    assert shots == [] and replays == [] and blocker.read_text() == "kept\n"
+
+
+def test_output_write_failure_exit_one(tmp_path, capsys):
+    # --out is a directory, but a directory stands where schedule.csv goes
+    (tmp_path / "o" / "schedule.csv").mkdir(parents=True)
+    cfg = _write_cfg(tmp_path, "c.json", PATH2_CFG)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys, "schedule.csv")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -740,13 +776,18 @@ DENSIFY2 = {"sparse_graph": {"nodes": 2, "edges": [[1, 2]]},
     (["solve"], PATH2_CFG, {"tf": 1e-322}),
     (["solve"], PATH2_CFG, {"t0": 1e16, "tf": 1.0000000000000002e16}),
     (["scenario", "densify"], DENSIFY2, {"t0": 1e16, "tf": 1.0000000000000002e16}),
-], ids=["solve-subnormal", "solve-far", "densify-far"])
-def test_unresolvable_horizon_exit_one(tmp_path, capsys, command, base, horizon):
-    # tf > t0, but an RK4 step is less than a float spacing at the horizon's end
+    # arc 1 is solvable, but arc 2 crosses 2^53, where floats lie 2 apart
+    (["solve"], PATH2_CFG, {"t0": 2.0 ** 53 - 2402, "tf": 2.0 ** 53 + 2398,
+                            "waypoints": [[[1.1, 0.1], [0.1, 1.0]]]}),
+], ids=["solve-subnormal", "solve-far", "densify-far", "solve-far-arc"])
+def test_unresolvable_horizon_exit_one(tmp_path, capsys, monkeypatch, command, base, horizon):
+    # tf > t0, but an RK4 step is less than a float spacing at the horizon's
+    # end, of the whole horizon or of one arc; either is rejected before any shoot
+    shots = _count_calls(monkeypatch, optimal_control, "_shoot_batch")
     cfg = _write_cfg(tmp_path, "narrow.json", {**base, **horizon})
     assert main(command + ["--config", cfg, "--out", str(tmp_path / "o")]) == 1
     _assert_one_error_line(capsys, "(tf - t0) / steps")
-    assert not (tmp_path / "o").exists()
+    assert shots == [] and not (tmp_path / "o").exists()
 
 
 def test_densify_overflowing_target_exit_one(tmp_path, capsys):

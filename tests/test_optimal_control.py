@@ -844,16 +844,24 @@ def test_waypoint_segments_split_the_horizon_evenly():
 
 
 def test_solution_schedule_joins_the_arcs():
-    # on [0, 1.8] the first arc's last time t0 + steps h is not 0.9 but one
-    # bit above; the second arc starts there, so the join is one repeated time
+    # on [0, 1.8] the first arc's RK4 time t0 + steps h is one bit above 0.9,
+    # but its grid ends on 0.9 itself, where the second arc starts
     prob = BvpProblem(graph=nx.build_graph(1, []), target=np.array([[4.0]]), tf=1.8)
     sol = solve_with_waypoints(prob, [np.array([[2.0]])])
     first, second = sol.arcs
-    assert first.grid[-1] == second.grid[0] == np.nextafter(0.9, 1.0)
+    assert first.grid[-1] == second.grid[0] == 0.9
     sched = sol.schedule
     assert [p.grid.tolist() for p in sched.pieces()] == [first.grid.tolist(),
                                                          second.grid.tolist()]
     assert np.array_equal(sched.W_seq, np.concatenate([a.schedule.W_seq for a in sol.arcs]))
+
+
+def test_waypoint_arcs_lie_on_their_shares_of_the_horizon():
+    # on [0, 1.8] with four arcs, t0 + steps h misses the end of the first two
+    prob = BvpProblem(graph=nx.build_graph(1, []), target=np.array([[4.0]]), tf=1.8)
+    sol = solve_with_waypoints(prob, [np.array([[v]]) for v in (1.5, 2.0, 3.0)])
+    times = np.linspace(0.0, 1.8, 5)
+    assert [(a.grid[0], a.grid[-1]) for a in sol.arcs] == list(zip(times[:-1], times[1:]))
 
 
 # ---------------------------------------------------------------------------

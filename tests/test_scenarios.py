@@ -150,7 +150,7 @@ def test_densify_long_horizon_follows_the_dense_flow(dense, tau):
 
 def test_densify_arc_newton_counts(monkeypatch):
     # the arc is solved once and repeated, so the copies spent no Newton
-    # iteration, and each copy starts on the last time of the one before
+    # iteration, and each copy starts on the time where the one before ends
     calls = []
 
     def counted(prob, initial_guess=None):
@@ -165,6 +165,16 @@ def test_densify_arc_newton_counts(monkeypatch):
     assert [arc.iterations for arc in arcs] == [9] + [0] * 14
     assert arcs[-1].grid[-1] == 10.0
     assert all(a.grid[-1] == b.grid[0] for a, b in zip(arcs, arcs[1:]))
+
+
+def test_densify_copies_lie_on_their_shares_of_the_horizon():
+    # on [0, 1.8] the dense cycle4 gives four arcs, and t0 + steps h misses
+    # the end of the solved first one
+    rep = nx.run_densify(nx.DensifyScenario(sparse_graph=nx.path_graph(4),
+                                            dense_graph=nx.cycle_graph(4)), tf=1.8)
+    times = np.linspace(0.0, 1.8, 5)
+    arcs = rep.solution.segments()
+    assert [(a.grid[0], a.grid[-1]) for a in arcs] == list(zip(times[:-1], times[1:]))
 
 
 def test_densify_copies_are_fresh_shoots_on_their_intervals(densify_report):
