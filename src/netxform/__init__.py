@@ -15,8 +15,7 @@ from .optimal_control import (BvpProblem, ExtremalSolution, Solution,
                               cost, extremal_rhs, homotopy_singularity_scan,
                               shoot, solve_bvp, solve_with_waypoints,
                               weights_from_costate)
-from .scenarios import (DensifyScenario, SwapScenario, agreement_error,
-                        densification_target, run_densify, run_swap,
-                        swap_target)
+from .scenarios import (agreement_error, densification_target, run_densify,
+                        run_swap, swap_target)
 
 __version__ = "0.1.0"

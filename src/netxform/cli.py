@@ -24,8 +24,7 @@ from .lie_algebra import check_feasible
 from .optimal_control import (BvpProblem, InfeasibleError, OptimalControlError,
                               SettingsError, homotopy_singularity_scan,
                               solve_with_waypoints)
-from .scenarios import (DensifyScenario, ScenarioError, SwapScenario,
-                        run_densify, run_swap)
+from .scenarios import ScenarioError, run_densify, run_swap
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,10 +55,14 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _settings(cfg: dict) -> dict:
+def _settings(cfg: dict, inputs: tuple) -> dict:
     """The horizon and solver settings the config sets. They are BvpProblem's
     fields with defaults, which also give their kinds and ranges: t0 and tf
-    sit at the top level, the others under "solver", which holds nothing else."""
+    sit at the top level, beside the command's `inputs` and nothing else, and
+    the others under "solver", which holds nothing else."""
+    top_names = [*inputs, "t0", "tf", "solver"]
+    for key in (key for key in cfg if key not in top_names):
+        raise ConfigError(f"field {key!r} is not one of {', '.join(top_names)}")
     solver = cfg.get("solver", {})
     if not isinstance(solver, dict):
         raise ConfigError("field 'solver' must be an object")
@@ -127,7 +130,8 @@ def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
     g, target = _graph_and_target(cfg)
     waypoints = _waypoints(cfg, g.n)
-    prob = BvpProblem(graph=g, target=target, **_settings(cfg))
+    prob = BvpProblem(graph=g, target=target,
+                      **_settings(cfg, ("graph", "target", "waypoints")))
     sol = solve_with_waypoints(prob, waypoints)
     if not waypoints and not sol.converged:  # the advice helps only a failed direct solve
         min_det, argmin_s = homotopy_singularity_scan(target)
@@ -139,9 +143,9 @@ def cmd_solve(args) -> int:
 
 
 def _parse_xi(args, n: int) -> np.ndarray:
-    """The initial state from --xi (comma-separated) or, failing that, --xi-file."""
-    if args.xi is None and args.xi_file is None:
-        raise ConfigError("simulate needs --xi or --xi-file")
+    """The initial state from --xi (comma-separated) or --xi-file."""
+    if (args.xi is None) == (args.xi_file is None):
+        raise ConfigError("simulate needs exactly one of --xi and --xi-file")
     flag, source = (("--xi", io.StringIO(args.xi)) if args.xi is not None
                     else ("--xi-file", args.xi_file))
     try:
@@ -175,19 +179,16 @@ def cmd_simulate(args) -> int:
 
 def cmd_scenario(args) -> int:
     cfg = _load_config(args.config)
-    settings = _settings(cfg)
     if args.kind == "densify":
-        scen = DensifyScenario(
-            sparse_graph=graph_from_json_dict(_require(cfg, "sparse_graph")),
-            dense_graph=graph_from_json_dict(_require(cfg, "dense_graph")),
-            initial_state=cfg.get("initial_state"))
-        report = run_densify(scen, **settings)
+        settings = _settings(cfg, ("sparse_graph", "dense_graph", "initial_state"))
+        report = run_densify(graph_from_json_dict(_require(cfg, "sparse_graph")),
+                             graph_from_json_dict(_require(cfg, "dense_graph")),
+                             cfg.get("initial_state"), **settings)
     else:
+        settings = _settings(cfg, ("graph", "pairs", "waypoints", "initial_state"))
         g = graph_from_json_dict(_require(cfg, "graph"))
-        scen = SwapScenario(graph=g, pairs=_require(cfg, "pairs"),
-                            waypoints=tuple(_waypoints(cfg, g.n)),
-                            initial_state=cfg.get("initial_state"))
-        report = run_swap(scen, **settings)
+        report = run_swap(g, _require(cfg, "pairs"), _waypoints(cfg, g.n),
+                          cfg.get("initial_state"), **settings)
     code = _finish(report.solution, args.out)
     outdir = Path(args.out)
     csvio.write_vector_trajectory_csv(outdir / "nodes.csv", report.grid, report.node_states)

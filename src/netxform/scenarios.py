@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import DynamicsError, constant_schedule, expm, propagate_state, simulation_steps
-from .graph import Graph, is_connected, laplacian, mask, node_pairs, numeric_array
+from .graph import Graph, laplacian, mask, node_pairs, numeric_array
 from .optimal_control import BvpProblem, Solution, solve_bvp, solve_with_waypoints
 
 
@@ -42,51 +42,13 @@ def _initial_state(value, n: int) -> np.ndarray | None:
                                                     error=ScenarioError)
 
 
-@dataclass(frozen=True)
-class DensifyScenario:
-    sparse_graph: Graph
-    dense_graph: Graph
-    initial_state: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.sparse_graph.n != self.dense_graph.n:
-            raise ScenarioError("sparse and dense graphs must share the vertex set")
-        if not (is_connected(self.sparse_graph) and is_connected(self.dense_graph)):
-            raise ScenarioError("both graphs must be connected")
-        object.__setattr__(self, "initial_state",
-                           _initial_state(self.initial_state, self.sparse_graph.n))
-
-
-@dataclass(frozen=True)
-class SwapScenario:
-    graph: Graph
-    pairs: tuple
-    waypoints: tuple = ()
-    initial_state: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs",
-                           tuple(node_pairs(self.pairs, "swap pairs", ScenarioError)))
-        seen = set()
-        for (a, b) in self.pairs:
-            if a == b or a in seen or b in seen:
-                raise ScenarioError("swap pairs must be disjoint")
-            seen.update((a, b))
-            if not (1 <= a <= self.graph.n and 1 <= b <= self.graph.n):
-                raise ScenarioError(f"swap pair ({a},{b}) out of range")
-        object.__setattr__(self, "initial_state",
-                           _initial_state(self.initial_state, self.graph.n))
-
-
 @dataclass
 class ScenarioReport:
-    """A solved scenario and its schedule replayed on the initial node values
-    xi. `errors` maps a column name to a curve on `grid`."""
+    """A solved scenario and its schedule replayed on the initial node values,
+    which are node_states[0]. `errors` maps a column name to a curve on `grid`."""
 
     grid: np.ndarray
     node_states: np.ndarray
-    xi: np.ndarray
-    target: np.ndarray
     solution: Solution
     errors: dict = field(default_factory=dict)
 
@@ -139,10 +101,11 @@ def _replay(sol: Solution, xi: np.ndarray) -> ScenarioReport:
     """Replay the solved schedule on xi."""
     sched = sol.schedule
     grid, xs = propagate_state(sched, xi, simulation_steps(sched))
-    return ScenarioReport(grid=grid, node_states=xs, xi=xi, target=sol.target, solution=sol)
+    return ScenarioReport(grid=grid, node_states=xs, solution=sol)
 
 
-def run_densify(s: DensifyScenario, max_iter: int = 300, **settings) -> ScenarioReport:
+def run_densify(sparse_graph: Graph, dense_graph: Graph, initial_state=None,
+                max_iter: int = 300, **settings) -> ScenarioReport:
     """Solve the densification BVP and compare three agreement-error curves:
     plain sparse consensus, plain dense consensus, and the synthesized run.
 
@@ -153,21 +116,26 @@ def run_densify(s: DensifyScenario, max_iter: int = 300, **settings) -> Scenario
     solved once, on [times[0], times[1]] of times = linspace(t0, tf, K + 1),
     and copied onto each other share [times[k], times[k+1]]. The iteration
     budget default is sized for that arc; the horizon and the other solver
-    settings default to BvpProblem's.
+    settings default to BvpProblem's. The feasibility gate rejects a
+    disconnected sparse graph; the dense graph may be disconnected, since
+    its target has a positive determinant either way.
     """
-    n = s.sparse_graph.n
+    n = sparse_graph.n
+    if n != dense_graph.n:
+        raise ScenarioError("sparse and dense graphs must share the vertex set")
+    initial_state = _initial_state(initial_state, n)
     # the target depends on the horizon, which BvpProblem checks and defaults
-    prob = BvpProblem(graph=s.sparse_graph, target=np.eye(n), max_iter=max_iter, **settings)
-    T = densification_target(s.dense_graph, prob.t0, prob.tf)
+    prob = BvpProblem(graph=sparse_graph, target=np.eye(n), max_iter=max_iter, **settings)
+    T = densification_target(dense_graph, prob.t0, prob.tf)
     # drawn once BvpProblem has checked the seed
-    xi = default_initial_state(n, prob.seed) if s.initial_state is None else s.initial_state
+    xi = default_initial_state(n, prob.seed) if initial_state is None else initial_state
     tau = prob.tf - prob.t0
     # one arc at least, though a 1-node graph has tr(L_d) = 0
-    K = max(1, math.ceil(np.trace(laplacian(s.dense_graph)) * tau / MAX_LOG_CONTRACTION))
+    K = max(1, math.ceil(np.trace(laplacian(dense_graph)) * tau / MAX_LOG_CONTRACTION))
     times = np.linspace(prob.t0, prob.tf, K + 1)
     # the feasibility gate sees the arc map, with det >= e^-MAX_LOG_CONTRACTION, and
     # not T: det T = e^-tr(L_d) tau > 0, but its float sign is rounding at long horizons
-    arc = solve_bvp(replace(prob, target=densification_target(s.dense_graph, 0.0, tau / K),
+    arc = solve_bvp(replace(prob, target=densification_target(dense_graph, 0.0, tau / K),
                             tf=times[1]))
     arcs = [arc] + [arc.moved_to(a, b) for a, b in zip(times[1:-1], times[2:])]
     report = _replay(Solution(arcs=arcs, target=T), xi)
@@ -175,7 +143,7 @@ def run_densify(s: DensifyScenario, max_iter: int = 300, **settings) -> Scenario
     # plain consensus runs share the synthesized run's (possibly segmented) grid
     total_steps = report.grid.size - 1
     curves = {}
-    for name, g in (("err_sparse", s.sparse_graph), ("err_dense", s.dense_graph)):
+    for name, g in (("err_sparse", sparse_graph), ("err_dense", dense_graph)):
         sched = constant_schedule(-laplacian(g), prob.t0, prob.tf, mask(g))
         curves[name] = propagate_state(sched, xi, total_steps)[1]
     curves["err_synth"] = report.node_states
@@ -183,14 +151,23 @@ def run_densify(s: DensifyScenario, max_iter: int = 300, **settings) -> Scenario
     return report
 
 
-def run_swap(s: SwapScenario, **settings) -> ScenarioReport:
+def run_swap(graph: Graph, pairs, waypoints=(), initial_state=None,
+             **settings) -> ScenarioReport:
     """Build the swap permutation, solve through the waypoints, and execute
     the schedule on the initial node values. The horizon and the solver
     settings default to BvpProblem's."""
-    n = s.graph.n
-    waypoints = list(s.waypoints)
-    if not waypoints and n == 4 and set(map(tuple, map(sorted, s.pairs))) == {(1, 2), (3, 4)}:
+    n = graph.n
+    pairs = node_pairs(pairs, "swap pairs", ScenarioError)
+    seen = set()
+    for (a, b) in pairs:
+        if a == b or a in seen or b in seen:
+            raise ScenarioError("swap pairs must be disjoint")
+        seen.update((a, b))
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise ScenarioError(f"swap pair ({a},{b}) out of range")
+    xi = np.arange(1.0, n + 1.0) if initial_state is None else _initial_state(initial_state, n)
+    waypoints = list(waypoints)
+    if not waypoints and n == 4 and set(map(tuple, map(sorted, pairs))) == {(1, 2), (3, 4)}:
         waypoints = [SWAP_WAYPOINT_4]
-    xi = np.arange(1.0, n + 1.0) if s.initial_state is None else s.initial_state
-    prob = BvpProblem(graph=s.graph, target=swap_target(n, s.pairs), **settings)
+    prob = BvpProblem(graph=graph, target=swap_target(n, pairs), **settings)
     return _replay(solve_with_waypoints(prob, waypoints), xi)

@@ -83,10 +83,8 @@ def scalar_solution():
 @pytest.fixture(scope="session")
 def densify_run():
     """The 5-node densification report and the seconds run_densify took."""
-    scen = nx.DensifyScenario(sparse_graph=nx.path_graph(5),
-                              dense_graph=nx.complete_graph(5))
     start = time.time()
-    report = nx.run_densify(scen)
+    report = nx.run_densify(nx.path_graph(5), nx.complete_graph(5))
     return report, time.time() - start
 
 
@@ -97,5 +95,4 @@ def densify_report(densify_run):
 
 @pytest.fixture(scope="session")
 def swap_report():
-    scen = nx.SwapScenario(graph=nx.cycle_graph(4), pairs=((1, 2), (3, 4)))
-    return nx.run_swap(scen)
+    return nx.run_swap(nx.cycle_graph(4), ((1, 2), (3, 4)))

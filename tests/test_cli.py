@@ -150,7 +150,7 @@ def test_check_malformed_target_exit_one(tmp_path, capsys, target):
 
 @pytest.mark.parametrize("fields", [
     {"solver": {"steps": "abc"}}, {"solver": 5}, {"t0": "x"}, {"tf": True},
-    {"waypoints": [[[1.0]]]}, {"waypoints": 5},
+    {"waypoints": [[[1.0]]]}, {"waypoints": 5}, {"steps": 0},
 ])
 def test_check_reads_only_graph_and_target(tmp_path, capsys, fields):
     cfg = _write_cfg(tmp_path, "c.json", {**PATH2_CFG, **fields})
@@ -311,6 +311,7 @@ WHOLE_SETTINGS = ("steps", "max_iter", "restarts", "seed")
     *({"solver": {key: 1.5}} for key in WHOLE_SETTINGS),
     *({key: bad} for key in ("t0", "tf") for bad in BAD_NUMBERS),
     {"solver": {"max_iters": 1, "restart": 0}}, {"solver": {"tf": 2.0}},  # not solver keys
+    {"steps": 0}, {"initial_state": [1, 2, 3]},  # not top-level keys of solve
 ])
 def test_solve_bad_solver_settings_exit_one(path3_cfg, tmp_path, capsys, fields):
     cfg = json.loads(Path(path3_cfg).read_text())
@@ -612,6 +613,20 @@ def test_simulate_bad_xi_values_exit_one(tmp_path, capsys, flag, value):
     _assert_one_error_line(capsys, flag)
 
 
+def test_simulate_xi_with_xi_file_exit_one(tmp_path, capsys):
+    # neither source wins silently
+    msk = nx.mask(nx.path_graph(2))
+    sched = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, msk)
+    from netxform.csvio import write_schedule_csv
+    spath = tmp_path / "s.csv"
+    write_schedule_csv(spath, sched)
+    (tmp_path / "xi.csv").write_text("3,4\n")
+    assert main(["simulate", "--schedule", str(spath), "--xi", "1,2",
+                 "--xi-file", str(tmp_path / "xi.csv"), "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys, "--xi", "--xi-file")
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_bad_steps_exit_one(tmp_path, capsys):
     msk = nx.mask(nx.path_graph(2))
     sched = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, msk)
@@ -693,11 +708,23 @@ def test_scenario_densify_horizon_from_config(tmp_path):
     ("densify", DENSIFY3, {"solver": {"tf": 2.0}}),
     ("swap", SWAP4, {"solver": {"restart": 0}}),
     ("swap", SWAP4, {"solver": {"t0": 0.5}}),
+    ("densify", DENSIFY3, {"waypoints": []}),  # not top-level keys of the scenario
+    ("densify", DENSIFY3, {"pairs": [[1, 2]]}),
+    ("swap", SWAP4, {"dense_graph": SWAP4["graph"]}),
 ])
 def test_scenario_bad_solver_settings_exit_one(tmp_path, capsys, kind, base, fields):
     cfg = _write_cfg(tmp_path, "bad.json", {**base, **fields})
     assert main(["scenario", kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     _assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_scenario_densify_disconnected_sparse_graph_exit_two(tmp_path, capsys):
+    # the feasibility gate rejects it, as it does for solve and swap
+    cfg = _write_cfg(tmp_path, "split.json", {
+        **DENSIFY3, "sparse_graph": {"nodes": 3, "edges": [[1, 2]]}})
+    assert main(["scenario", "densify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    _assert_one_error_line(capsys, "not connected")
     assert not (tmp_path / "o").exists()
 
 

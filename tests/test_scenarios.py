@@ -6,6 +6,7 @@ import scipy.linalg
 
 import netxform as nx
 from netxform import scenarios
+from netxform.optimal_control import InfeasibleError
 from netxform.scenarios import (MAX_LOG_CONTRACTION, ScenarioError, agreement_error,
                                 default_initial_state, densification_target,
                                 swap_target)
@@ -93,8 +94,7 @@ def _densify_arc(monkeypatch, dense, **settings):
     monkeypatch.setattr(scenarios, "solve_bvp", catch)
     monkeypatch.setattr(scenarios, "solve_with_waypoints", divide)
     with pytest.raises(Caught):
-        nx.run_densify(nx.DensifyScenario(sparse_graph=nx.path_graph(dense.n),
-                                          dense_graph=dense), **settings)
+        nx.run_densify(nx.path_graph(dense.n), dense, **settings)
     return seen["prob"]
 
 
@@ -126,9 +126,9 @@ def test_densify_waypoints_follow_the_dense_flow(monkeypatch, dense, t0, tf, K):
 def test_densify_one_node_is_one_arc():
     # tr(L_d) = 0 asks for no arc at all; the solve still has one
     g = nx.build_graph(1, [])
-    rep = nx.run_densify(nx.DensifyScenario(sparse_graph=g, dense_graph=g))
+    rep = nx.run_densify(g, g)
     assert rep.solution.converged and len(rep.solution.segments()) == 1
-    assert rep.final_state == pytest.approx(rep.xi)
+    assert rep.final_state == pytest.approx(rep.node_states[0])
 
 
 @pytest.mark.parametrize("dense, tau", [
@@ -141,10 +141,9 @@ def test_densify_long_horizon_follows_the_dense_flow(dense, tau):
     # the cumulative waypoints exp(-L_d tau k/K) of these horizons are
     # numerically singular, but the arc maps exp(-L_d tau/K) are not, and
     # the feasibility gate sees only the arc map
-    rep = nx.run_densify(nx.DensifyScenario(sparse_graph=nx.path_graph(dense.n),
-                                            dense_graph=dense), tf=tau)
+    rep = nx.run_densify(nx.path_graph(dense.n), dense, tf=tau)
     assert rep.solution.converged
-    want = scipy.linalg.expm(-nx.laplacian(dense) * tau) @ rep.xi
+    want = scipy.linalg.expm(-nx.laplacian(dense) * tau) @ rep.node_states[0]
     assert np.linalg.norm(rep.final_state - want) < 1e-6
 
 
@@ -158,8 +157,7 @@ def test_densify_arc_newton_counts(monkeypatch):
         return nx.solve_bvp(prob, initial_guess)
 
     monkeypatch.setattr(scenarios, "solve_bvp", counted)
-    rep = nx.run_densify(nx.DensifyScenario(sparse_graph=nx.path_graph(3),
-                                            dense_graph=nx.complete_graph(3)), tf=10.0)
+    rep = nx.run_densify(nx.path_graph(3), nx.complete_graph(3), tf=10.0)
     arcs = rep.solution.segments()
     assert len(calls) == 1
     assert [arc.iterations for arc in arcs] == [9] + [0] * 14
@@ -170,8 +168,7 @@ def test_densify_arc_newton_counts(monkeypatch):
 def test_densify_copies_lie_on_their_shares_of_the_horizon():
     # on [0, 1.8] the dense cycle4 gives four arcs, and t0 + steps h misses
     # the end of the solved first one
-    rep = nx.run_densify(nx.DensifyScenario(sparse_graph=nx.path_graph(4),
-                                            dense_graph=nx.cycle_graph(4)), tf=1.8)
+    rep = nx.run_densify(nx.path_graph(4), nx.cycle_graph(4), tf=1.8)
     times = np.linspace(0.0, 1.8, 5)
     arcs = rep.solution.segments()
     assert [(a.grid[0], a.grid[-1]) for a in arcs] == list(zip(times[:-1], times[1:]))
@@ -198,23 +195,40 @@ def test_densify_copies_are_fresh_shoots_on_their_intervals(densify_report):
 # scenario validation
 
 
-def test_densify_scenario_rejects_mismatched_or_disconnected():
-    with pytest.raises(ScenarioError):
-        nx.DensifyScenario(sparse_graph=nx.path_graph(3),
-                           dense_graph=nx.complete_graph(4))
-    with pytest.raises(ScenarioError):
-        nx.DensifyScenario(sparse_graph=nx.build_graph(3, [(1, 2)]),
-                           dense_graph=nx.complete_graph(3))
+def test_densify_rejects_mismatched_vertex_sets():
+    with pytest.raises(ScenarioError, match="vertex set"):
+        nx.run_densify(nx.path_graph(3), nx.complete_graph(4))
+
+
+def test_densify_disconnected_sparse_graph_is_infeasible():
+    # the feasibility gate is the one connectivity check
+    with pytest.raises(InfeasibleError, match="not connected"):
+        nx.run_densify(nx.build_graph(3, [(1, 2)]), nx.complete_graph(3))
+
+
+@pytest.mark.parametrize("n, dense_edges, K", [
+    (3, [(1, 2)], 1),                  # tr(L_d) tau = 2: one arc
+    (4, [(1, 2), (3, 4)], 1),          # 4
+    (5, [(1, 2), (1, 3), (2, 3), (4, 5)], 2),  # 8: two arcs
+])
+def test_densify_disconnected_dense_graph_follows_its_flow(n, dense_edges, K):
+    # exp(-L_d tau) has det e^-tr(L_d) tau > 0 whether or not the dense graph
+    # is connected, so the connected sparse path reaches it
+    dense = nx.build_graph(n, dense_edges)
+    rep = nx.run_densify(nx.path_graph(n), dense)
+    assert rep.solution.converged and len(rep.solution.segments()) == K
+    want = scipy.linalg.expm(-nx.laplacian(dense)) @ rep.node_states[0]
+    assert np.linalg.norm(rep.final_state - want) < 1e-6
 
 
 def test_swap_scenario_rejects_bad_pairs():
     g = nx.cycle_graph(4)
-    with pytest.raises(ScenarioError):
-        nx.SwapScenario(graph=g, pairs=((1, 1),))
-    with pytest.raises(ScenarioError):
-        nx.SwapScenario(graph=g, pairs=((1, 2), (2, 3)))
-    with pytest.raises(ScenarioError):
-        nx.SwapScenario(graph=g, pairs=((1, 5),))
+    with pytest.raises(ScenarioError, match="disjoint"):
+        nx.run_swap(g, ((1, 1),))
+    with pytest.raises(ScenarioError, match="disjoint"):
+        nx.run_swap(g, ((1, 2), (2, 3)))
+    with pytest.raises(ScenarioError, match="out of range"):
+        nx.run_swap(g, ((1, 5),))
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +250,10 @@ def test_densify_report_curves(densify_report):
 def test_densify_final_state_matches_exponential_oracle(densify_report):
     rep = densify_report
     L = nx.laplacian(nx.complete_graph(5))
-    want = scipy.linalg.expm(-L) @ rep.xi
+    xi = rep.node_states[0]
+    want = scipy.linalg.expm(-L) @ xi
     assert np.linalg.norm(rep.final_state - want) < 1e-6
-    assert np.linalg.norm(rep.target @ rep.xi - want) < 1e-12
+    assert np.linalg.norm(rep.solution.target @ xi - want) < 1e-12
     # tr(L) tau = 20 makes five arcs, and the state follows dense consensus
     # at every join too
     arcs = rep.solution.segments()
@@ -247,31 +262,30 @@ def test_densify_final_state_matches_exponential_oracle(densify_report):
         t = arc.grid[-1]
         k = np.argmin(np.abs(rep.grid - t))
         assert abs(rep.grid[k] - t) < 1e-12
-        assert np.linalg.norm(rep.node_states[k] - scipy.linalg.expm(-L * t) @ rep.xi) < 1e-6
+        assert np.linalg.norm(rep.node_states[k] - scipy.linalg.expm(-L * t) @ xi) < 1e-6
 
 
 def test_densify_same_graph_reproduces_consensus():
     g = nx.complete_graph(2)
-    rep = nx.run_densify(nx.DensifyScenario(sparse_graph=g, dense_graph=g))
+    rep = nx.run_densify(g, g)
     assert rep.solution.converged
     assert np.abs(rep.errors["err_synth"] - rep.errors["err_dense"]).max() < 1e-5
 
 
 def test_densify_horizon_from_settings():
     dense = nx.complete_graph(3)
-    scen = nx.DensifyScenario(sparse_graph=nx.path_graph(3), dense_graph=dense)
-    rep = nx.run_densify(scen, t0=1.0, tf=1.5)
+    rep = nx.run_densify(nx.path_graph(3), dense, t0=1.0, tf=1.5)
     assert rep.solution.converged
     assert rep.grid[0] == 1.0 and rep.grid[-1] == 1.5
-    assert np.array_equal(rep.target, densification_target(dense, 1.0, 1.5))
+    assert np.array_equal(rep.solution.target, densification_target(dense, 1.0, 1.5))
 
 
 def test_swap_report(swap_report):
     rep = swap_report
     assert rep.solution.converged
-    assert np.array_equal(rep.xi, [1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(rep.node_states[0], [1.0, 2.0, 3.0, 4.0])
     assert np.abs(rep.final_state - [2.0, 1.0, 4.0, 3.0]).max() < 1e-4
-    assert np.array_equal(rep.target, swap_target(4, [(1, 2), (3, 4)]))
+    assert np.array_equal(rep.solution.target, swap_target(4, [(1, 2), (3, 4)]))
     # two segments: through the cyclic waypoint, then on to the permutation
     assert len(rep.solution.segments()) == 2
 
@@ -281,13 +295,13 @@ def test_swap_segment_products_telescope(swap_report):
     composed = np.eye(4)
     for s in segs:
         composed = s.final @ composed
-    assert np.linalg.norm(composed - swap_report.target) < 1e-7
+    assert np.linalg.norm(composed - swap_report.solution.target) < 1e-7
 
 
 def test_swap_no_pairs_is_identity_target():
-    rep = nx.run_swap(nx.SwapScenario(graph=nx.path_graph(2), pairs=()))
+    rep = nx.run_swap(nx.path_graph(2), ())
     assert rep.solution.converged
-    assert np.abs(rep.final_state - rep.xi).max() < 1e-8
+    assert np.abs(rep.final_state - rep.node_states[0]).max() < 1e-8
 
 
 def test_curated_newton_paths(densify_report, swap_report):
