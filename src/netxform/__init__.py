@@ -1,7 +1,7 @@
 """netxform: synthesis of time-varying local interaction weights that make a
 network compute a global linear transformation of its initial state."""
 
-from .graph import (Graph, GraphError, build_graph, complete_graph, cycle_graph,
+from .graph import (Graph, InputError, build_graph, complete_graph, cycle_graph,
                     graph_from_json_dict, is_connected, laplacian, mask, path_graph,
                     star_graph)
 from .lie_algebra import (AlgebraElement, FeasibilityReport, IndexField,

@@ -19,12 +19,11 @@ import numpy as np
 
 from . import csvio
 from .dynamics import DynamicsError, propagate_state, simulation_steps
-from .graph import GraphError, graph_from_json_dict, mask, numeric_array
+from .graph import InputError, graph_from_json_dict, mask, numeric_array
 from .lie_algebra import check_feasible
 from .optimal_control import (BvpProblem, InfeasibleError, OptimalControlError,
-                              SettingsError, homotopy_singularity_scan,
-                              solve_with_waypoints)
-from .scenarios import ScenarioError, run_densify, run_swap
+                              homotopy_singularity_scan, solve_with_waypoints)
+from .scenarios import run_densify, run_swap
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -32,26 +31,22 @@ EXIT_INFEASIBLE = 2
 EXIT_NOT_CONVERGED = 3
 
 
-class ConfigError(ValueError):
-    """Malformed configuration file."""
-
-
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise InputError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise InputError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path}: top level must be an object")
+        raise InputError(f"config {path}: top level must be an object")
     return cfg
 
 
 def _require(cfg: dict, key: str):
     if key not in cfg:
-        raise ConfigError(f"config missing required field {key!r}")
+        raise InputError(f"config missing required field {key!r}")
     return cfg[key]
 
 
@@ -62,36 +57,34 @@ def _settings(cfg: dict, inputs: tuple) -> dict:
     the others under "solver", which holds nothing else."""
     top_names = [*inputs, "t0", "tf", "solver"]
     for key in (key for key in cfg if key not in top_names):
-        raise ConfigError(f"field {key!r} is not one of {', '.join(top_names)}")
+        raise InputError(f"field {key!r} is not one of {', '.join(top_names)}")
     solver = cfg.get("solver", {})
     if not isinstance(solver, dict):
-        raise ConfigError("field 'solver' must be an object")
+        raise InputError("field 'solver' must be an object")
     settable = [f for f in fields(BvpProblem) if f.default is not MISSING]
     solver_names = [f.name for f in settable if f.name not in ("t0", "tf")]
     for key in (key for key in solver if key not in solver_names):
-        raise ConfigError(f"field 'solver.{key}' is not one of {', '.join(solver_names)}")
+        raise InputError(f"field 'solver.{key}' is not one of {', '.join(solver_names)}")
     settings = {}
     for f in settable:
         section, name = (solver, f"solver.{f.name}") if f.name in solver_names else (cfg, f.name)
         if f.name in section:
             kind = type(f.default)
             settings[f.name] = kind(numeric_array(section[f.name], f"field {name!r}", (),
-                                                  whole=kind is int, error=ConfigError))
+                                                  whole=kind is int))
     return settings
 
 
 def _graph_and_target(cfg: dict):
     g = graph_from_json_dict(_require(cfg, "graph"))
-    return g, numeric_array(_require(cfg, "target"), "field 'target'", (g.n, g.n),
-                            error=ConfigError)
+    return g, numeric_array(_require(cfg, "target"), "field 'target'", (g.n, g.n))
 
 
 def _waypoints(cfg: dict, n: int) -> list:
     waypoints = cfg.get("waypoints", [])
     if not isinstance(waypoints, list):
-        raise ConfigError("field 'waypoints' must be a list of matrices")
-    return [numeric_array(W, f"field 'waypoints[{k}]'", (n, n), error=ConfigError)
-            for k, W in enumerate(waypoints)]
+        raise InputError("field 'waypoints' must be a list of matrices")
+    return [numeric_array(W, f"field 'waypoints[{k}]'", (n, n)) for k, W in enumerate(waypoints)]
 
 
 def write_solution_bundle(sol, outdir: Path) -> None:
@@ -145,7 +138,7 @@ def cmd_solve(args) -> int:
 def _parse_xi(args, n: int) -> np.ndarray:
     """The initial state from --xi (comma-separated) or --xi-file."""
     if (args.xi is None) == (args.xi_file is None):
-        raise ConfigError("simulate needs exactly one of --xi and --xi-file")
+        raise InputError("simulate needs exactly one of --xi and --xi-file")
     flag, source = (("--xi", io.StringIO(args.xi)) if args.xi is not None
                     else ("--xi-file", args.xi_file))
     try:
@@ -153,8 +146,8 @@ def _parse_xi(args, n: int) -> np.ndarray:
             warnings.simplefilter("ignore")  # the shape check below reports an empty input
             xi = np.loadtxt(source, delimiter=",", ndmin=1)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read the initial state from {flag}: {exc}") from exc
-    return numeric_array(xi, f"initial state from {flag}", (n,), error=ConfigError)
+        raise InputError(f"cannot read the initial state from {flag}: {exc}") from exc
+    return numeric_array(xi, f"initial state from {flag}", (n,))
 
 
 def cmd_simulate(args) -> int:
@@ -163,14 +156,11 @@ def cmd_simulate(args) -> int:
         cfg = _load_config(args.config)
         g = graph_from_json_dict(_require(cfg, "graph"))
         if not np.array_equal(mask(g), sched.mask):
-            raise ConfigError("schedule sparsity pattern does not match the graph in --config")
+            raise InputError("schedule sparsity pattern does not match the graph in --config")
     xi = _parse_xi(args, sched.n)
     # default step count per piece tracks the schedule grid (see simulation_steps)
     steps = args.steps if args.steps is not None else simulation_steps(sched)
-    try:
-        grid, xs = propagate_state(sched, xi, steps)
-    except DynamicsError as exc:  # --steps < 1, or a schedule that overflows
-        raise ConfigError(str(exc)) from exc
+    grid, xs = propagate_state(sched, xi, steps)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     csvio.write_vector_trajectory_csv(outdir / "nodes.csv", grid, xs)
@@ -245,6 +235,11 @@ def _joined_xi(argv) -> list:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code. Errors become exit codes here
+    alone: malformed input (InputError), a DynamicsError such as --steps below 1
+    or a replay that leaves the float range, memory and output-write errors exit
+    1; an infeasible target or waypoint exits 2 and any other solver error 3.
+    Each prints one `error:` line."""
     parser = build_parser()
     try:
         args = parser.parse_args(_joined_xi(sys.argv[1:] if argv is None else argv))
@@ -254,10 +249,9 @@ def main(argv=None) -> int:
         # no work is done when no output directory can be made at --out
         out = Path(getattr(args, "out", "."))
         if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
-            raise ConfigError(f"cannot make the output directory {out}: a file is in the way")
+            raise InputError(f"cannot make the output directory {out}: a file is in the way")
         return args.func(args)
-    except (ConfigError, GraphError, ScenarioError, csvio.CsvFormatError,
-            SettingsError, MemoryError, OSError) as exc:  # OSError: writing the output
+    except (InputError, DynamicsError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except OptimalControlError as exc:

@@ -15,10 +15,7 @@ import re
 import numpy as np
 
 from .dynamics import DynamicsError, WeightSchedule
-
-
-class CsvFormatError(ValueError):
-    """Header or row does not match the expected layout."""
+from .graph import InputError
 
 
 def _write_table(path, header, table) -> None:
@@ -41,25 +38,25 @@ def _read_table(path, what: str):
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
-        raise CsvFormatError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
     if not rows or rows[0][:1] != ["t"]:
-        raise CsvFormatError(f"{path}: expected a {what} header starting with 't'")
+        raise InputError(f"{path}: expected a {what} header starting with 't'")
     header = rows[0]
     data = []
     for line, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != len(header):
-            raise CsvFormatError(f"{path}:{line}: {len(row)} cells, header has {len(header)}")
+            raise InputError(f"{path}:{line}: {len(row)} cells, header has {len(header)}")
         try:
             vals = [float(v) for v in row]
         except ValueError as exc:
-            raise CsvFormatError(f"{path}:{line}: {exc}") from exc
+            raise InputError(f"{path}:{line}: {exc}") from exc
         if not all(map(math.isfinite, vals)):
-            raise CsvFormatError(f"{path}:{line}: non-finite value")
+            raise InputError(f"{path}:{line}: non-finite value")
         data.append(vals)
     if not data:
-        raise CsvFormatError(f"{path}: no {what} rows")
+        raise InputError(f"{path}: no {what} rows")
     return header, np.array(data)
 
 
@@ -78,13 +75,13 @@ def read_schedule_csv(path) -> WeightSchedule:
     for name in header[1:]:
         m = re.fullmatch(r"w_([1-9][0-9]*)_([1-9][0-9]*)", name)
         if m is None:
-            raise CsvFormatError(f"{path}: bad schedule column {name!r}")
+            raise InputError(f"{path}: bad schedule column {name!r}")
         pair = (int(m[1]) - 1, int(m[2]) - 1)
         if pair in pairs:
-            raise CsvFormatError(f"{path}: repeated schedule column {name!r}")
+            raise InputError(f"{path}: repeated schedule column {name!r}")
         pairs[pair] = None
     if not pairs:
-        raise CsvFormatError(f"{path}: header has no w_i_j columns")
+        raise InputError(f"{path}: header has no w_i_j columns")
     n = max(max(p) for p in pairs) + 1
     idx = tuple(np.array(list(pairs)).T)
     msk = np.zeros((n, n), dtype=bool)
@@ -94,7 +91,7 @@ def read_schedule_csv(path) -> WeightSchedule:
     try:
         return WeightSchedule(grid=data[:, 0].copy(), W_seq=W_seq, mask=msk)
     except DynamicsError as exc:
-        raise CsvFormatError(f"{path}: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def write_matrix_trajectory_csv(path, grid, M_seq, prefix: str = "X") -> None:
@@ -112,7 +109,7 @@ def read_matrix_trajectory_csv(path):
     ncols = len(header) - 1
     n = int(round(ncols ** 0.5))
     if n == 0 or n * n != ncols:
-        raise CsvFormatError(f"{path}: {ncols} value columns is not a positive square count")
+        raise InputError(f"{path}: {ncols} value columns is not a positive square count")
     return data[:, 0], data[:, 1:].reshape(-1, n, n)
 
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class GraphError(ValueError):
-    """Invalid graph construction or query."""
+class InputError(ValueError):
+    """Malformed input: a graph, config, settings value, initial state or CSV
+    file that the program cannot use. The command line exits 1 on it."""
 
 
 @dataclass(frozen=True)
@@ -36,16 +37,16 @@ def build_graph(n: int, edge_list) -> Graph:
     Connectivity is not enforced here; query is_connected separately.
     """
     if n < 1:
-        raise GraphError(f"vertex count must be >= 1, got {n}")
+        raise InputError(f"vertex count must be >= 1, got {n}")
     try:  # the n-by-n edge pattern must fit in memory before any per-node work
         np.empty((n, n), dtype=bool)
     except (MemoryError, ValueError) as exc:
-        raise GraphError(f"vertex count {n} is too large to hold its edge pattern") from exc
+        raise InputError(f"vertex count {n} is too large to hold its edge pattern") from exc
     edges = set()
     for pair in edge_list:
         i, j = int(pair[0]), int(pair[1])
         if not (1 <= i <= n and 1 <= j <= n):
-            raise GraphError(f"edge ({i},{j}) out of range for n={n}")
+            raise InputError(f"edge ({i},{j}) out of range for n={n}")
         edges.add((i, j))
     edges |= {(j, i) for (i, j) in edges}
     edges |= {(i, i) for i in range(1, n + 1)}
@@ -64,36 +65,35 @@ def _non_numbers(value):
         yield value
 
 
-def numeric_array(value, what: str, shape: tuple, whole: bool = False,
-                  error=GraphError) -> np.ndarray:
+def numeric_array(value, what: str, shape: tuple, whole: bool = False) -> np.ndarray:
     """`value`, a number from outside the program, as a float array.
 
     Every entry must be a finite number (a whole one when `whole` is set),
     and the array must have `shape`, where -1 matches any length. Anything
-    else raises `error`, naming the input as `what`.
+    else raises InputError, naming the input as `what`.
     """
     for bad in _non_numbers(value):
-        raise error(f"{what} must hold numbers, not {bad!r}")
+        raise InputError(f"{what} must hold numbers, not {bad!r}")
     try:
         A = np.array(value, dtype=float)
     except (ValueError, OverflowError) as exc:
-        raise error(f"{what} is not a regular array of numbers: {exc}") from exc
+        raise InputError(f"{what} is not a regular array of numbers: {exc}") from exc
     if A.ndim != len(shape) or any(s not in (-1, a) for s, a in zip(shape, A.shape)):
         want = f"of shape {shape}".replace("-1", "k") if shape else "a single number"
-        raise error(f"{what} must be {want}, got shape {A.shape}")
+        raise InputError(f"{what} must be {want}, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
-        raise error(f"{what} has non-finite entries")
+        raise InputError(f"{what} has non-finite entries")
     if whole and not np.all(A == np.round(A)):
-        raise error(f"{what} must hold whole numbers")
+        raise InputError(f"{what} must hold whole numbers")
     return A
 
 
-def node_pairs(value, what: str, error=GraphError) -> list:
+def node_pairs(value, what: str) -> list:
     """`value` as a list of (a, b) pairs of whole node numbers; anything
-    else raises `error`, naming the input as `what`."""
+    else raises InputError, naming the input as `what`."""
     if isinstance(value, (list, tuple)) and len(value) == 0:
         return []
-    P = numeric_array(value, what, (-1, 2), whole=True, error=error)
+    P = numeric_array(value, what, (-1, 2), whole=True)
     return [(int(a), int(b)) for a, b in P]
 
 
@@ -102,7 +102,7 @@ def graph_from_json_dict(d: dict) -> Graph:
     try:
         nodes = d["nodes"]
     except (KeyError, TypeError) as exc:
-        raise GraphError(f"malformed graph fragment: {exc}") from exc
+        raise InputError(f"malformed graph fragment: {exc}") from exc
     n = int(numeric_array(nodes, "graph nodes", (), whole=True))
     return build_graph(n, node_pairs(d.get("edges", []), "graph edges"))
 
@@ -154,23 +154,23 @@ def mask(g: Graph) -> np.ndarray:
 
 def path_graph(n: int) -> Graph:
     if n < 1:
-        raise GraphError("path graph needs n >= 1")
+        raise InputError("path graph needs n >= 1")
     return build_graph(n, [(i, i + 1) for i in range(1, n)])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
-        raise GraphError("cycle graph needs n >= 3")
+        raise InputError("cycle graph needs n >= 3")
     return build_graph(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
 
 
 def star_graph(n: int) -> Graph:
     if n < 1:
-        raise GraphError("star graph needs n >= 1")
+        raise InputError("star graph needs n >= 1")
     return build_graph(n, [(1, i) for i in range(2, n + 1)])
 
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
-        raise GraphError("complete graph needs n >= 1")
+        raise InputError("complete graph needs n >= 1")
     return build_graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])

@@ -16,7 +16,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .dynamics import DynamicsError, WeightSchedule, _rk4, determinant, solve_linear
-from .graph import Graph, mask
+from .graph import Graph, InputError, mask
 from .lie_algebra import check_feasible
 
 DIVERGENCE_LIMIT = 1e12
@@ -29,10 +29,6 @@ SCAN_SAMPLES = 201  # points of the homotopy singularity scan, both ends include
 
 class OptimalControlError(ValueError):
     """Infeasible problem or invalid solver input."""
-
-
-class SettingsError(OptimalControlError):
-    """Solver settings out of range."""
 
 
 class InfeasibleError(OptimalControlError):
@@ -65,13 +61,13 @@ class BvpProblem:
         }
         broken = [rule for rule, ok in rules.items() if not ok]
         if broken:
-            raise SettingsError(f"solver settings need {', '.join(broken)}")
+            raise InputError(f"solver settings need {', '.join(broken)}")
         # an RK4 step within a few floats of the horizon's far end repeats grid times
         h = (self.tf - self.t0) / self.steps
         limit = 8 * np.spacing(max(abs(self.t0), abs(self.tf)))
         if h <= limit:
-            raise SettingsError(f"solver settings need (tf - t0) / steps above 8 float "
-                                f"spacings at max(|t0|, |tf|): {h:.3g} <= {limit:.3g}")
+            raise InputError(f"solver settings need (tf - t0) / steps above 8 float "
+                             f"spacings at max(|t0|, |tf|): {h:.3g} <= {limit:.3g}")
         report = check_feasible(self.graph, self.target)
         if not report.feasible:
             raise InfeasibleError(f"infeasible problem: {report.reason}")

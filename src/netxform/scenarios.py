@@ -15,13 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import DynamicsError, constant_schedule, expm, propagate_state, simulation_steps
-from .graph import Graph, laplacian, mask, node_pairs, numeric_array
+from .graph import Graph, InputError, laplacian, mask, node_pairs, numeric_array
 from .optimal_control import BvpProblem, Solution, solve_bvp, solve_with_waypoints
-
-
-class ScenarioError(ValueError):
-    """Invalid scenario configuration."""
-
 
 # The 4-node cyclic waypoint used for the (1,2)(3,4) swap: it keeps the
 # straight-line homotopy of each half away from singular matrices.
@@ -38,8 +33,7 @@ MAX_LOG_CONTRACTION = 4.0
 
 def _initial_state(value, n: int) -> np.ndarray | None:
     """The optional initial node values as a finite vector of length n."""
-    return None if value is None else numeric_array(value, "initial_state", (n,),
-                                                    error=ScenarioError)
+    return None if value is None else numeric_array(value, "initial_state", (n,))
 
 
 @dataclass
@@ -64,8 +58,8 @@ def densification_target(dense_graph: Graph, t0: float, tf: float) -> np.ndarray
         with np.errstate(over="ignore"):  # expm rejects an -L (tf - t0) that overflowed
             return expm(-L * (tf - t0))
     except DynamicsError as exc:
-        raise ScenarioError(f"horizon tf - t0 = {tf - t0} overflows the consensus map "
-                            f"exp(-L (tf - t0)) of the dense graph") from exc
+        raise InputError(f"horizon tf - t0 = {tf - t0} overflows the consensus map "
+                         f"exp(-L (tf - t0)) of the dense graph") from exc
 
 
 def agreement_error(x: np.ndarray, x0: np.ndarray):
@@ -76,7 +70,7 @@ def agreement_error(x: np.ndarray, x0: np.ndarray):
     x = np.asarray(x, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x.shape[-1:] != x0.shape:
-        raise ScenarioError("agreement_error: dimension mismatch")
+        raise InputError("agreement_error: dimension mismatch")
     d = x - np.mean(x0)
     err = np.sqrt(np.matmul(d[..., None, :], d[..., :, None]))[..., 0, 0]
     return float(err) if x.ndim == 1 else err
@@ -122,7 +116,7 @@ def run_densify(sparse_graph: Graph, dense_graph: Graph, initial_state=None,
     """
     n = sparse_graph.n
     if n != dense_graph.n:
-        raise ScenarioError("sparse and dense graphs must share the vertex set")
+        raise InputError("sparse and dense graphs must share the vertex set")
     initial_state = _initial_state(initial_state, n)
     # the target depends on the horizon, which BvpProblem checks and defaults
     prob = BvpProblem(graph=sparse_graph, target=np.eye(n), max_iter=max_iter, **settings)
@@ -147,7 +141,10 @@ def run_densify(sparse_graph: Graph, dense_graph: Graph, initial_state=None,
         sched = constant_schedule(-laplacian(g), prob.t0, prob.tf, mask(g))
         curves[name] = propagate_state(sched, xi, total_steps)[1]
     curves["err_synth"] = report.node_states
-    report.errors = {name: agreement_error(xs, xi) for name, xs in curves.items()}
+    with np.errstate(over="ignore", invalid="ignore"):  # squared distances above ~1e308
+        report.errors = {name: agreement_error(xs, xi) for name, xs in curves.items()}
+    if not all(np.isfinite(err).all() for err in report.errors.values()):
+        raise InputError("initial_state is too large: its agreement errors leave the float range")
     return report
 
 
@@ -157,14 +154,14 @@ def run_swap(graph: Graph, pairs, waypoints=(), initial_state=None,
     the schedule on the initial node values. The horizon and the solver
     settings default to BvpProblem's."""
     n = graph.n
-    pairs = node_pairs(pairs, "swap pairs", ScenarioError)
+    pairs = node_pairs(pairs, "swap pairs")
     seen = set()
     for (a, b) in pairs:
         if a == b or a in seen or b in seen:
-            raise ScenarioError("swap pairs must be disjoint")
+            raise InputError("swap pairs must be disjoint")
         seen.update((a, b))
         if not (1 <= a <= n and 1 <= b <= n):
-            raise ScenarioError(f"swap pair ({a},{b}) out of range")
+            raise InputError(f"swap pair ({a},{b}) out of range")
     xi = np.arange(1.0, n + 1.0) if initial_state is None else _initial_state(initial_state, n)
     waypoints = list(waypoints)
     if not waypoints and n == 4 and set(map(tuple, map(sorted, pairs))) == {(1, 2), (3, 4)}:

@@ -827,6 +827,21 @@ def test_densify_overflowing_target_exit_one(tmp_path, capsys):
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind, cfg, words", [
+    # the solve converges, but its schedule carries initial_state out of the float range
+    ("densify", {**DENSIFY2, "initial_state": [1.7e308, -1.7e308]}, "non-finite"),
+    ("swap", {"graph": PATH2_CFG["graph"], "pairs": [], "waypoints": [[[2, 0], [0, 0.5]]],
+              "initial_state": [1.7e308, 1]}, "non-finite"),
+    # the node states stay finite, but their squared distances to the mean overflow
+    ("densify", {**DENSIFY2, "initial_state": [1e200, -1e200]}, "initial_state"),
+], ids=["densify-replay", "swap-replay", "densify-errors"])
+def test_scenario_beyond_the_float_range_exit_one(tmp_path, capsys, kind, cfg, words):
+    path = _write_cfg(tmp_path, "big.json", cfg)
+    assert main(["scenario", kind, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys, words)
+    assert not (tmp_path / "o").exists()
+
+
 def _run_capped(argv, cwd):
     # the CLI in a child process that caps its own address space at 2 GiB
     def cap():

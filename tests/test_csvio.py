@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import netxform as nx
-from netxform.csvio import (CsvFormatError, read_matrix_trajectory_csv,
+from netxform.csvio import (read_matrix_trajectory_csv,
                             read_schedule_csv, read_vector_trajectory_csv,
                             write_columns_csv, write_matrix_trajectory_csv,
                             write_schedule_csv, write_vector_trajectory_csv)
-from netxform.graph import mask
+from netxform.graph import InputError, mask
 
 
 def _random_schedule(rng, t0=0.0, tf=1.0):
@@ -58,10 +58,10 @@ def test_multi_segment_round_trip(tmp_path):
 def test_schedule_bad_header_and_columns(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("time,w_1_1\n0.0,1.0\n")
-    with pytest.raises(CsvFormatError):
+    with pytest.raises(InputError):
         read_schedule_csv(p)
     p.write_text("t,weight11\n0.0,1.0\n")
-    with pytest.raises(CsvFormatError):
+    with pytest.raises(InputError):
         read_schedule_csv(p)
 
 
@@ -104,16 +104,16 @@ MALFORMED = [
 def test_schedule_malformed_rows_raise_format_error(tmp_path, reader, text):
     p = tmp_path / "bad.csv"
     p.write_text(text)
-    with pytest.raises(CsvFormatError):
+    with pytest.raises(InputError):
         reader(p)
 
 
 def test_missing_file_raises_format_error(tmp_path):
-    with pytest.raises(CsvFormatError):
+    with pytest.raises(InputError):
         read_schedule_csv(tmp_path / "nope.csv")
-    with pytest.raises(CsvFormatError):
+    with pytest.raises(InputError):
         read_matrix_trajectory_csv(tmp_path / "nope.csv")
-    with pytest.raises(CsvFormatError):
+    with pytest.raises(InputError):
         read_vector_trajectory_csv(tmp_path / "nope.csv")
 
 
@@ -131,7 +131,7 @@ def test_matrix_trajectory_round_trip(tmp_path):
 def test_matrix_trajectory_rejects_non_square_column_count(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("t,X_1_1,X_1_2,X_2_1\n0.0,1.0,0.0,0.0\n")
-    with pytest.raises(CsvFormatError):
+    with pytest.raises(InputError):
         read_matrix_trajectory_csv(p)
 
 
@@ -149,7 +149,7 @@ def test_vector_trajectory_round_trip(tmp_path):
 def test_vector_trajectory_bad_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("time,x_1\n0.0,1.0\n")
-    with pytest.raises(CsvFormatError):
+    with pytest.raises(InputError):
         read_vector_trajectory_csv(p)
 
 

@@ -10,9 +10,9 @@ import scipy.linalg
 import netxform as nx
 from netxform import optimal_control
 from netxform.dynamics import DynamicsError, integrate_transition, simulation_steps
-from netxform.graph import mask
+from netxform.graph import InputError, mask
 from netxform.optimal_control import (BvpProblem, InfeasibleError, OptimalControlError,
-                                      SettingsError, _shoot_batch,
+                                      _shoot_batch,
                                       cost, extremal_rhs, hamiltonian,
                                       homotopy_singularity_scan, shoot,
                                       solve_bvp, solve_with_waypoints,
@@ -635,7 +635,7 @@ def test_problem_rejects_non_finite_target(entry):
 
 
 def test_problem_rejects_empty_horizon():
-    with pytest.raises(OptimalControlError):
+    with pytest.raises(InputError):
         BvpProblem(graph=nx.path_graph(2), target=np.eye(2), t0=1.0, tf=1.0)
 
 
@@ -645,12 +645,12 @@ def test_problem_rejects_empty_horizon():
     {"newton_tol": np.inf}, {"t0": np.nan}, {"tf": np.inf}, {"t0": -np.inf},
 ])
 def test_problem_rejects_out_of_range_settings(setting):
-    with pytest.raises(SettingsError, match=next(iter(setting))):
+    with pytest.raises(InputError, match=next(iter(setting))):
         BvpProblem(graph=nx.path_graph(2), target=np.eye(2), **setting)
 
 
 def test_problem_rejects_overflowing_horizon():
-    with pytest.raises(SettingsError, match=r"need finite tf - t0$"):
+    with pytest.raises(InputError, match=r"need finite tf - t0$"):
         BvpProblem(graph=nx.path_graph(2), target=np.eye(2), t0=-1e308, tf=1e308)
 
 

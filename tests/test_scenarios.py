@@ -7,7 +7,8 @@ import scipy.linalg
 import netxform as nx
 from netxform import scenarios
 from netxform.optimal_control import InfeasibleError
-from netxform.scenarios import (MAX_LOG_CONTRACTION, ScenarioError, agreement_error,
+from netxform.graph import InputError
+from netxform.scenarios import (MAX_LOG_CONTRACTION, agreement_error,
                                 default_initial_state, densification_target,
                                 swap_target)
 
@@ -38,7 +39,7 @@ def test_agreement_error_examples():
     x0 = np.array([1.0, 3.0])
     assert agreement_error(np.array([2.0, 2.0]), x0) == 0.0
     assert abs(agreement_error(x0, x0) - np.sqrt(2.0)) < 1e-15
-    with pytest.raises(ScenarioError):
+    with pytest.raises(InputError):
         agreement_error(np.zeros(2), np.zeros(3))
 
 
@@ -196,7 +197,7 @@ def test_densify_copies_are_fresh_shoots_on_their_intervals(densify_report):
 
 
 def test_densify_rejects_mismatched_vertex_sets():
-    with pytest.raises(ScenarioError, match="vertex set"):
+    with pytest.raises(InputError, match="vertex set"):
         nx.run_densify(nx.path_graph(3), nx.complete_graph(4))
 
 
@@ -223,11 +224,11 @@ def test_densify_disconnected_dense_graph_follows_its_flow(n, dense_edges, K):
 
 def test_swap_scenario_rejects_bad_pairs():
     g = nx.cycle_graph(4)
-    with pytest.raises(ScenarioError, match="disjoint"):
+    with pytest.raises(InputError, match="disjoint"):
         nx.run_swap(g, ((1, 1),))
-    with pytest.raises(ScenarioError, match="disjoint"):
+    with pytest.raises(InputError, match="disjoint"):
         nx.run_swap(g, ((1, 2), (2, 3)))
-    with pytest.raises(ScenarioError, match="out of range"):
+    with pytest.raises(InputError, match="out of range"):
         nx.run_swap(g, ((1, 5),))
 
 
