@@ -155,12 +155,10 @@ def cmd_simulate(args) -> int:
     if args.config is not None:
         cfg = _load_config(args.config)
         g = graph_from_json_dict(_require(cfg, "graph"))
-        if not np.array_equal(mask(g), sched.mask):
+        if sched.n != g.n or np.any(sched.mask & ~mask(g)):
             raise InputError("schedule sparsity pattern does not match the graph in --config")
     xi = _parse_xi(args, sched.n)
-    # default step count per piece tracks the schedule grid (see simulation_steps)
-    steps = args.steps if args.steps is not None else simulation_steps(sched)
-    grid, xs = propagate_state(sched, xi, steps)
+    grid, xs = propagate_state(sched, xi, simulation_steps(sched))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     csvio.write_vector_trajectory_csv(outdir / "nodes.csv", grid, xs)
@@ -211,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--xi", default=None, help="comma-separated initial state")
     sp.add_argument("--xi-file", default=None, help="file with the initial state")
     sp.add_argument("--config", default=None, help="optional graph config to validate against")
-    sp.add_argument("--steps", type=int, default=None,
-                    help="integration steps per piece (default: set by the schedule grid)")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("scenario", parents=[out], help="run a built-in scenario")
@@ -236,10 +232,10 @@ def _joined_xi(argv) -> list:
 
 def main(argv=None) -> int:
     """Run one command and return its exit code. Errors become exit codes here
-    alone: malformed input (InputError), a DynamicsError such as --steps below 1
-    or a replay that leaves the float range, memory and output-write errors exit
-    1; an infeasible target or waypoint exits 2 and any other solver error 3.
-    Each prints one `error:` line."""
+    alone: malformed input (InputError), a DynamicsError such as a replay that
+    leaves the float range, memory and output-write errors exit 1; an infeasible
+    target or waypoint exits 2 and any other solver error 3. Each prints one
+    `error:` line."""
     parser = build_parser()
     try:
         args = parser.parse_args(_joined_xi(sys.argv[1:] if argv is None else argv))

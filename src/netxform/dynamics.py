@@ -236,26 +236,9 @@ def _rk4(f, y0: np.ndarray, t0: float, tf: float, steps: int,
         yield (tf if k == steps - 1 else t0 + (k + 1) * h), y
 
 
-def _replay(sched: WeightSchedule, y0: np.ndarray, steps: int, caller: str):
-    """RK4 run of ydot = W(t) y from y0, `steps` steps per piece, each piece starting where
-    the last one ended; returns (grid, ys) with each join's time once. `caller` names the
-    public function in the error message. W_at keeps its last (t, W), since RK4's middle
-    stages share a time and a step's end is often the next step's start."""
-    pts = [(sched.t0, y0)]
-    for piece in sched.pieces():
-        W_at = lru_cache(maxsize=1)(piece.W_at)
-        with np.errstate(over="ignore", invalid="ignore"):
-            run = list(_rk4(lambda t, y, out: np.matmul(W_at(t), y, out=out),
-                            pts[-1][1], piece.t0, piece.tf, steps))
-        if not np.all(np.isfinite(run[-1][1])):  # a non-finite value stays non-finite
-            raise DynamicsError(f"{caller}: non-finite values encountered")
-        pts += run[1:]
-    return np.array([t for t, _ in pts]), np.array([y for _, y in pts])
-
-
 def integrate_transition(sched: WeightSchedule, steps: int) -> TransitionTrajectory:
     """Integrate Xdot = W(t) X from the identity over the schedule's interval."""
-    grid, X_seq = _replay(sched, np.eye(sched.n), steps, "integrate_transition")
+    grid, X_seq = propagate_state(sched, np.eye(sched.n), steps)
     dets = np.array([determinant(X) for X in X_seq])
     if np.any(dets <= 0.0):
         raise DynamicsError("integrate_transition: determinant lost positivity")
@@ -263,29 +246,42 @@ def integrate_transition(sched: WeightSchedule, steps: int) -> TransitionTraject
 
 
 def simulation_steps(sched: WeightSchedule) -> int:
-    """Step count for re-integrating an emitted schedule.
+    """Step count for re-integrating an emitted schedule: the largest count any
+    piece asks for, which the replay takes in every piece.
 
-    The count is read from the first piece, and the replay takes that many
-    steps in every piece. Half the grid intervals when the grid is uniform
-    with an even interval count: every RK4 stage time then lands exactly on
-    a stored sample, so no interpolation error enters and the re-run tracks
-    the producing integration closely. Coarse or non-uniform pieces fall
-    back to a flat default.
+    A piece asks for half its grid intervals when its grid is uniform with an
+    even interval count of at least 100: every RK4 stage time then lands
+    exactly on a stored sample, so no interpolation error enters and the re-run
+    tracks the producing integration closely. A coarse or non-uniform piece
+    asks for its interval count, and at least 200.
     """
-    grid = sched.pieces()[0].grid
-    m = grid.size - 1
-    spacing = np.diff(grid)
-    if m >= 100 and m % 2 == 0 and np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
-        return m // 2
-    return max(m, 200)
+    def asks(grid):
+        m, spacing = grid.size - 1, np.diff(grid)
+        if m >= 100 and m % 2 == 0 and np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
+            return m // 2
+        return max(m, 200)
+    return max(asks(piece.grid) for piece in sched.pieces())
 
 
-def propagate_state(sched: WeightSchedule, xi: np.ndarray, steps: int):
-    """Integrate the node states xdot = W(t) x from xi; returns (grid, states)."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (sched.n,):
-        raise DynamicsError(f"initial state has shape {xi.shape}, expected ({sched.n},)")
-    return _replay(sched, xi, steps, "propagate_state")
+def propagate_state(sched: WeightSchedule, x0: np.ndarray, steps: int):
+    """RK4 run of xdot = W(t) x from x0 of shape (n,) or (n, n), `steps` steps in
+    every piece, each piece starting where the last one ended; returns (grid,
+    states) with each join's time once. W_at keeps its last (t, W), since RK4's
+    middle stages share a time and a step's end is often the next step's start."""
+    x0 = np.asarray(x0, dtype=float)
+    n = sched.n
+    if x0.shape not in ((n,), (n, n)):
+        raise DynamicsError(f"initial state has shape {x0.shape}, expected ({n},) or ({n}, {n})")
+    pts = [(sched.t0, x0)]
+    for piece in sched.pieces():
+        W_at = lru_cache(maxsize=1)(piece.W_at)
+        with np.errstate(over="ignore", invalid="ignore"):
+            run = list(_rk4(lambda t, y, out: np.matmul(W_at(t), y, out=out),
+                            pts[-1][1], piece.t0, piece.tf, steps))
+        if not np.all(np.isfinite(run[-1][1])):  # a non-finite value stays non-finite
+            raise DynamicsError("propagate_state: non-finite values encountered")
+        pts += run[1:]
+    return np.array([t for t, _ in pts]), np.array([y for _, y in pts])
 
 
 def liouville_residual(traj: TransitionTrajectory, sched: WeightSchedule) -> float:

@@ -91,13 +91,6 @@ def default_initial_state(n: int, seed: int) -> np.ndarray:
     return xi - xi.mean()
 
 
-def _replay(sol: Solution, xi: np.ndarray) -> ScenarioReport:
-    """Replay the solved schedule on xi."""
-    sched = sol.schedule
-    grid, xs = propagate_state(sched, xi, simulation_steps(sched))
-    return ScenarioReport(grid=grid, node_states=xs, solution=sol)
-
-
 def run_densify(sparse_graph: Graph, dense_graph: Graph, initial_state=None,
                 max_iter: int = 300, **settings) -> ScenarioReport:
     """Solve the densification BVP and compare three agreement-error curves:
@@ -132,20 +125,21 @@ def run_densify(sparse_graph: Graph, dense_graph: Graph, initial_state=None,
     arc = solve_bvp(replace(prob, target=densification_target(dense_graph, 0.0, tau / K),
                             tf=times[1]))
     arcs = [arc] + [arc.moved_to(a, b) for a, b in zip(times[1:-1], times[2:])]
-    report = _replay(Solution(arcs=arcs, target=T), xi)
+    sol = Solution(arcs=arcs, target=T)
+    sched = sol.schedule
+    grid, states = propagate_state(sched, xi, simulation_steps(sched))
 
     # plain consensus runs share the synthesized run's (possibly segmented) grid
-    total_steps = report.grid.size - 1
     curves = {}
     for name, g in (("err_sparse", sparse_graph), ("err_dense", dense_graph)):
         sched = constant_schedule(-laplacian(g), prob.t0, prob.tf, mask(g))
-        curves[name] = propagate_state(sched, xi, total_steps)[1]
-    curves["err_synth"] = report.node_states
+        curves[name] = propagate_state(sched, xi, grid.size - 1)[1]
+    curves["err_synth"] = states
     with np.errstate(over="ignore", invalid="ignore"):  # squared distances above ~1e308
-        report.errors = {name: agreement_error(xs, xi) for name, xs in curves.items()}
-    if not all(np.isfinite(err).all() for err in report.errors.values()):
+        errors = {name: agreement_error(xs, xi) for name, xs in curves.items()}
+    if not all(np.isfinite(err).all() for err in errors.values()):
         raise InputError("initial_state is too large: its agreement errors leave the float range")
-    return report
+    return ScenarioReport(grid=grid, node_states=states, solution=sol, errors=errors)
 
 
 def run_swap(graph: Graph, pairs, waypoints=(), initial_state=None,
@@ -167,4 +161,7 @@ def run_swap(graph: Graph, pairs, waypoints=(), initial_state=None,
     if not waypoints and n == 4 and set(map(tuple, map(sorted, pairs))) == {(1, 2), (3, 4)}:
         waypoints = [SWAP_WAYPOINT_4]
     prob = BvpProblem(graph=graph, target=swap_target(n, pairs), **settings)
-    return _replay(solve_with_waypoints(prob, waypoints), xi)
+    sol = solve_with_waypoints(prob, waypoints)
+    sched = sol.schedule
+    grid, states = propagate_state(sched, xi, simulation_steps(sched))
+    return ScenarioReport(grid=grid, node_states=states, solution=sol)

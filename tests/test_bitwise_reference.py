@@ -121,6 +121,19 @@ def test_state_integrators_match_the_reference_loop(graph):
     assert_same_bits(xs, ref)
 
 
+def test_rk4_grid_is_the_linspace():
+    """RK4's grid, t0 + k h and then tf, is np.linspace(t0, tf, steps + 1) bit
+    for bit: the grid of a solved arc, on which ExtremalSolution.moved_to lays
+    a copy."""
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        t0 = rng.uniform(-1.0, 1.0) * 10.0 ** rng.integers(-3, 6)
+        tf = t0 + rng.uniform(0.01, 10.0) * 10.0 ** rng.integers(-2, 3)
+        steps = int(rng.integers(1, 300))
+        grid = [t for t, _ in _rk4(lambda t, y, out: out.fill(0.0), np.zeros(1), t0, tf, steps)]
+        assert_same_bits(grid, np.linspace(t0, tf, steps + 1))
+
+
 def test_signed_rk4_matches_plain_rk4():
     """A component whose rate is written negated and stepped with sign -1 gives the
     plain integration's bits, inf and nan included."""

@@ -405,6 +405,7 @@ def test_solve_unreachable_waypoint_exit_three(tmp_path, capsys):
     ("check", "--seed", "1"),
     ("check", "--steps", "5"),
     ("simulate", "--seed", "1"),
+    ("simulate", "--steps", "5"),  # the schedule sets the replay's steps
     ("solve", "--seed", "1"),
     ("solve", "--steps", "5"),
     ("scenario", "--seed", "1"),
@@ -627,15 +628,42 @@ def test_simulate_xi_with_xi_file_exit_one(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_simulate_bad_steps_exit_one(tmp_path, capsys):
-    msk = nx.mask(nx.path_graph(2))
-    sched = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, msk)
+def test_simulate_steps_follow_the_finest_piece(tmp_path):
+    # a zero piece on [0, 1] asks for 200 steps, and w_1_1 = 30 sin(300 t) on
+    # [1, 2], sampled at 2001 times, asks for 1000; 200 steps there miss by 9e-3
     from netxform.csvio import write_schedule_csv
+    grid = np.concatenate([[0.0, 1.0], np.linspace(1.0, 2.0, 2001)])
+    W_seq = np.zeros((grid.size, 2, 2))
+    W_seq[2:, 0, 0] = 30.0 * np.sin(300.0 * grid[2:])
     spath = tmp_path / "s.csv"
-    write_schedule_csv(spath, sched)
-    assert main(["simulate", "--schedule", str(spath), "--xi", "1,2", "--steps", "0",
-                 "--out", str(tmp_path / "o")]) == 1
-    _assert_one_error_line(capsys)
+    write_schedule_csv(spath, nx.WeightSchedule(grid=grid, W_seq=W_seq,
+                                                mask=nx.mask(nx.path_graph(2))))
+    assert main(["simulate", "--schedule", str(spath), "--xi", "1,2",
+                 "--out", str(tmp_path / "o")]) == 0
+    _, xs = read_vector_trajectory_csv(tmp_path / "o" / "nodes.csv")
+    want = np.exp(0.1 * (np.cos(300.0) - np.cos(600.0)))
+    assert abs(xs[-1, 0] - want) / want < 1e-3 and xs[-1, 1] == 2.0
+
+
+@pytest.mark.parametrize("columns, code", [
+    ("w_1_1,w_1_2,w_2_1,w_2_2,w_3_3", 0),  # no weight on the edge (2, 3)
+    ("w_1_1,w_1_3,w_2_2,w_3_3", 1),        # (1, 3) is not an edge of path3
+    ("w_1_1,w_1_2,w_2_1,w_2_2", 1),        # two nodes, where the graph has three
+    ("w_1_1,w_2_2,w_3_3,w_4_4", 1),        # four nodes
+], ids=["subset", "non-local", "fewer-nodes", "more-nodes"])
+def test_simulate_config_takes_local_schedules(tmp_path, capsys, path3_cfg, columns, code):
+    # --config asks that the schedule keeps to the graph's edges, not that it uses each
+    row = ",0.5" * (columns.count(",") + 1)
+    spath = tmp_path / "s.csv"
+    spath.write_text(f"t,{columns}\n0{row}\n1{row}\n")
+    assert main(["simulate", "--schedule", str(spath), "--xi", "1,1,1",
+                 "--config", path3_cfg, "--out", str(tmp_path / "o")]) == code
+    if code:
+        _assert_one_error_line(capsys, "sparsity")
+        assert not (tmp_path / "o").exists()
+    else:
+        _, xs = read_vector_trajectory_csv(tmp_path / "o" / "nodes.csv")
+        assert abs(xs[-1, 2] - np.exp(0.5)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,35 @@ def test_propagate_zero_state_stays_zero():
     assert not xs.any()
 
 
+def test_propagate_matrix_start_is_the_transition():
+    # one replay serves both: from the identity it gives integrate_transition's run
+    rng = np.random.default_rng(8)
+    sched = random_conforming_schedule(rng)
+    joined = nx.WeightSchedule(grid=np.concatenate([sched.grid, sched.grid + 1.0]),
+                               W_seq=np.concatenate([sched.W_seq, -sched.W_seq]),
+                               mask=sched.mask)
+    traj = integrate_transition(joined, 30)
+    grid, X_seq = propagate_state(joined, np.eye(joined.n), 30)
+    assert grid.tobytes() == traj.grid.tobytes()
+    assert X_seq.tobytes() == traj.X_seq.tobytes()
+
+
+def test_propagate_state_rejects_bad_start_shapes():
+    sched = random_conforming_schedule(np.random.default_rng(9))
+    n = sched.n
+    for shape in [(n + 1,), (n, n + 1)]:
+        with pytest.raises(DynamicsError, match=rf"\({n},\) or \({n}, {n}\)"):
+            propagate_state(sched, np.ones(shape), 10)
+
+
+def test_replay_rejects_steps_below_one():
+    sched = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, mask(nx.path_graph(2)))
+    with pytest.raises(DynamicsError, match="steps must be >= 1"):
+        propagate_state(sched, np.ones(2), 0)
+    with pytest.raises(DynamicsError, match="steps must be >= 1"):
+        integrate_transition(sched, 0)
+
+
 def test_propagate_state_chains_pieces():
     msk = mask(nx.build_graph(1, []))
     sched = nx.WeightSchedule(grid=np.array([0.0, 0.5, 0.5, 1.0]),
@@ -255,3 +284,7 @@ def test_simulation_steps_alignment():
     assert simulation_steps(fine) == 100
     coarse = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, msk)
     assert simulation_steps(coarse) == 200
+    # every piece takes the largest count any piece asks for, here the later one's
+    grid = np.concatenate([[0.0, 1.0], np.linspace(1.0, 2.0, 2001)])
+    mixed = nx.WeightSchedule(grid=grid, W_seq=np.zeros((grid.size, 2, 2)), mask=msk)
+    assert simulation_steps(mixed) == 1000

@@ -843,6 +843,20 @@ def test_waypoint_segments_split_the_horizon_evenly():
     assert segs[1].grid[0] == 0.5 and segs[1].grid[-1] == 1.0
 
 
+def test_moved_to_is_the_arc_solved_on_its_interval(scalar_solution):
+    # a copy keeps every sample and takes the grid a shoot on [t0, tf] gives
+    arc = scalar_solution
+    copy = arc.moved_to(0.7, 1.9)
+    assert copy.grid.tobytes() == np.linspace(0.7, 1.9, arc.grid.size).tobytes()
+    prob = BvpProblem(graph=nx.build_graph(1, []), target=np.array([[2.0]]), t0=0.7, tf=1.9)
+    _, info = shoot(prob, arc.lambda0)
+    assert info["grid"].tobytes() == copy.grid.tobytes()
+    assert copy.schedule.W_seq.tobytes() == arc.schedule.W_seq.tobytes()
+    assert copy.X_seq is arc.X_seq and copy.lambda_seq is arc.lambda_seq
+    assert (copy.cost, copy.converged) == (arc.cost, arc.converged)
+    assert (copy.iterations, copy.restart_used) == (0, 0)
+
+
 def test_solution_schedule_joins_the_arcs():
     # on [0, 1.8] the first arc's RK4 time t0 + steps h is one bit above 0.9,
     # but its grid ends on 0.9 itself, where the second arc starts

@@ -175,6 +175,15 @@ def test_densify_copies_lie_on_their_shares_of_the_horizon():
     assert [(a.grid[0], a.grid[-1]) for a in arcs] == list(zip(times[:-1], times[1:]))
 
 
+def test_densify5_arcs_lie_on_the_linspace_of_their_shares(densify_report):
+    # the solved first arc's RK4 grid and each copy's grid alike
+    arcs = densify_report.solution.segments()
+    times = np.linspace(0.0, 1.0, 6)
+    assert len(arcs) == 5
+    for arc, a, b in zip(arcs, times, times[1:]):
+        assert arc.grid.tobytes() == np.linspace(a, b, 201).tobytes()
+
+
 def test_densify_copies_are_fresh_shoots_on_their_intervals(densify_report):
     # the extremal system is autonomous: shooting the arc's costate again on
     # a copy's own interval reproduces the copy
