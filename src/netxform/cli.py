@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio
-from .dynamics import DynamicsError, propagate_state, simulation_steps
+from .dynamics import DynamicsError, WeightSchedule, propagate_state, simulation_steps
 from .graph import InputError, graph_from_json_dict, mask, numeric_array
 from .lie_algebra import check_feasible
 from .optimal_control import (BvpProblem, InfeasibleError, OptimalControlError,
@@ -155,8 +155,11 @@ def cmd_simulate(args) -> int:
     if args.config is not None:
         cfg = _load_config(args.config)
         g = graph_from_json_dict(_require(cfg, "graph"))
-        if sched.n != g.n or np.any(sched.mask & ~mask(g)):
+        pad = g.n - sched.n  # a node the header never names holds zero weight
+        if pad < 0 or np.any(np.pad(sched.mask, (0, pad)) & ~mask(g)):
             raise InputError("schedule sparsity pattern does not match the graph in --config")
+        sched = WeightSchedule(sched.grid, np.pad(sched.W_seq, [(0, 0), (0, pad), (0, pad)]),
+                               np.pad(sched.mask, (0, pad)))
     xi = _parse_xi(args, sched.n)
     grid, xs = propagate_state(sched, xi, simulation_steps(sched))
     outdir = Path(args.out)

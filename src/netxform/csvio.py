@@ -14,7 +14,7 @@ import re
 
 import numpy as np
 
-from .dynamics import DynamicsError, WeightSchedule
+from .dynamics import WeightSchedule
 from .graph import InputError
 
 
@@ -90,7 +90,7 @@ def read_schedule_csv(path) -> WeightSchedule:
     W_seq[:, idx[0], idx[1]] = data[:, 1:]
     try:
         return WeightSchedule(grid=data[:, 0].copy(), W_seq=W_seq, mask=msk)
-    except DynamicsError as exc:
+    except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 

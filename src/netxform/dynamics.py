@@ -15,9 +15,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .graph import InputError
+
 
 class DynamicsError(ValueError):
-    """Bad schedule, dimension mismatch, or numerical blow-up."""
+    """Numerical failure: a singular system, or values that leave the float range."""
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +51,7 @@ def determinant(A: np.ndarray) -> float:
     A = np.array(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n):
-        raise DynamicsError(f"determinant needs a square matrix, got {A.shape}")
+        raise InputError(f"determinant needs a square matrix, got {A.shape}")
     pivots, sign = _eliminate(A, 0.0)
     if len(pivots) < n:
         return 0.0
@@ -63,7 +65,7 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n) or b.shape[0] != n:
-        raise DynamicsError("solve_linear: dimension mismatch")
+        raise InputError("solve_linear: dimension mismatch")
     tiny = n * np.finfo(float).eps * max(np.abs(A).max(), 1.0)
     M = np.hstack([A, b.reshape(n, -1)])
     if len(_eliminate(M, tiny)[0]) < n:
@@ -133,18 +135,18 @@ class WeightSchedule:
         object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
         n = self.mask.shape[0]
         if W_seq.shape != (grid.size, n, n):
-            raise DynamicsError(
+            raise InputError(
                 f"schedule shape {W_seq.shape} does not match grid size {grid.size} and n={n}")
         step = np.diff(grid)
         joins = step == 0.0
         if grid.size < 2 or not np.all(step >= 0.0) or joins[0] or joins[-1] \
                 or np.any(joins[1:] & joins[:-1]):
-            raise DynamicsError("schedule grid must be increasing, with a repeated time only "
-                                "as a join between pieces of >= 2 points")
+            raise InputError("schedule grid must be increasing, with a repeated time only "
+                             "as a join between pieces of >= 2 points")
         off = ~self.mask
         bad = np.abs(W_seq[:, off]).max(initial=0.0)
         if bad > 0.0:
-            raise DynamicsError(f"schedule violates sparsity pattern (max off-pattern entry {bad})")
+            raise InputError(f"schedule violates sparsity pattern (max off-pattern entry {bad})")
 
     @property
     def t0(self) -> float:
@@ -212,7 +214,7 @@ def _rk4(f, y0: np.ndarray, t0: float, tf: float, steps: int,
     broadcasts. Every yielded y_k is a fresh array.
     """
     if steps < 1:
-        raise DynamicsError("steps must be >= 1")
+        raise InputError("steps must be >= 1")
     h = (tf - t0) / steps
     y = np.array(y0, dtype=float)
     half, full, sixth = (np.broadcast_to(sign * c, y.shape).copy() for c in (h / 2, h, h / 6))
@@ -271,7 +273,7 @@ def propagate_state(sched: WeightSchedule, x0: np.ndarray, steps: int):
     x0 = np.asarray(x0, dtype=float)
     n = sched.n
     if x0.shape not in ((n,), (n, n)):
-        raise DynamicsError(f"initial state has shape {x0.shape}, expected ({n},) or ({n}, {n})")
+        raise InputError(f"initial state has shape {x0.shape}, expected ({n},) or ({n}, {n})")
     pts = [(sched.t0, x0)]
     for piece in sched.pieces():
         W_at = lru_cache(maxsize=1)(piece.W_at)

@@ -14,8 +14,9 @@ import numpy as np
 
 
 class InputError(ValueError):
-    """Malformed input: a graph, config, settings value, initial state or CSV
-    file that the program cannot use. The command line exits 1 on it."""
+    """Malformed input, whichever layer checks it: a graph, config, setting,
+    initial state or CSV file, or an index or array shape that the Lie layer,
+    the dynamics or the solver cannot use. The command line exits 1 on it."""
 
 
 @dataclass(frozen=True)
@@ -24,10 +25,6 @@ class Graph:
 
     n: int
     edges: frozenset
-
-    def to_json_dict(self) -> dict:
-        nonloop = sorted((i, j) for (i, j) in self.edges if i < j)
-        return {"nodes": self.n, "edges": [[i, j] for (i, j) in nonloop]}
 
 
 def build_graph(n: int, edge_list) -> Graph:
@@ -153,8 +150,6 @@ def mask(g: Graph) -> np.ndarray:
 
 
 def path_graph(n: int) -> Graph:
-    if n < 1:
-        raise InputError("path graph needs n >= 1")
     return build_graph(n, [(i, i + 1) for i in range(1, n)])
 
 
@@ -165,12 +160,8 @@ def cycle_graph(n: int) -> Graph:
 
 
 def star_graph(n: int) -> Graph:
-    if n < 1:
-        raise InputError("star graph needs n >= 1")
     return build_graph(n, [(1, i) for i in range(2, n + 1)])
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 1:
-        raise InputError("complete graph needs n >= 1")
     return build_graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])

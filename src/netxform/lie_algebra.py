@@ -16,17 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import determinant
-from .graph import Graph, _components, is_connected
-
-
-class LieAlgebraError(ValueError):
-    """Index out of range or dimension mismatch."""
+from .graph import Graph, InputError, _components, is_connected
 
 
 def index_matrix(n: int, i: int, j: int) -> np.ndarray:
     """E_ij: one at (i, j), zeros elsewhere. 1-based indices."""
     if not (1 <= i <= n and 1 <= j <= n):
-        raise LieAlgebraError(f"index ({i},{j}) out of range for n={n}")
+        raise InputError(f"index ({i},{j}) out of range for n={n}")
     M = np.zeros((n, n))
     M[i - 1, j - 1] = 1.0
     return M
@@ -42,7 +38,7 @@ class IndexField:
 
     def __post_init__(self):
         if not (1 <= self.i <= self.n and 1 <= self.j <= self.n):
-            raise LieAlgebraError(f"index ({self.i},{self.j}) out of range for n={self.n}")
+            raise InputError(f"index ({self.i},{self.j}) out of range for n={self.n}")
 
     def element(self) -> "AlgebraElement":
         return AlgebraElement(coeffs=index_matrix(self.n, self.i, self.j))
@@ -102,27 +98,19 @@ class FeasibilityReport:
 
 
 def bracket(a: IndexField, b: IndexField) -> AlgebraElement:
-    """Lie bracket of two edge fields as a combination of edge fields.
+    """Lie bracket of two edge fields: bracket_general of their index matrices.
 
     For g_ij and g_kl the bracket field is (E_kl E_ij - E_ij E_kl) X, which
     contributes +g_kj when l = i and -g_il when j = k (both terms survive when
     both conditions hold, e.g. [g_12, g_21] = g_22 - g_11).
     """
-    if a.n != b.n:
-        raise LieAlgebraError("bracket: dimension mismatch")
-    n = a.n
-    C = np.zeros((n, n))
-    if b.j == a.i:
-        C[b.i - 1, a.j - 1] += 1.0
-    if a.j == b.i:
-        C[a.i - 1, b.j - 1] -= 1.0
-    return AlgebraElement(coeffs=C)
+    return bracket_general(a.element(), b.element())
 
 
 def bracket_general(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bracket of two fields A X and B X: the field (B A - A B) X."""
     if a.coeffs.shape != b.coeffs.shape:
-        raise LieAlgebraError("bracket_general: dimension mismatch")
+        raise InputError("bracket_general: dimension mismatch")
     return AlgebraElement(coeffs=b.coeffs @ a.coeffs - a.coeffs @ b.coeffs)
 
 
@@ -150,7 +138,7 @@ def check_feasible(g: Graph, T: np.ndarray) -> FeasibilityReport:
     """Existence gate for the boundary value problem: det(T) > 0 and connectivity."""
     T = np.asarray(T, dtype=float)
     if T.shape != (g.n, g.n):
-        raise LieAlgebraError(f"target has shape {T.shape}, expected ({g.n},{g.n})")
+        raise InputError(f"target has shape {T.shape}, expected ({g.n},{g.n})")
     connected = is_connected(g)
     finite = np.all(np.isfinite(T))
     det, sign = (determinant(T), _det_sign(T)) if finite else (np.nan, 0)

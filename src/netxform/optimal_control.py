@@ -28,7 +28,7 @@ SCAN_SAMPLES = 201  # points of the homotopy singularity scan, both ends include
 
 
 class OptimalControlError(ValueError):
-    """Infeasible problem or invalid solver input."""
+    """A target that no shoot reaches; as InfeasibleError, one no schedule on the graph reaches."""
 
 
 class InfeasibleError(OptimalControlError):
@@ -223,7 +223,7 @@ def weights_from_costate(lam: np.ndarray, X: np.ndarray, msk: np.ndarray) -> np.
     lam = np.asarray(lam, dtype=float)
     X = np.asarray(X, dtype=float)
     if lam.shape[-2:] != msk.shape or X.shape != lam.shape:
-        raise OptimalControlError("weights_from_costate: dimension mismatch")
+        raise InputError("weights_from_costate: dimension mismatch")
     return np.where(msk, -(lam @ np.swapaxes(X, -1, -2)), 0.0)
 
 
@@ -273,7 +273,7 @@ def shoot(prob: BvpProblem, lambda0: np.ndarray):
     n = prob.graph.n
     lam0 = np.asarray(lambda0, dtype=float)
     if lam0.shape != (n, n):
-        raise OptimalControlError(f"lambda0 has shape {lam0.shape}, expected ({n},{n})")
+        raise InputError(f"lambda0 has shape {lam0.shape}, expected ({n},{n})")
     X_tf, diverged, points = _shoot_batch(prob, lam0[None], record=True)
     Y_seq = np.array([Y[:, 0] for _, Y in points])
     info = {"grid": np.array([t for t, _ in points]), "X_seq": Y_seq[:, 0],
@@ -459,7 +459,7 @@ def solve_bvp(prob: BvpProblem, initial_guess: np.ndarray | None = None) -> Extr
     if initial_guess is not None:
         guess = np.asarray(initial_guess, dtype=float)
         if guess.shape != (n, n):
-            raise OptimalControlError(f"initial_guess has shape {guess.shape}, expected ({n},{n})")
+            raise InputError(f"initial_guess has shape {guess.shape}, expected ({n},{n})")
         starts.insert(0, (0, guess))
     seeded = ((ridx, np.random.default_rng(prob.seed + ridx).uniform(-0.5, 0.5, size=(n, n)))
               for ridx in range(1, prob.restarts + 1))

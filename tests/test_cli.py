@@ -648,7 +648,7 @@ def test_simulate_steps_follow_the_finest_piece(tmp_path):
 @pytest.mark.parametrize("columns, code", [
     ("w_1_1,w_1_2,w_2_1,w_2_2,w_3_3", 0),  # no weight on the edge (2, 3)
     ("w_1_1,w_1_3,w_2_2,w_3_3", 1),        # (1, 3) is not an edge of path3
-    ("w_1_1,w_1_2,w_2_1,w_2_2", 1),        # two nodes, where the graph has three
+    ("w_1_1,w_1_2,w_2_1,w_2_2", 0),        # node 3 unnamed: zero weight there
     ("w_1_1,w_2_2,w_3_3,w_4_4", 1),        # four nodes
 ], ids=["subset", "non-local", "fewer-nodes", "more-nodes"])
 def test_simulate_config_takes_local_schedules(tmp_path, capsys, path3_cfg, columns, code):
@@ -663,7 +663,14 @@ def test_simulate_config_takes_local_schedules(tmp_path, capsys, path3_cfg, colu
         assert not (tmp_path / "o").exists()
     else:
         _, xs = read_vector_trajectory_csv(tmp_path / "o" / "nodes.csv")
-        assert abs(xs[-1, 2] - np.exp(0.5)) < 1e-12
+        if "w_3_3" in columns:
+            assert abs(xs[-1, 2] - np.exp(0.5)) < 1e-12
+        else:  # node 3 keeps its value, and nodes 1-2 run as on their own
+            assert np.all(xs[:, 2] == 1.0)
+            assert main(["simulate", "--schedule", str(spath), "--xi", "1,1",
+                         "--out", str(tmp_path / "o2")]) == 0
+            _, xs2 = read_vector_trajectory_csv(tmp_path / "o2" / "nodes.csv")
+            assert xs[:, :2].tobytes() == xs2.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import netxform as nx
 from netxform.dynamics import (DynamicsError, determinant, expm,
                                integrate_transition, liouville_residual,
                                propagate_state, simulation_steps, solve_linear)
-from netxform.graph import mask
+from netxform.graph import InputError, mask
 
 from conftest import SWAP_TARGET, single_node_average_map
 
@@ -106,16 +106,16 @@ def test_expm_rejects_non_finite():
 def test_schedule_rejects_off_pattern_entries():
     msk = mask(nx.path_graph(3))
     W = np.ones((2, 3, 3))
-    with pytest.raises(DynamicsError):
+    with pytest.raises(InputError):
         nx.WeightSchedule(grid=np.array([0.0, 1.0]), W_seq=W, mask=msk)
 
 
 def test_schedule_rejects_bad_grid():
     msk = mask(nx.path_graph(2))
     W = np.zeros((2, 2, 2))
-    with pytest.raises(DynamicsError):
+    with pytest.raises(InputError):
         nx.WeightSchedule(grid=np.array([1.0, 0.0]), W_seq=W, mask=msk)
-    with pytest.raises(DynamicsError):
+    with pytest.raises(InputError):
         nx.WeightSchedule(grid=np.array([0.0]), W_seq=W[:1], mask=msk)
 
 
@@ -130,7 +130,7 @@ def test_schedule_join_rules(grid, ok):
     msk = mask(nx.build_graph(1, []))
     W_seq = np.arange(len(grid), dtype=float).reshape(-1, 1, 1)
     if not ok:
-        with pytest.raises(DynamicsError):
+        with pytest.raises(InputError):
             nx.WeightSchedule(grid=np.array(grid), W_seq=W_seq, mask=msk)
         return
     pieces = nx.WeightSchedule(grid=np.array(grid), W_seq=W_seq, mask=msk).pieces()
@@ -214,15 +214,15 @@ def test_propagate_state_rejects_bad_start_shapes():
     sched = random_conforming_schedule(np.random.default_rng(9))
     n = sched.n
     for shape in [(n + 1,), (n, n + 1)]:
-        with pytest.raises(DynamicsError, match=rf"\({n},\) or \({n}, {n}\)"):
+        with pytest.raises(InputError, match=rf"\({n},\) or \({n}, {n}\)"):
             propagate_state(sched, np.ones(shape), 10)
 
 
 def test_replay_rejects_steps_below_one():
     sched = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, mask(nx.path_graph(2)))
-    with pytest.raises(DynamicsError, match="steps must be >= 1"):
+    with pytest.raises(InputError, match="steps must be >= 1"):
         propagate_state(sched, np.ones(2), 0)
-    with pytest.raises(DynamicsError, match="steps must be >= 1"):
+    with pytest.raises(InputError, match="steps must be >= 1"):
         integrate_transition(sched, 0)
 
 

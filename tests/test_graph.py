@@ -5,6 +5,7 @@ import pytest
 
 import netxform as nx
 from netxform.graph import InputError, adjacency, build_graph, mask, numeric_array
+from netxform.lie_algebra import index_matrix
 
 
 def test_build_graph_symmetrizes_and_adds_self_loops():
@@ -26,7 +27,7 @@ def test_build_graph_rejects_out_of_range_index():
 
 def test_graph_json_round_trip():
     g = build_graph(3, [(1, 2), (2, 3)])
-    again = nx.graph_from_json_dict(g.to_json_dict())
+    again = nx.graph_from_json_dict({"nodes": 3, "edges": [[1, 2], [2, 3]]})
     assert again == g
     with pytest.raises(InputError):
         nx.graph_from_json_dict({"edges": []})
@@ -139,6 +140,13 @@ def test_canonical_graph_argument_validation():
         nx.path_graph(0)
 
 
+@pytest.mark.parametrize("make", [nx.path_graph, nx.star_graph, nx.complete_graph])
+@pytest.mark.parametrize("n", [0, -1])
+def test_canonical_graphs_take_build_graphs_vertex_check(make, n):
+    with pytest.raises(InputError, match=f"^vertex count must be >= 1, got {n}$"):
+        make(n)
+
+
 def test_adjacency_excludes_self_loops():
     A = adjacency(nx.path_graph(3))
     assert not A.diagonal().any()
@@ -151,3 +159,53 @@ def test_mask_symmetric_diagonal_true_property():
         m = nx.mask(g)
         assert np.array_equal(m, m.T)
         assert m.diagonal().all()
+
+
+
+# ---------------------------------------------------------------------------
+# malformed input to the Python API, whichever layer checks it
+
+
+def _schedule(grid=(0.0, 1.0), W_seq=np.zeros((2, 2, 2)), g=nx.path_graph(2)):
+    return nx.WeightSchedule(grid=np.array(grid), W_seq=W_seq, mask=mask(g))
+
+
+PATH2 = nx.BvpProblem(graph=nx.path_graph(2), target=np.eye(2))
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: index_matrix(3, 0, 1), "index (0,1) out of range for n=3"),
+    (lambda: nx.IndexField(3, 1, 4), "index (1,4) out of range for n=3"),
+    (lambda: nx.bracket_general(nx.AlgebraElement(np.eye(2)), nx.AlgebraElement(np.eye(3))),
+     "bracket_general: dimension mismatch"),
+    (lambda: nx.bracket(nx.IndexField(2, 1, 2), nx.IndexField(3, 1, 2)),
+     "bracket_general: dimension mismatch"),
+    (lambda: nx.check_feasible(nx.path_graph(3), np.eye(2)),
+     "target has shape (2, 2), expected (3,3)"),
+    (lambda: nx.determinant(np.ones((2, 3))), "determinant needs a square matrix, got (2, 3)"),
+    (lambda: nx.solve_linear(np.eye(2), np.ones(3)), "solve_linear: dimension mismatch"),
+    (lambda: _schedule(W_seq=np.zeros((3, 2, 2))),
+     "schedule shape (3, 2, 2) does not match grid size 2 and n=2"),
+    (lambda: _schedule(grid=(1.0, 0.0)),
+     "schedule grid must be increasing, with a repeated time only as a join between "
+     "pieces of >= 2 points"),
+    (lambda: _schedule(W_seq=np.ones((2, 2, 2)), g=build_graph(2, [])),
+     "schedule violates sparsity pattern (max off-pattern entry 1.0)"),
+    (lambda: nx.propagate_state(_schedule(), np.ones(2), 0), "steps must be >= 1"),
+    (lambda: nx.propagate_state(_schedule(), np.ones(3), 10),
+     "initial state has shape (3,), expected (2,) or (2, 2)"),
+    (lambda: nx.weights_from_costate(np.eye(2), np.eye(3), mask(nx.path_graph(3))),
+     "weights_from_costate: dimension mismatch"),
+    (lambda: nx.shoot(PATH2, np.zeros((3, 3))), "lambda0 has shape (3, 3), expected (2,2)"),
+    (lambda: nx.solve_bvp(PATH2, initial_guess=np.zeros((3, 3))),
+     "initial_guess has shape (3, 3), expected (2,2)"),
+], ids=["index_matrix", "IndexField", "bracket_general", "bracket", "check_feasible",
+        "determinant", "solve_linear", "schedule-shape", "schedule-grid", "schedule-sparsity",
+        "rk4-steps", "propagate_state-start", "weights_from_costate", "shoot-lambda0",
+        "solve_bvp-initial_guess"])
+def test_malformed_input_raises_input_error(call, text):
+    # one class for every layer, with each check's own message; bracket's is
+    # bracket_general's, since bracket is bracket_general of the index matrices
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == text

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import netxform as nx
-from netxform.graph import mask
-from netxform.lie_algebra import LieAlgebraError, closure_contains, index_matrix
+from netxform.graph import InputError, mask
+from netxform.lie_algebra import closure_contains, index_matrix
 
 from conftest import SWAP_TARGET, consensus_map, single_node_average_map
 
@@ -120,16 +120,21 @@ def test_bracket_transpose_pair_hits_both_terms():
 
 
 def test_bracket_out_of_range_index():
-    with pytest.raises(LieAlgebraError):
+    with pytest.raises(InputError):
         nx.IndexField(3, 0, 2)
 
 
-def test_bracket_general_matches_index_bracket():
-    a = nx.IndexField(3, 1, 2)
-    b = nx.IndexField(3, 2, 3)
-    general = nx.bracket_general(a.element(), b.element())
-    assert np.array_equal(general.coeffs, nx.bracket(a, b).coeffs)
-    assert np.array_equal(general.coeffs, -index_matrix(3, 1, 3))
+def test_bracket_follows_the_index_rule():
+    # [g_ij, g_kl] = delta_li E_kj - delta_jk E_il, the rule computed here
+    for n in range(1, 5):
+        idx = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        for i, j in idx:
+            for k, l in idx:
+                want = np.zeros((n, n))
+                want[k - 1, j - 1] += l == i
+                want[i - 1, l - 1] -= j == k
+                got = nx.bracket(nx.IndexField(n, i, j), nx.IndexField(n, k, l))
+                assert np.array_equal(got.coeffs, want), (n, i, j, k, l)
 
 
 def test_bracket_general_self_and_zero():

@@ -51,7 +51,7 @@ def test_weights_respect_mask_zeros():
 
 def test_weights_dimension_mismatch():
     msk = mask(nx.path_graph(3))
-    with pytest.raises(OptimalControlError):
+    with pytest.raises(InputError):
         weights_from_costate(np.eye(2), np.eye(3), msk)
 
 
@@ -111,9 +111,9 @@ def test_extremal_rhs_is_one_stacked_rate(stack):
 
 def test_weights_stack_shape_mismatch():
     msk = mask(nx.path_graph(3))
-    with pytest.raises(OptimalControlError):
+    with pytest.raises(InputError):
         weights_from_costate(np.zeros((4, 3, 3)), np.zeros((3, 3, 3)), msk)
-    with pytest.raises(OptimalControlError):
+    with pytest.raises(InputError):
         weights_from_costate(np.zeros(3), np.zeros(3), msk)
 
 
@@ -594,7 +594,7 @@ def test_restart_costates_are_drawn_only_when_reached(monkeypatch, prob, draws):
 
 def test_shoot_rejects_wrong_shape():
     prob = BvpProblem(graph=nx.path_graph(2), target=np.eye(2))
-    with pytest.raises(OptimalControlError):
+    with pytest.raises(InputError):
         shoot(prob, np.zeros((3, 3)))
 
 
