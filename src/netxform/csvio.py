@@ -1,4 +1,4 @@
-"""CSV emission and round-trip parsing for schedules and trajectories.
+"""CSV emission of schedules and trajectories, and round-trip parsing of schedules.
 
 All numbers are written with shortest round-trip decimal formatting, so a
 re-parsed file reproduces the exact floats that were written. A schedule
@@ -28,7 +28,7 @@ def _write_table(path, header, table) -> None:
                       for row in np.asarray(table, dtype=float).tolist())
 
 
-def _read_table(path, what: str):
+def _read_table(path):
     """Parse a table written by _write_table; returns (header, (rows, cols) array).
 
     The header must start with a `t` column, every non-blank row must hold
@@ -40,7 +40,7 @@ def _read_table(path, what: str):
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not rows or rows[0][:1] != ["t"]:
-        raise InputError(f"{path}: expected a {what} header starting with 't'")
+        raise InputError(f"{path}: expected a schedule header starting with 't'")
     header = rows[0]
     data = []
     for line, row in enumerate(rows[1:], start=2):
@@ -56,7 +56,7 @@ def _read_table(path, what: str):
             raise InputError(f"{path}:{line}: non-finite value")
         data.append(vals)
     if not data:
-        raise InputError(f"{path}: no {what} rows")
+        raise InputError(f"{path}: no schedule rows")
     return header, np.array(data)
 
 
@@ -70,7 +70,7 @@ def write_schedule_csv(path, sched: WeightSchedule) -> None:
 def read_schedule_csv(path) -> WeightSchedule:
     """Parse a schedule file; the sparsity mask is reconstructed from the
     header, and WeightSchedule decides which times are joins."""
-    header, data = _read_table(path, "schedule")
+    header, data = _read_table(path)
     pairs = {}  # (i, j) -> None, in header order
     for name in header[1:]:
         m = re.fullmatch(r"w_([1-9][0-9]*)_([1-9][0-9]*)", name)
@@ -103,27 +103,11 @@ def write_matrix_trajectory_csv(path, grid, M_seq, prefix: str = "X") -> None:
                  np.column_stack([grid, M_seq.reshape(len(M_seq), n * n)]))
 
 
-def read_matrix_trajectory_csv(path):
-    """Inverse of write_matrix_trajectory_csv; returns (grid, M_seq)."""
-    header, data = _read_table(path, "matrix trajectory")
-    ncols = len(header) - 1
-    n = int(round(ncols ** 0.5))
-    if n == 0 or n * n != ncols:
-        raise InputError(f"{path}: {ncols} value columns is not a positive square count")
-    return data[:, 0], data[:, 1:].reshape(-1, n, n)
-
-
 def write_vector_trajectory_csv(path, grid, xs) -> None:
     """Node-state trajectory: header t,x_1,...,x_n."""
     xs = np.asarray(xs)
     _write_table(path, ["t"] + [f"x_{i}" for i in range(1, xs.shape[1] + 1)],
                  np.column_stack([grid, xs]))
-
-
-def read_vector_trajectory_csv(path):
-    """Inverse of write_vector_trajectory_csv; returns (grid, xs)."""
-    _, data = _read_table(path, "vector trajectory")
-    return data[:, 0], data[:, 1:]
 
 
 def write_columns_csv(path, header, columns) -> None:

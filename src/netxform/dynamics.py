@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph import InputError
+from .graph import InputError, _square_matrix
 
 
 class DynamicsError(ValueError):
@@ -48,10 +48,8 @@ def _eliminate(M: np.ndarray, tol: float):
 
 def determinant(A: np.ndarray) -> float:
     """Determinant as the product of the pivots of _eliminate, with exact swap signs."""
-    A = np.array(A, dtype=float)
+    A = _square_matrix(A, "determinant").copy()  # _eliminate works in place
     n = A.shape[0]
-    if A.shape != (n, n):
-        raise InputError(f"determinant needs a square matrix, got {A.shape}")
     pivots, sign = _eliminate(A, 0.0)
     if len(pivots) < n:
         return 0.0
@@ -61,10 +59,10 @@ def determinant(A: np.ndarray) -> float:
 
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b by pivoted elimination of [A | b]; raises on numerically singular A."""
-    A = np.asarray(A, dtype=float)
+    A = _square_matrix(A, "solve_linear")
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
-    if A.shape != (n, n) or b.shape[0] != n:
+    if b.ndim not in (1, 2) or b.shape[0] != n:
         raise InputError("solve_linear: dimension mismatch")
     tiny = n * np.finfo(float).eps * max(np.abs(A).max(), 1.0)
     M = np.hstack([A, b.reshape(n, -1)])
@@ -84,7 +82,7 @@ def expm(A: np.ndarray) -> np.ndarray:
     most 1/2, the series is summed to relative machine precision, and the
     result squared s times; squarings that leave the float range raise.
     """
-    A = np.asarray(A, dtype=float)
+    A = _square_matrix(A, "expm")
     if not np.all(np.isfinite(A)):
         raise DynamicsError("expm: non-finite input")
     n = A.shape[0]

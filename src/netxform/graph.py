@@ -85,6 +85,16 @@ def numeric_array(value, what: str, shape: tuple, whole: bool = False) -> np.nda
     return A
 
 
+def _square_matrix(value, what: str) -> np.ndarray:
+    """`value` as a float array, which must be 2-D with equal sides; any other
+    shape raises InputError, naming the function as `what`. The entries are
+    not checked."""
+    A = np.asarray(value, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise InputError(f"{what} needs a square matrix, got {A.shape}")
+    return A
+
+
 def node_pairs(value, what: str) -> list:
     """`value` as a list of (a, b) pairs of whole node numbers; anything
     else raises InputError, naming the input as `what`."""
@@ -126,16 +136,10 @@ def is_connected(g: Graph) -> bool:
     return len(_components(g)) == 1
 
 
-def adjacency(g: Graph) -> np.ndarray:
-    """0/1 adjacency matrix without self-loops."""
-    A = mask(g).astype(float)
-    np.fill_diagonal(A, 0.0)
-    return A
-
-
 def laplacian(g: Graph) -> np.ndarray:
     """Standard graph Laplacian L = D - A, self-loops excluded."""
-    A = adjacency(g)
+    A = mask(g).astype(float)
+    np.fill_diagonal(A, 0.0)
     return np.diag(A.sum(axis=1)) - A
 
 

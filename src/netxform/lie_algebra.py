@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import determinant
-from .graph import Graph, InputError, _components, is_connected
+from .graph import Graph, InputError, _components, _square_matrix, is_connected
 
 
 def index_matrix(n: int, i: int, j: int) -> np.ndarray:
@@ -109,9 +109,10 @@ def bracket(a: IndexField, b: IndexField) -> AlgebraElement:
 
 def bracket_general(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bracket of two fields A X and B X: the field (B A - A B) X."""
-    if a.coeffs.shape != b.coeffs.shape:
+    A, B = (_square_matrix(e.coeffs, "bracket_general") for e in (a, b))
+    if A.shape != B.shape:
         raise InputError("bracket_general: dimension mismatch")
-    return AlgebraElement(coeffs=b.coeffs @ a.coeffs - a.coeffs @ b.coeffs)
+    return AlgebraElement(coeffs=B @ A - A @ B)
 
 
 def generated_algebra_dimension(g: Graph) -> int:
@@ -122,16 +123,6 @@ def generated_algebra_dimension(g: Graph) -> int:
     off-diagonal unit, and the self-loops, which build_graph always inserts,
     give the diagonal. Units in different components commute."""
     return sum(len(comp) ** 2 for comp in _components(g))
-
-
-def closure_contains(g: Graph, C: np.ndarray) -> float:
-    """Residual norm of C after projection onto the closure span: the norm of
-    the entries of C that join two components."""
-    label = np.empty(g.n, dtype=int)
-    for k, comp in enumerate(_components(g)):
-        label[[v - 1 for v in comp]] = k
-    C = np.asarray(C, dtype=float)
-    return float(np.linalg.norm(C[label[:, None] != label[None, :]]))
 
 
 def check_feasible(g: Graph, T: np.ndarray) -> FeasibilityReport:

@@ -16,7 +16,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .dynamics import DynamicsError, WeightSchedule, _rk4, determinant, solve_linear
-from .graph import Graph, InputError, mask
+from .graph import Graph, InputError, _square_matrix, mask
 from .lie_algebra import check_feasible
 
 DIVERGENCE_LIMIT = 1e12
@@ -487,9 +487,8 @@ def homotopy_singularity_scan(T: np.ndarray):
     Returns (min_abs_det, argmin_s); a small minimum signals that direct
     shooting will be ill-conditioned and waypoints are advisable.
     """
-    T = np.asarray(T, dtype=float)
-    n = T.shape[0]
-    eye = np.eye(n)
+    T = _square_matrix(T, "homotopy_singularity_scan")
+    eye = np.eye(T.shape[0])
     best_val, best_s = np.inf, 0.0
     for s in np.linspace(0.0, 1.0, SCAN_SAMPLES):
         d = abs(determinant((1.0 - s) * eye + s * T))

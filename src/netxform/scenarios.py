@@ -46,16 +46,13 @@ class ScenarioReport:
     solution: Solution
     errors: dict = field(default_factory=dict)
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.node_states[-1]
-
 
 def densification_target(dense_graph: Graph, t0: float, tf: float) -> np.ndarray:
     """Terminal consensus map of the dense graph: exp(-L_d (tf - t0))."""
     L = laplacian(dense_graph)
     try:
-        with np.errstate(over="ignore"):  # expm rejects an -L (tf - t0) that overflowed
+        # expm rejects an -L (tf - t0) that overflowed, or that holds 0 * inf
+        with np.errstate(over="ignore", invalid="ignore"):
             return expm(-L * (tf - t0))
     except DynamicsError as exc:
         raise InputError(f"horizon tf - t0 = {tf - t0} overflows the consensus map "
@@ -77,9 +74,16 @@ def agreement_error(x: np.ndarray, x0: np.ndarray):
 
 
 def swap_target(n: int, pairs) -> np.ndarray:
-    """Permutation matrix exchanging each listed pair of node values."""
-    T = np.eye(n)
-    for (a, b) in pairs:
+    """Permutation matrix exchanging each listed pair of node values. The pairs
+    hold whole node numbers in 1..n, and no two share a node; anything else
+    raises InputError."""
+    T, seen = np.eye(n), set()
+    for (a, b) in node_pairs(pairs, "swap pairs"):
+        if a == b or a in seen or b in seen:
+            raise InputError("swap pairs must be disjoint")
+        seen.update((a, b))
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise InputError(f"swap pair ({a},{b}) out of range")
         T[[a - 1, b - 1]] = T[[b - 1, a - 1]]
     return T
 
@@ -148,19 +152,13 @@ def run_swap(graph: Graph, pairs, waypoints=(), initial_state=None,
     the schedule on the initial node values. The horizon and the solver
     settings default to BvpProblem's."""
     n = graph.n
-    pairs = node_pairs(pairs, "swap pairs")
-    seen = set()
-    for (a, b) in pairs:
-        if a == b or a in seen or b in seen:
-            raise InputError("swap pairs must be disjoint")
-        seen.update((a, b))
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise InputError(f"swap pair ({a},{b}) out of range")
+    T = swap_target(n, pairs)
     xi = np.arange(1.0, n + 1.0) if initial_state is None else _initial_state(initial_state, n)
     waypoints = list(waypoints)
-    if not waypoints and n == 4 and set(map(tuple, map(sorted, pairs))) == {(1, 2), (3, 4)}:
+    # the swap (1 2)(3 4) on 4 nodes, however its pairs are listed
+    if not waypoints and np.array_equal(T, np.eye(4)[[1, 0, 3, 2]]):
         waypoints = [SWAP_WAYPOINT_4]
-    prob = BvpProblem(graph=graph, target=swap_target(n, pairs), **settings)
+    prob = BvpProblem(graph=graph, target=T, **settings)
     sol = solve_with_waypoints(prob, waypoints)
     sched = sol.schedule
     grid, states = propagate_state(sched, xi, simulation_steps(sched))

@@ -134,7 +134,7 @@ def test_criterion_5_swap(swap_report):
     start = time.time()
     rep = swap_report
     assert rep.solution.converged
-    assert np.abs(rep.final_state - np.array([2.0, 1.0, 4.0, 3.0])).max() < 1e-4
+    assert np.abs(rep.node_states[-1] - np.array([2.0, 1.0, 4.0, 3.0])).max() < 1e-4
     min_det, argmin_s = nx.homotopy_singularity_scan(SWAP_TARGET)
     assert min_det < 1e-3
     assert abs(argmin_s - 0.5) < 0.01

@@ -19,8 +19,14 @@ import pytest
 import netxform as nx
 from netxform import cli, optimal_control
 from netxform.cli import main
-from netxform.csvio import (read_matrix_trajectory_csv, read_schedule_csv,
-                            read_vector_trajectory_csv)
+from netxform.csvio import read_schedule_csv
+
+
+def _trajectory(path):
+    """The time column and the value columns, one row per time, of a
+    trajectory CSV (nodes.csv, transition.csv, costate.csv)."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return data[:, 0], data[:, 1:]
 
 
 def _write_cfg(tmp_path, name, cfg):
@@ -202,8 +208,8 @@ def test_solve_scalar_bundle(scalar_cfg, tmp_path, capsys):
 
     sched = read_schedule_csv(out / "schedule.csv")
     assert np.abs(sched.W_seq[:, 0, 0] - np.log(2.0)).max() < 1e-6
-    grid, X_seq = read_matrix_trajectory_csv(out / "transition.csv")
-    assert abs(X_seq[-1][0, 0] - 2.0) < 1e-8
+    grid, X_seq = _trajectory(out / "transition.csv")
+    assert abs(X_seq[-1, 0] - 2.0) < 1e-8
     assert (out / "costate.csv").exists()
     # a one-arc bundle's solution.json is its arc's record, with no segments
     prob = nx.BvpProblem(graph=nx.build_graph(1, []), target=np.array([[2.0]]))
@@ -288,11 +294,11 @@ def test_solve_with_config_waypoints(tmp_path):
     assert len(sol["segments"]) == 2
     sched = read_schedule_csv(out / "schedule.csv")
     assert len(sched.pieces()) == 2
-    grid, X_seq = read_matrix_trajectory_csv(out / "transition.csv")
+    grid, X_seq = _trajectory(out / "transition.csv")
     assert np.all(np.diff(grid) > 0)
-    assert abs(X_seq[-1][0, 0] - 4.0) < 1e-7
+    assert abs(X_seq[-1, 0] - 4.0) < 1e-7
     # the costate jumps at the join, so costate.csv keeps both of its rows
-    cgrid, _ = read_matrix_trajectory_csv(out / "costate.csv")
+    cgrid, _ = _trajectory(out / "costate.csv")
     assert cgrid.size == grid.size + 1
     assert np.count_nonzero(cgrid == 0.5) == 2
 
@@ -475,7 +481,7 @@ def test_simulate_zero_schedule_keeps_state(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--schedule", str(spath), "--xi", "1,2",
                  "--out", str(out)]) == 0
-    grid, xs = read_vector_trajectory_csv(out / "nodes.csv")
+    grid, xs = _trajectory(out / "nodes.csv")
     assert np.array_equal(xs[-1], [1.0, 2.0])
 
 
@@ -490,7 +496,7 @@ def test_simulate_negative_first_xi(tmp_path, xi):
     out = tmp_path / "out"
     assert main(["simulate", "--schedule", str(spath), "--xi", xi,
                  "--out", str(out)]) == 0
-    _, xs = read_vector_trajectory_csv(out / "nodes.csv")
+    _, xs = _trajectory(out / "nodes.csv")
     assert np.array_equal(xs[-1], [float(v) for v in xi.split(",")])
 
 
@@ -501,19 +507,20 @@ def test_simulate_solved_schedule_reaches_target(path3_cfg, tmp_path):
     assert main(["simulate", "--schedule", str(out / "schedule.csv"),
                  "--xi", "1,0,0", "--config", path3_cfg,
                  "--out", str(sim)]) == 0
-    _, xs = read_vector_trajectory_csv(sim / "nodes.csv")
+    _, xs = _trajectory(sim / "nodes.csv")
     assert np.abs(xs[-1] - [0.8, 0.1, 0.1]).max() < 1e-7
 
 
 def test_simulate_reproduces_transition_action(path3_cfg, tmp_path):
     out = tmp_path / "solve_out"
     assert main(["solve", "--config", path3_cfg, "--out", str(out)]) == 0
-    _, X_seq = read_matrix_trajectory_csv(out / "transition.csv")
+    _, X_seq = _trajectory(out / "transition.csv")
+    X_seq = X_seq.reshape(-1, 3, 3)
     xi = np.array([0.3, -1.2, 0.9])
     sim = tmp_path / "sim_out"
     assert main(["simulate", "--schedule", str(out / "schedule.csv"),
                  "--xi", ",".join(map(str, xi)), "--out", str(sim)]) == 0
-    _, xs = read_vector_trajectory_csv(sim / "nodes.csv")
+    _, xs = _trajectory(sim / "nodes.csv")
     assert np.linalg.norm(xs[-1] - X_seq[-1] @ xi) < 1e-7
 
 
@@ -640,7 +647,7 @@ def test_simulate_steps_follow_the_finest_piece(tmp_path):
                                                 mask=nx.mask(nx.path_graph(2))))
     assert main(["simulate", "--schedule", str(spath), "--xi", "1,2",
                  "--out", str(tmp_path / "o")]) == 0
-    _, xs = read_vector_trajectory_csv(tmp_path / "o" / "nodes.csv")
+    _, xs = _trajectory(tmp_path / "o" / "nodes.csv")
     want = np.exp(0.1 * (np.cos(300.0) - np.cos(600.0)))
     assert abs(xs[-1, 0] - want) / want < 1e-3 and xs[-1, 1] == 2.0
 
@@ -662,14 +669,14 @@ def test_simulate_config_takes_local_schedules(tmp_path, capsys, path3_cfg, colu
         _assert_one_error_line(capsys, "sparsity")
         assert not (tmp_path / "o").exists()
     else:
-        _, xs = read_vector_trajectory_csv(tmp_path / "o" / "nodes.csv")
+        _, xs = _trajectory(tmp_path / "o" / "nodes.csv")
         if "w_3_3" in columns:
             assert abs(xs[-1, 2] - np.exp(0.5)) < 1e-12
         else:  # node 3 keeps its value, and nodes 1-2 run as on their own
             assert np.all(xs[:, 2] == 1.0)
             assert main(["simulate", "--schedule", str(spath), "--xi", "1,1",
                          "--out", str(tmp_path / "o2")]) == 0
-            _, xs2 = read_vector_trajectory_csv(tmp_path / "o2" / "nodes.csv")
+            _, xs2 = _trajectory(tmp_path / "o2" / "nodes.csv")
             assert xs[:, :2].tobytes() == xs2.tobytes()
 
 
@@ -684,7 +691,7 @@ def test_scenario_swap_bundle(tmp_path):
     })
     out = tmp_path / "out"
     assert main(["scenario", "swap", "--config", cfg, "--out", str(out)]) == 0
-    _, xs = read_vector_trajectory_csv(out / "nodes.csv")
+    _, xs = _trajectory(out / "nodes.csv")
     assert np.abs(xs[-1] - [2.0, 1.0, 4.0, 3.0]).max() < 1e-4
     sol = json.loads((out / "solution.json").read_text())
     assert sol["converged"] is True and len(sol["segments"]) == 2
@@ -727,7 +734,7 @@ def test_scenario_densify_horizon_from_config(tmp_path):
     cfg = _write_cfg(tmp_path, "densify.json", {**DENSIFY3, "t0": 1.0, "tf": 1.5})
     out = tmp_path / "out"
     assert main(["scenario", "densify", "--config", cfg, "--out", str(out)]) == 0
-    grid, _ = read_matrix_trajectory_csv(out / "transition.csv")
+    grid, _ = _trajectory(out / "transition.csv")
     errors = np.loadtxt(out / "errors.csv", delimiter=",", skiprows=1)
     for t in (grid, errors[:, 0]):
         assert t[0] == 1.0 and t[-1] == 1.5
@@ -911,5 +918,5 @@ def test_seed_override_changes_initial_state(tmp_path):
         })
         out = tmp_path / f"out{seed}"
         assert main(["scenario", "densify", "--config", cfg, "--out", str(out)]) == 0
-        outs.append(read_vector_trajectory_csv(out / "nodes.csv")[1])
+        outs.append(_trajectory(out / "nodes.csv")[1])
     assert not np.array_equal(outs[0][0], outs[1][0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import netxform as nx
-from netxform.graph import InputError, adjacency, build_graph, mask, numeric_array
+from netxform.graph import InputError, build_graph, mask, numeric_array
 from netxform.lie_algebra import index_matrix
 
 
@@ -147,12 +147,6 @@ def test_canonical_graphs_take_build_graphs_vertex_check(make, n):
         make(n)
 
 
-def test_adjacency_excludes_self_loops():
-    A = adjacency(nx.path_graph(3))
-    assert not A.diagonal().any()
-    assert A[0, 1] == 1.0 and A[0, 2] == 0.0
-
-
 def test_mask_symmetric_diagonal_true_property():
     for g in (nx.path_graph(4), nx.cycle_graph(5), nx.star_graph(3),
               build_graph(3, [(1, 3)])):
@@ -184,6 +178,8 @@ PATH2 = nx.BvpProblem(graph=nx.path_graph(2), target=np.eye(2))
      "target has shape (2, 2), expected (3,3)"),
     (lambda: nx.determinant(np.ones((2, 3))), "determinant needs a square matrix, got (2, 3)"),
     (lambda: nx.solve_linear(np.eye(2), np.ones(3)), "solve_linear: dimension mismatch"),
+    (lambda: nx.solve_linear(np.eye(2), np.float64(1.0)), "solve_linear: dimension mismatch"),
+    (lambda: nx.solve_linear(np.eye(2), np.ones((2, 1, 1))), "solve_linear: dimension mismatch"),
     (lambda: _schedule(W_seq=np.zeros((3, 2, 2))),
      "schedule shape (3, 2, 2) does not match grid size 2 and n=2"),
     (lambda: _schedule(grid=(1.0, 0.0)),
@@ -200,7 +196,8 @@ PATH2 = nx.BvpProblem(graph=nx.path_graph(2), target=np.eye(2))
     (lambda: nx.solve_bvp(PATH2, initial_guess=np.zeros((3, 3))),
      "initial_guess has shape (3, 3), expected (2,2)"),
 ], ids=["index_matrix", "IndexField", "bracket_general", "bracket", "check_feasible",
-        "determinant", "solve_linear", "schedule-shape", "schedule-grid", "schedule-sparsity",
+        "determinant", "solve_linear", "solve_linear-b-0-d", "solve_linear-b-3-d",
+        "schedule-shape", "schedule-grid", "schedule-sparsity",
         "rk4-steps", "propagate_state-start", "weights_from_costate", "shoot-lambda0",
         "solve_bvp-initial_guess"])
 def test_malformed_input_raises_input_error(call, text):
@@ -209,3 +206,22 @@ def test_malformed_input_raises_input_error(call, text):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == text
+
+
+MATRIX_FUNCTIONS = {
+    "determinant": nx.determinant,
+    "solve_linear": lambda A: nx.solve_linear(A, np.ones(2)),
+    "expm": nx.expm,
+    "homotopy_singularity_scan": nx.homotopy_singularity_scan,
+    "bracket_general": lambda A: nx.bracket_general(nx.AlgebraElement(A), nx.AlgebraElement(A)),
+}
+
+
+@pytest.mark.parametrize("arg", [np.float64(2.0), np.ones(3), np.ones((2, 3))],
+                         ids=["0-d", "1-D", "2x3"])
+@pytest.mark.parametrize("name", MATRIX_FUNCTIONS)
+def test_matrix_functions_reject_non_square_arguments(name, arg):
+    # one shape check for all five, before any entry is read
+    with pytest.raises(InputError) as info:
+        MATRIX_FUNCTIONS[name](arg)
+    assert str(info.value) == f"{name} needs a square matrix, got {np.shape(arg)}"

@@ -1,5 +1,7 @@
 """Densification and swap scenario runs and their report invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -35,6 +37,14 @@ def test_densification_target_rows_sum_to_one():
     assert np.array_equal(T, T.T) or np.abs(T - T.T).max() < 1e-14
 
 
+def test_densification_target_infinite_horizon_raises_input_error():
+    # -L * inf holds 0 * inf = nan, which expm rejects; no RuntimeWarning comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="tf - t0"):
+            densification_target(nx.path_graph(3), 0.0, np.inf)
+
+
 def test_agreement_error_examples():
     x0 = np.array([1.0, 3.0])
     assert agreement_error(np.array([2.0, 2.0]), x0) == 0.0
@@ -65,6 +75,19 @@ def test_swap_target_matrix():
     T = swap_target(4, [(1, 2), (3, 4)])
     assert np.array_equal(T @ np.array([1.0, 2.0, 3.0, 4.0]), [2.0, 1.0, 4.0, 3.0])
     assert np.array_equal(swap_target(3, []), np.eye(3))
+
+
+@pytest.mark.parametrize("n, pairs, text", [
+    (3, [(0, 1)], "swap pair (0,1) out of range"),
+    (4, [(1, 5)], "swap pair (1,5) out of range"),
+    (4, [(1, 1)], "swap pairs must be disjoint"),
+    (4, [(1, 2), (2, 3)], "swap pairs must be disjoint"),
+    (4, [(1.5, 2)], "swap pairs must hold whole numbers"),
+], ids=["node-0", "node-5", "same-node", "shared-node", "not-whole"])
+def test_swap_target_rejects_bad_pairs(n, pairs, text):
+    with pytest.raises(InputError) as info:
+        swap_target(n, pairs)
+    assert str(info.value) == text
 
 
 def test_default_initial_state_is_centered_and_seeded():
@@ -129,7 +152,7 @@ def test_densify_one_node_is_one_arc():
     g = nx.build_graph(1, [])
     rep = nx.run_densify(g, g)
     assert rep.solution.converged and len(rep.solution.segments()) == 1
-    assert rep.final_state == pytest.approx(rep.node_states[0])
+    assert rep.node_states[-1] == pytest.approx(rep.node_states[0])
 
 
 @pytest.mark.parametrize("dense, tau", [
@@ -145,7 +168,7 @@ def test_densify_long_horizon_follows_the_dense_flow(dense, tau):
     rep = nx.run_densify(nx.path_graph(dense.n), dense, tf=tau)
     assert rep.solution.converged
     want = scipy.linalg.expm(-nx.laplacian(dense) * tau) @ rep.node_states[0]
-    assert np.linalg.norm(rep.final_state - want) < 1e-6
+    assert np.linalg.norm(rep.node_states[-1] - want) < 1e-6
 
 
 def test_densify_arc_newton_counts(monkeypatch):
@@ -228,7 +251,7 @@ def test_densify_disconnected_dense_graph_follows_its_flow(n, dense_edges, K):
     rep = nx.run_densify(nx.path_graph(n), dense)
     assert rep.solution.converged and len(rep.solution.segments()) == K
     want = scipy.linalg.expm(-nx.laplacian(dense)) @ rep.node_states[0]
-    assert np.linalg.norm(rep.final_state - want) < 1e-6
+    assert np.linalg.norm(rep.node_states[-1] - want) < 1e-6
 
 
 def test_swap_scenario_rejects_bad_pairs():
@@ -262,7 +285,7 @@ def test_densify_final_state_matches_exponential_oracle(densify_report):
     L = nx.laplacian(nx.complete_graph(5))
     xi = rep.node_states[0]
     want = scipy.linalg.expm(-L) @ xi
-    assert np.linalg.norm(rep.final_state - want) < 1e-6
+    assert np.linalg.norm(rep.node_states[-1] - want) < 1e-6
     assert np.linalg.norm(rep.solution.target @ xi - want) < 1e-12
     # tr(L) tau = 20 makes five arcs, and the state follows dense consensus
     # at every join too
@@ -294,7 +317,7 @@ def test_swap_report(swap_report):
     rep = swap_report
     assert rep.solution.converged
     assert np.array_equal(rep.node_states[0], [1.0, 2.0, 3.0, 4.0])
-    assert np.abs(rep.final_state - [2.0, 1.0, 4.0, 3.0]).max() < 1e-4
+    assert np.abs(rep.node_states[-1] - [2.0, 1.0, 4.0, 3.0]).max() < 1e-4
     assert np.array_equal(rep.solution.target, swap_target(4, [(1, 2), (3, 4)]))
     # two segments: through the cyclic waypoint, then on to the permutation
     assert len(rep.solution.segments()) == 2
@@ -311,7 +334,7 @@ def test_swap_segment_products_telescope(swap_report):
 def test_swap_no_pairs_is_identity_target():
     rep = nx.run_swap(nx.path_graph(2), ())
     assert rep.solution.converged
-    assert np.abs(rep.final_state - rep.node_states[0]).max() < 1e-8
+    assert np.abs(rep.node_states[-1] - rep.node_states[0]).max() < 1e-8
 
 
 def test_curated_newton_paths(densify_report, swap_report):
