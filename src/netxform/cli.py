@@ -51,28 +51,20 @@ def _require(cfg: dict, key: str):
 
 
 def _settings(cfg: dict, inputs: tuple) -> dict:
-    """The horizon and solver settings the config sets. They are BvpProblem's
-    fields with defaults, which also give their kinds and ranges: t0 and tf
-    sit at the top level, beside the command's `inputs` and nothing else, and
-    the others under "solver", which holds nothing else."""
+    """The settings the config sets, unchecked: BvpProblem's fields with
+    defaults, which it checks. t0 and tf sit at the top level beside the
+    command's `inputs`, the others under "solver", and nothing else does."""
     top_names = [*inputs, "t0", "tf", "solver"]
     for key in (key for key in cfg if key not in top_names):
         raise InputError(f"field {key!r} is not one of {', '.join(top_names)}")
     solver = cfg.get("solver", {})
     if not isinstance(solver, dict):
         raise InputError("field 'solver' must be an object")
-    settable = [f for f in fields(BvpProblem) if f.default is not MISSING]
-    solver_names = [f.name for f in settable if f.name not in ("t0", "tf")]
+    solver_names = [f.name for f in fields(BvpProblem)
+                    if f.default is not MISSING and f.name not in ("t0", "tf")]
     for key in (key for key in solver if key not in solver_names):
         raise InputError(f"field 'solver.{key}' is not one of {', '.join(solver_names)}")
-    settings = {}
-    for f in settable:
-        section, name = (solver, f"solver.{f.name}") if f.name in solver_names else (cfg, f.name)
-        if f.name in section:
-            kind = type(f.default)
-            settings[f.name] = kind(numeric_array(section[f.name], f"field {name!r}", (),
-                                                  whole=kind is int))
-    return settings
+    return {**{key: cfg[key] for key in ("t0", "tf") if key in cfg}, **solver}
 
 
 def _graph_and_target(cfg: dict):

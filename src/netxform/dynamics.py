@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph import InputError, _square_matrix
+from .graph import InputError, _square_matrix, numeric_array
 
 
 class DynamicsError(ValueError):
@@ -209,10 +209,8 @@ def _rk4(f, y0: np.ndarray, t0: float, tf: float, steps: int,
     k + k, which is exact. `sign` (+-1 per component, broadcastable to y)
     multiplies h/2, h and h/6 once, into arrays of y's shape, so f may write
     a rate negated where its sign is -1 with no bit changed and no stage
-    broadcasts. Every yielded y_k is a fresh array.
+    broadcasts. Every yielded y_k is a fresh array. Callers check steps >= 1.
     """
-    if steps < 1:
-        raise InputError("steps must be >= 1")
     h = (tf - t0) / steps
     y = np.array(y0, dtype=float)
     half, full, sixth = (np.broadcast_to(sign * c, y.shape).copy() for c in (h / 2, h, h / 6))
@@ -264,10 +262,13 @@ def simulation_steps(sched: WeightSchedule) -> int:
 
 
 def propagate_state(sched: WeightSchedule, x0: np.ndarray, steps: int):
-    """RK4 run of xdot = W(t) x from x0 of shape (n,) or (n, n), `steps` steps in
-    every piece, each piece starting where the last one ended; returns (grid,
-    states) with each join's time once. W_at keeps its last (t, W), since RK4's
-    middle stages share a time and a step's end is often the next step's start."""
+    """RK4 run of xdot = W(t) x from x0 of shape (n,) or (n, n), a whole `steps`
+    >= 1 steps in every piece, each starting where the last one ended; returns
+    (grid, states) with each join's time once. W_at keeps its last (t, W), as
+    RK4's middle stages share a time and a step often starts where one ended."""
+    steps = int(numeric_array(steps, "steps", (), whole=True))
+    if steps < 1:
+        raise InputError("steps must be >= 1")
     x0 = np.asarray(x0, dtype=float)
     n = sched.n
     if x0.shape not in ((n,), (n, n)):

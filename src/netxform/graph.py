@@ -28,11 +28,13 @@ class Graph:
 
 
 def build_graph(n: int, edge_list) -> Graph:
-    """Construct a graph from a list of 1-based (i, j) pairs.
+    """Construct a graph on a whole n >= 1 from a list of 1-based (i, j) pairs
+    of whole numbers in 1..n; anything else raises InputError.
 
     The edge set is symmetrized and every self-loop is inserted.
     Connectivity is not enforced here; query is_connected separately.
     """
+    n = int(numeric_array(n, "graph nodes", (), whole=True))
     if n < 1:
         raise InputError(f"vertex count must be >= 1, got {n}")
     try:  # the n-by-n edge pattern must fit in memory before any per-node work
@@ -40,8 +42,7 @@ def build_graph(n: int, edge_list) -> Graph:
     except (MemoryError, ValueError) as exc:
         raise InputError(f"vertex count {n} is too large to hold its edge pattern") from exc
     edges = set()
-    for pair in edge_list:
-        i, j = int(pair[0]), int(pair[1])
+    for i, j in node_pairs(edge_list, "graph edges"):
         if not (1 <= i <= n and 1 <= j <= n):
             raise InputError(f"edge ({i},{j}) out of range for n={n}")
         edges.add((i, j))
@@ -106,12 +107,9 @@ def node_pairs(value, what: str) -> list:
 
 def graph_from_json_dict(d: dict) -> Graph:
     """Load the {"nodes": n, "edges": [[i,j],...]} fragment."""
-    try:
-        nodes = d["nodes"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed graph fragment: {exc}") from exc
-    n = int(numeric_array(nodes, "graph nodes", (), whole=True))
-    return build_graph(n, node_pairs(d.get("edges", []), "graph edges"))
+    if not isinstance(d, dict) or "nodes" not in d:
+        raise InputError("a graph must be an object with a 'nodes' field")
+    return build_graph(d["nodes"], d.get("edges", []))
 
 
 def _components(g: Graph) -> list:

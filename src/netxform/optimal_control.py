@@ -10,13 +10,13 @@ condition lambda0 until the terminal transition matrix hits the target.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from itertools import chain, islice
 
 import numpy as np
 
 from .dynamics import DynamicsError, WeightSchedule, _rk4, determinant, solve_linear
-from .graph import Graph, InputError, _square_matrix, mask
+from .graph import Graph, InputError, _square_matrix, mask, numeric_array
 from .lie_algebra import check_feasible
 
 DIVERGENCE_LIMIT = 1e12
@@ -49,12 +49,17 @@ class BvpProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
+        for f in fields(self):
+            if f.default is not MISSING:  # a setting: a finite number of its default's type
+                value, kind = getattr(self, f.name), type(f.default)
+                x = numeric_array(value, f"solver setting {f.name!r}", (), whole=kind is int)
+                exact = isinstance(value, (int, np.integer))  # a float may round an int
+                object.__setattr__(self, f.name, kind(value if exact else x))
         rules = {
-            "finite t0": np.isfinite(self.t0),
-            "finite tf > t0": np.isfinite(self.tf) and self.tf > self.t0,
+            "tf > t0": self.tf > self.t0,
             "finite tf - t0": np.isfinite(self.tf - self.t0),
             "steps >= 1": self.steps >= 1,
-            "finite newton_tol > 0": np.isfinite(self.newton_tol) and self.newton_tol > 0,
+            "newton_tol > 0": self.newton_tol > 0,
             "max_iter >= 1": self.max_iter >= 1,
             "restarts >= 0": self.restarts >= 0,
             "seed >= 0": self.seed >= 0,

@@ -76,7 +76,10 @@ def agreement_error(x: np.ndarray, x0: np.ndarray):
 def swap_target(n: int, pairs) -> np.ndarray:
     """Permutation matrix exchanging each listed pair of node values. The pairs
     hold whole node numbers in 1..n, and no two share a node; anything else
-    raises InputError."""
+    raises InputError, as does anything but a whole n >= 1."""
+    n = int(numeric_array(n, "vertex count", (), whole=True))
+    if n < 1:
+        raise InputError(f"vertex count must be >= 1, got {n}")
     T, seen = np.eye(n), set()
     for (a, b) in node_pairs(pairs, "swap pairs"):
         if a == b or a in seen or b in seen:

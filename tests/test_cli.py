@@ -346,6 +346,14 @@ def test_solve_json_booleans_exit_one(tmp_path, capsys, fields):
     assert not (tmp_path / "o").exists()
 
 
+def test_solve_keeps_a_large_seed_exact(tmp_path, monkeypatch):
+    # the config's int reaches BvpProblem as given: a float would round it to 2**60
+    solves = _count_calls(monkeypatch, cli, "solve_with_waypoints")
+    path = _write_cfg(tmp_path, "seed.json", {**PATH2_CFG, "solver": {"seed": 2**60 + 1}})
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert solves[0][0].seed == 2**60 + 1
+
+
 def test_solve_non_finite_waypoint_exit_one(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "wp.json", {
         "graph": {"nodes": 1, "edges": []},

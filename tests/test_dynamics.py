@@ -226,6 +226,14 @@ def test_replay_rejects_steps_below_one():
         integrate_transition(sched, 0)
 
 
+def test_replay_takes_whole_steps_of_any_numeric_type():
+    sched = random_conforming_schedule(np.random.default_rng(10))
+    grid, xs = propagate_state(sched, np.ones(sched.n), 30)
+    for steps in (np.float64(30.0), np.int64(30), 30.0):
+        g, x = propagate_state(sched, np.ones(sched.n), steps)
+        assert g.tobytes() == grid.tobytes() and x.tobytes() == xs.tobytes()
+
+
 def test_propagate_state_chains_pieces():
     msk = mask(nx.build_graph(1, []))
     sched = nx.WeightSchedule(grid=np.array([0.0, 0.5, 0.5, 1.0]),

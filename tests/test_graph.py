@@ -25,6 +25,12 @@ def test_build_graph_rejects_out_of_range_index():
         build_graph(0, [])
 
 
+def test_build_graph_takes_whole_values_of_any_numeric_type():
+    assert build_graph(3.0, [(1, 2)]) == build_graph(3, [(1, 2)])
+    assert build_graph(np.int64(3), np.array([[1.0, 2.0]])) == build_graph(3, [(1, 2)])
+    assert type(build_graph(np.float64(3.0), []).n) is int
+
+
 def test_graph_json_round_trip():
     g = build_graph(3, [(1, 2), (2, 3)])
     again = nx.graph_from_json_dict({"nodes": 3, "edges": [[1, 2], [2, 3]]})
@@ -174,6 +180,12 @@ PATH2 = nx.BvpProblem(graph=nx.path_graph(2), target=np.eye(2))
      "bracket_general: dimension mismatch"),
     (lambda: nx.bracket(nx.IndexField(2, 1, 2), nx.IndexField(3, 1, 2)),
      "bracket_general: dimension mismatch"),
+    (lambda: build_graph(3, [(1.5, 2)]), "graph edges must hold whole numbers"),
+    (lambda: build_graph(3, [(1, 2.9)]), "graph edges must hold whole numbers"),
+    (lambda: build_graph(3, [(1, 2, 3)]), "graph edges must be of shape (k, 2), got shape (1, 3)"),
+    (lambda: build_graph(3, [(True, 2)]), "graph edges must hold numbers, not True"),
+    (lambda: build_graph(2.5, []), "graph nodes must hold whole numbers"),
+    (lambda: build_graph(True, []), "graph nodes must hold numbers, not True"),
     (lambda: nx.check_feasible(nx.path_graph(3), np.eye(2)),
      "target has shape (2, 2), expected (3,3)"),
     (lambda: nx.determinant(np.ones((2, 3))), "determinant needs a square matrix, got (2, 3)"),
@@ -188,6 +200,9 @@ PATH2 = nx.BvpProblem(graph=nx.path_graph(2), target=np.eye(2))
     (lambda: _schedule(W_seq=np.ones((2, 2, 2)), g=build_graph(2, [])),
      "schedule violates sparsity pattern (max off-pattern entry 1.0)"),
     (lambda: nx.propagate_state(_schedule(), np.ones(2), 0), "steps must be >= 1"),
+    (lambda: nx.propagate_state(_schedule(), np.ones(2), 2.5), "steps must hold whole numbers"),
+    (lambda: nx.propagate_state(_schedule(), np.ones(2), "3"), "steps must hold numbers, not '3'"),
+    (lambda: nx.integrate_transition(_schedule(), 2.5), "steps must hold whole numbers"),
     (lambda: nx.propagate_state(_schedule(), np.ones(3), 10),
      "initial state has shape (3,), expected (2,) or (2, 2)"),
     (lambda: nx.weights_from_costate(np.eye(2), np.eye(3), mask(nx.path_graph(3))),
@@ -195,10 +210,13 @@ PATH2 = nx.BvpProblem(graph=nx.path_graph(2), target=np.eye(2))
     (lambda: nx.shoot(PATH2, np.zeros((3, 3))), "lambda0 has shape (3, 3), expected (2,2)"),
     (lambda: nx.solve_bvp(PATH2, initial_guess=np.zeros((3, 3))),
      "initial_guess has shape (3, 3), expected (2,2)"),
-], ids=["index_matrix", "IndexField", "bracket_general", "bracket", "check_feasible",
+], ids=["index_matrix", "IndexField", "bracket_general", "bracket",
+        "build_graph-edge-1.5", "build_graph-edge-2.9", "build_graph-edge-triple",
+        "build_graph-edge-bool", "build_graph-n-2.5", "build_graph-n-bool", "check_feasible",
         "determinant", "solve_linear", "solve_linear-b-0-d", "solve_linear-b-3-d",
         "schedule-shape", "schedule-grid", "schedule-sparsity",
-        "rk4-steps", "propagate_state-start", "weights_from_costate", "shoot-lambda0",
+        "rk4-steps", "propagate_state-steps-2.5", "propagate_state-steps-str",
+        "integrate_transition-steps-2.5", "propagate_state-start", "weights_from_costate", "shoot-lambda0",
         "solve_bvp-initial_guess"])
 def test_malformed_input_raises_input_error(call, text):
     # one class for every layer, with each check's own message; bracket's is

@@ -643,10 +643,25 @@ def test_problem_rejects_empty_horizon():
     {"steps": 0}, {"max_iter": 0}, {"restarts": -1}, {"seed": -1},
     {"newton_tol": 0.0}, {"newton_tol": -1e-8}, {"newton_tol": np.nan},
     {"newton_tol": np.inf}, {"t0": np.nan}, {"tf": np.inf}, {"t0": -np.inf},
+    {"steps": 2.5}, {"max_iter": 1.5}, {"restarts": 0.5}, {"seed": 0.5},
+    {"seed": 0.5, "restarts": 1, "max_iter": 1}, {"steps": True}, {"tf": "2"},
 ])
-def test_problem_rejects_out_of_range_settings(setting):
+def test_problem_rejects_out_of_range_settings(monkeypatch, setting):
+    # each setting is checked as the problem is built, so nothing is shot
+    shots = []
+    monkeypatch.setattr(optimal_control, "_shoot_batch", lambda *a, **k: shots.append(a))
     with pytest.raises(InputError, match=next(iter(setting))):
-        BvpProblem(graph=nx.path_graph(2), target=np.eye(2), **setting)
+        solve_bvp(BvpProblem(graph=nx.path_graph(2), target=np.eye(2), **setting))
+    assert shots == []
+
+
+def test_problem_takes_whole_settings_of_any_numeric_type_and_keeps_ints_exact():
+    prob = BvpProblem(graph=nx.path_graph(2), target=np.eye(2), steps=np.float64(200.0),
+                      max_iter=np.int64(7), seed=2**60 + 1, tf=np.int64(2))
+    assert type(prob.steps) is int and prob.steps == 200
+    assert type(prob.max_iter) is int and prob.max_iter == 7
+    assert prob.seed == 2**60 + 1  # a float would round it to 2**60
+    assert type(prob.tf) is float and prob.tf == 2.0
 
 
 def test_problem_rejects_overflowing_horizon():

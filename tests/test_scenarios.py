@@ -83,7 +83,11 @@ def test_swap_target_matrix():
     (4, [(1, 1)], "swap pairs must be disjoint"),
     (4, [(1, 2), (2, 3)], "swap pairs must be disjoint"),
     (4, [(1.5, 2)], "swap pairs must hold whole numbers"),
-], ids=["node-0", "node-5", "same-node", "shared-node", "not-whole"])
+    (-1, [], "vertex count must be >= 1, got -1"),
+    (0, [], "vertex count must be >= 1, got 0"),
+    (2.5, [(1, 2)], "vertex count must hold whole numbers"),
+], ids=["node-0", "node-5", "same-node", "shared-node", "not-whole", "n-negative", "n-0",
+        "n-not-whole"])
 def test_swap_target_rejects_bad_pairs(n, pairs, text):
     with pytest.raises(InputError) as info:
         swap_target(n, pairs)
