@@ -67,8 +67,17 @@ def _settings(cfg: dict, inputs: tuple) -> dict:
     return {**{key: cfg[key] for key in ("t0", "tf") if key in cfg}, **solver}
 
 
+def _graph(cfg: dict, key: str):
+    """The graph in config field `key`; an error in it names the field."""
+    value = _require(cfg, key)
+    try:
+        return graph_from_json_dict(value)
+    except InputError as exc:
+        raise InputError(f"field {key!r}: {exc}") from exc
+
+
 def _graph_and_target(cfg: dict):
-    g = graph_from_json_dict(_require(cfg, "graph"))
+    g = _graph(cfg, "graph")
     return g, numeric_array(_require(cfg, "target"), "field 'target'", (g.n, g.n))
 
 
@@ -146,7 +155,7 @@ def cmd_simulate(args) -> int:
     sched = csvio.read_schedule_csv(args.schedule)
     if args.config is not None:
         cfg = _load_config(args.config)
-        g = graph_from_json_dict(_require(cfg, "graph"))
+        g = _graph(cfg, "graph")
         pad = g.n - sched.n  # a node the header never names holds zero weight
         if pad < 0 or np.any(np.pad(sched.mask, (0, pad)) & ~mask(g)):
             raise InputError("schedule sparsity pattern does not match the graph in --config")
@@ -164,12 +173,11 @@ def cmd_scenario(args) -> int:
     cfg = _load_config(args.config)
     if args.kind == "densify":
         settings = _settings(cfg, ("sparse_graph", "dense_graph", "initial_state"))
-        report = run_densify(graph_from_json_dict(_require(cfg, "sparse_graph")),
-                             graph_from_json_dict(_require(cfg, "dense_graph")),
+        report = run_densify(_graph(cfg, "sparse_graph"), _graph(cfg, "dense_graph"),
                              cfg.get("initial_state"), **settings)
     else:
         settings = _settings(cfg, ("graph", "pairs", "waypoints", "initial_state"))
-        g = graph_from_json_dict(_require(cfg, "graph"))
+        g = _graph(cfg, "graph")
         report = run_swap(g, _require(cfg, "pairs"), _waypoints(cfg, g.n),
                           cfg.get("initial_state"), **settings)
     code = _finish(report.solution, args.out)

@@ -8,22 +8,21 @@ solves produce weights that jump there).
 
 from __future__ import annotations
 
-import csv
-import math
 import re
+import warnings
 
 import numpy as np
 
 from .dynamics import WeightSchedule
-from .graph import InputError
+from .graph import InputError, numeric_array
 
 
 def _write_table(path, header, table) -> None:
     """Write a header row, then one row of numbers per row of the 2-D table.
-    A float's repr never needs quoting, so the rows are joined directly, to
-    the bytes csv.writer would give."""
+    Neither a header name the program writes nor a float's repr needs
+    quoting, so the cells are joined directly, to the bytes csv.writer gives."""
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+        fh.write(",".join(header) + "\r\n")
         fh.writelines(",".join(map(repr, row)) + "\r\n"
                       for row in np.asarray(table, dtype=float).tolist())
 
@@ -31,33 +30,25 @@ def _write_table(path, header, table) -> None:
 def _read_table(path):
     """Parse a table written by _write_table; returns (header, (rows, cols) array).
 
-    The header must start with a `t` column, every non-blank row must hold
-    one finite number per header column, and there must be at least one row.
+    The header must start with a `t` column, and there must be at least one
+    row, each of one finite number per header column. Blank lines are skipped
+    and double-quoted cells are read; `#` starts no comment.
     """
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty body is reported below
+            header = fh.readline().rstrip("\n").split(",")
+            data = (np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
+                    if header[0] == "t" else None)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    if not rows or rows[0][:1] != ["t"]:
+    except ValueError as exc:  # an undecodable byte, a cell that is no number, a ragged row
+        raise InputError(f"{path}: {exc}") from exc
+    if data is None:
         raise InputError(f"{path}: expected a schedule header starting with 't'")
-    header = rows[0]
-    data = []
-    for line, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise InputError(f"{path}:{line}: {len(row)} cells, header has {len(header)}")
-        try:
-            vals = [float(v) for v in row]
-        except ValueError as exc:
-            raise InputError(f"{path}:{line}: {exc}") from exc
-        if not all(map(math.isfinite, vals)):
-            raise InputError(f"{path}:{line}: non-finite value")
-        data.append(vals)
-    if not data:
+    if not len(data):
         raise InputError(f"{path}: no schedule rows")
-    return header, np.array(data)
+    return header, numeric_array(data, str(path), (-1, len(header)))
 
 
 def write_schedule_csv(path, sched: WeightSchedule) -> None:

@@ -34,27 +34,32 @@ def build_graph(n: int, edge_list) -> Graph:
     The edge set is symmetrized and every self-loop is inserted.
     Connectivity is not enforced here; query is_connected separately.
     """
-    n = int(numeric_array(n, "graph nodes", (), whole=True))
-    if n < 1:
-        raise InputError(f"vertex count must be >= 1, got {n}")
-    try:  # the n-by-n edge pattern must fit in memory before any per-node work
-        np.empty((n, n), dtype=bool)
-    except (MemoryError, ValueError) as exc:
-        raise InputError(f"vertex count {n} is too large to hold its edge pattern") from exc
-    edges = set()
-    for i, j in node_pairs(edge_list, "graph edges"):
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise InputError(f"edge ({i},{j}) out of range for n={n}")
-        edges.add((i, j))
+    n = _vertex_count(n, "graph nodes")
+    edges = set(node_pairs(edge_list, "graph edges", n))
     edges |= {(j, i) for (i, j) in edges}
     edges |= {(i, i) for i in range(1, n + 1)}
     return Graph(n=n, edges=frozenset(edges))
+
+
+def _vertex_count(n, what: str) -> int:
+    """`n` as a whole number >= 1 whose n-by-n edge pattern fits in memory;
+    anything else raises InputError, naming the input as `what`."""
+    n = int(numeric_array(n, what, (), whole=True))
+    if n < 1:
+        raise InputError(f"vertex count must be >= 1, got {n}")
+    try:  # before any per-node work
+        np.empty((n, n), dtype=bool)
+    except (MemoryError, ValueError) as exc:
+        raise InputError(f"vertex count {n} is too large to hold its edge pattern") from exc
+    return n
 
 
 def _non_numbers(value):
     """The entries of `value` that are not numbers. JSON true/false, null or
     a string would otherwise read as 1/0, NaN or the number it spells."""
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "iuf":  # numbers by construction
+            return
         value = value.tolist()
     if isinstance(value, (list, tuple)):
         for v in value:
@@ -96,13 +101,15 @@ def _square_matrix(value, what: str) -> np.ndarray:
     return A
 
 
-def node_pairs(value, what: str) -> list:
-    """`value` as a list of (a, b) pairs of whole node numbers; anything
-    else raises InputError, naming the input as `what`."""
+def node_pairs(value, what: str, n: int) -> list:
+    """`value` as a list of (a, b) pairs of whole node numbers in 1..n;
+    anything else raises InputError, naming the input as `what`."""
     if isinstance(value, (list, tuple)) and len(value) == 0:
         return []
     P = numeric_array(value, what, (-1, 2), whole=True)
-    return [(int(a), int(b)) for a, b in P]
+    for a, b in P[((P < 1) | (P > n)).any(axis=1)][:1]:
+        raise InputError(f"{what} ({int(a)},{int(b)}) out of range for n={n}")
+    return [(a, b) for a, b in P.astype(int).tolist()]
 
 
 def graph_from_json_dict(d: dict) -> Graph:
@@ -152,18 +159,22 @@ def mask(g: Graph) -> np.ndarray:
 
 
 def path_graph(n: int) -> Graph:
+    n = _vertex_count(n, "graph nodes")
     return build_graph(n, [(i, i + 1) for i in range(1, n)])
 
 
 def cycle_graph(n: int) -> Graph:
+    n = _vertex_count(n, "graph nodes")
     if n < 3:
         raise InputError("cycle graph needs n >= 3")
     return build_graph(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
 
 
 def star_graph(n: int) -> Graph:
+    n = _vertex_count(n, "graph nodes")
     return build_graph(n, [(1, i) for i in range(2, n + 1)])
 
 
 def complete_graph(n: int) -> Graph:
+    n = _vertex_count(n, "graph nodes")
     return build_graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])

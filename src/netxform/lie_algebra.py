@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import determinant
-from .graph import Graph, InputError, _components, _square_matrix, is_connected
+from .graph import (Graph, InputError, _components, _square_matrix, _vertex_count, is_connected,
+                    node_pairs)
 
 
 def index_matrix(n: int, i: int, j: int) -> np.ndarray:
     """E_ij: one at (i, j), zeros elsewhere. 1-based indices."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise InputError(f"index ({i},{j}) out of range for n={n}")
+    n = _vertex_count(n, "vertex count")
+    [(i, j)] = node_pairs([(i, j)], "index", n)
     M = np.zeros((n, n))
     M[i - 1, j - 1] = 1.0
     return M
@@ -37,8 +38,7 @@ class IndexField:
     j: int
 
     def __post_init__(self):
-        if not (1 <= self.i <= self.n and 1 <= self.j <= self.n):
-            raise InputError(f"index ({self.i},{self.j}) out of range for n={self.n}")
+        node_pairs([(self.i, self.j)], "index", _vertex_count(self.n, "vertex count"))
 
     def element(self) -> "AlgebraElement":
         return AlgebraElement(coeffs=index_matrix(self.n, self.i, self.j))

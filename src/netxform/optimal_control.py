@@ -269,16 +269,14 @@ def _shoot_batch(prob: BvpProblem, lam0s: np.ndarray, record: bool = False):
 
 
 def shoot(prob: BvpProblem, lambda0: np.ndarray):
-    """Integrate the coupled extremal system from (I, lambda0).
+    """Integrate the coupled extremal system from (I, lambda0), lambda0 finite and n by n.
 
     Returns (X_tf, info) where info carries the gridded trajectories and a
     `diverged` flag; divergence (any entry beyond the blow-up limit at tf)
     is reported, not raised.
     """
     n = prob.graph.n
-    lam0 = np.asarray(lambda0, dtype=float)
-    if lam0.shape != (n, n):
-        raise InputError(f"lambda0 has shape {lam0.shape}, expected ({n},{n})")
+    lam0 = numeric_array(lambda0, "lambda0", (n, n))
     X_tf, diverged, points = _shoot_batch(prob, lam0[None], record=True)
     Y_seq = np.array([Y[:, 0] for _, Y in points])
     info = {"grid": np.array([t for t, _ in points]), "X_seq": Y_seq[:, 0],
@@ -447,7 +445,7 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
 def solve_bvp(prob: BvpProblem, initial_guess: np.ndarray | None = None) -> ExtremalSolution:
     """Shooting solve of the two-point boundary problem.
 
-    An optional warm-start costate is tried first, then the zero costate
+    An optional warm-start costate (finite, n by n) is tried first, then the zero costate
     (exact for T = I); on stall the solver restarts from seeded random
     costates, each restart drawing its own RNG stream from seed + restart
     index when it is reached. The first converged start wins; otherwise the
@@ -462,10 +460,7 @@ def solve_bvp(prob: BvpProblem, initial_guess: np.ndarray | None = None) -> Extr
     total_iters = 0
     starts = [(0, np.zeros((n, n)))]
     if initial_guess is not None:
-        guess = np.asarray(initial_guess, dtype=float)
-        if guess.shape != (n, n):
-            raise InputError(f"initial_guess has shape {guess.shape}, expected ({n},{n})")
-        starts.insert(0, (0, guess))
+        starts.insert(0, (0, numeric_array(initial_guess, "initial_guess", (n, n))))
     seeded = ((ridx, np.random.default_rng(prob.seed + ridx).uniform(-0.5, 0.5, size=(n, n)))
               for ridx in range(1, prob.restarts + 1))
     best = (np.inf, None, None)  # (residual_norm, restart_idx, lam)

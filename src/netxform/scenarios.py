@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import DynamicsError, constant_schedule, expm, propagate_state, simulation_steps
-from .graph import Graph, InputError, laplacian, mask, node_pairs, numeric_array
+from .graph import Graph, InputError, _vertex_count, laplacian, mask, node_pairs, numeric_array
 from .optimal_control import BvpProblem, Solution, solve_bvp, solve_with_waypoints
 
 # The 4-node cyclic waypoint used for the (1,2)(3,4) swap: it keeps the
@@ -29,11 +29,6 @@ SWAP_WAYPOINT_4 = np.array([
 
 # Largest contraction -log det of one arc of the densification solve.
 MAX_LOG_CONTRACTION = 4.0
-
-
-def _initial_state(value, n: int) -> np.ndarray | None:
-    """The optional initial node values as a finite vector of length n."""
-    return None if value is None else numeric_array(value, "initial_state", (n,))
 
 
 @dataclass
@@ -77,16 +72,12 @@ def swap_target(n: int, pairs) -> np.ndarray:
     """Permutation matrix exchanging each listed pair of node values. The pairs
     hold whole node numbers in 1..n, and no two share a node; anything else
     raises InputError, as does anything but a whole n >= 1."""
-    n = int(numeric_array(n, "vertex count", (), whole=True))
-    if n < 1:
-        raise InputError(f"vertex count must be >= 1, got {n}")
+    n = _vertex_count(n, "vertex count")
     T, seen = np.eye(n), set()
-    for (a, b) in node_pairs(pairs, "swap pairs"):
+    for (a, b) in node_pairs(pairs, "swap pairs", n):
         if a == b or a in seen or b in seen:
             raise InputError("swap pairs must be disjoint")
         seen.update((a, b))
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise InputError(f"swap pair ({a},{b}) out of range")
         T[[a - 1, b - 1]] = T[[b - 1, a - 1]]
     return T
 
@@ -117,7 +108,8 @@ def run_densify(sparse_graph: Graph, dense_graph: Graph, initial_state=None,
     n = sparse_graph.n
     if n != dense_graph.n:
         raise InputError("sparse and dense graphs must share the vertex set")
-    initial_state = _initial_state(initial_state, n)
+    if initial_state is not None:
+        initial_state = numeric_array(initial_state, "initial_state", (n,))
     # the target depends on the horizon, which BvpProblem checks and defaults
     prob = BvpProblem(graph=sparse_graph, target=np.eye(n), max_iter=max_iter, **settings)
     T = densification_target(dense_graph, prob.t0, prob.tf)
@@ -156,7 +148,8 @@ def run_swap(graph: Graph, pairs, waypoints=(), initial_state=None,
     settings default to BvpProblem's."""
     n = graph.n
     T = swap_target(n, pairs)
-    xi = np.arange(1.0, n + 1.0) if initial_state is None else _initial_state(initial_state, n)
+    xi = (np.arange(1.0, n + 1.0) if initial_state is None
+          else numeric_array(initial_state, "initial_state", (n,)))
     waypoints = list(waypoints)
     # the swap (1 2)(3 4) on 4 nodes, however its pairs are listed
     if not waypoints and np.array_equal(T, np.eye(4)[[1, 0, 3, 2]]):

@@ -542,6 +542,15 @@ def test_simulate_backwards_join_exit_one(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_simulate_undecodable_schedule_exit_one(tmp_path, capsys):
+    spath = tmp_path / "s.csv"
+    spath.write_bytes(b"t,w_1_1\n0,\xff\xfe\n1,1\n")
+    assert main(["simulate", "--schedule", str(spath), "--xi", "1",
+                 "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys, str(spath))
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_repeated_column_exit_one(tmp_path, capsys):
     # two values for one weight: neither may silently win
     spath = tmp_path / "s.csv"
@@ -746,6 +755,19 @@ def test_scenario_densify_horizon_from_config(tmp_path):
     errors = np.loadtxt(out / "errors.csv", delimiter=",", skiprows=1)
     for t in (grid, errors[:, 0]):
         assert t[0] == 1.0 and t[-1] == 1.5
+
+
+@pytest.mark.parametrize("kind, base, key, graph", [
+    ("swap", SWAP4, "graph", {"nodes": 4, "edges": [[1, 5]]}),
+    ("densify", DENSIFY3, "sparse_graph", {"nodes": 3, "edges": [[1, "2"]]}),
+    ("densify", DENSIFY3, "dense_graph", {"edges": [[1, 2]]}),
+    ("densify", DENSIFY3, "dense_graph", {"nodes": 2, "edges": [[1, 2.5]]}),
+], ids=["graph-node-5", "sparse-str", "dense-no-nodes", "dense-edge-2.5"])
+def test_scenario_graph_error_names_its_field(tmp_path, capsys, kind, base, key, graph):
+    cfg = _write_cfg(tmp_path, "bad.json", {**base, key: graph})
+    assert main(["scenario", kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys, f"field '{key}': ")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("kind, base, fields", [

@@ -2,6 +2,7 @@
 
 import csv
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,8 @@ MALFORMED = [
     (read_schedule_csv, "t,w_1_1,w_1_2\n0.0,1.0\n1.0,1.0,2.0\n"),  # short row
     (read_schedule_csv, "t,w_1_1\n0.0,1.0,5.0\n1.0,1.0\n"),       # long row
     (read_schedule_csv, "t,w_1_1\n0.0,abc\n1.0,1.0\n"),           # non-numeric cell
+    (read_schedule_csv, "t,w_1_1\n0.0,1.0#\n1.0,1.0\n"),          # '#' starts no comment
+    (read_schedule_csv, "t,w_1_1\n0.0,1_0\n1.0,1.0\n"),           # digits with '_'
     (read_schedule_csv, "t,w_1_1\n0.0,nan\n1.0,1.0\n"),           # non-finite cell
     (read_schedule_csv, "t,w_0_1\n0.0,1.0\n1.0,1.0\n"),           # 0 is not a 1-based index
     (read_schedule_csv, "t,w_1_1\n0.0,1.0\n"),                    # a one-point segment
@@ -107,6 +110,31 @@ def test_schedule_malformed_rows_raise_format_error(tmp_path, reader, text):
     p.write_text(text)
     with pytest.raises(InputError):
         reader(p)
+
+
+def test_blank_lines_are_skipped_and_quoted_cells_read(tmp_path):
+    p = tmp_path / "s.csv"
+    p.write_text('t,w_1_1\n0.0,"1.5"\n\n1.0,2.0\n\n')
+    sched = read_schedule_csv(p)
+    assert sched.grid.tolist() == [0.0, 1.0]
+    assert sched.W_seq[:, 0, 0].tolist() == [1.5, 2.0]
+
+
+def test_non_finite_cell_error_names_the_file(tmp_path):
+    p = tmp_path / "s.csv"
+    p.write_text("t,w_1_1\n0.0,1.0\n1.0,inf\n")
+    with pytest.raises(InputError) as info:
+        read_schedule_csv(p)
+    assert str(info.value) == f"{p} has non-finite entries"
+
+
+def test_empty_schedule_raises_without_a_warning(tmp_path):
+    p = tmp_path / "s.csv"
+    p.write_text("t,w_1_1\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="no schedule rows"):
+            read_schedule_csv(p)
 
 
 def test_missing_file_raises_format_error(tmp_path):
@@ -147,13 +175,13 @@ def test_columns_csv_layout(tmp_path):
 
 
 def test_rows_are_the_bytes_csv_writer_gives(tmp_path):
-    # the rows are joined without csv.writer; awkward floats must still come
-    # out as the bytes it writes (the header still goes through it, quoting
-    # a name that holds a comma)
+    # the cells are joined without csv.writer; awkward floats must still come
+    # out as the bytes it writes, and so must a header of the names the
+    # program writes, none of which needs quoting
     tiny = np.nextafter(0.0, 1.0)
     values = [-0.0, 0.0, tiny, -tiny, 2.2250738585072014e-308 / 3, 1e300, -1e300,
               0.1 + 0.2, 1.0 / 3.0, np.nextafter(1.0, 2.0), -123456.78901234567, 1e16]
-    header = ["t", "x,1", "x_2"]
+    header = ["t", "x_1", "x_2"]
     table = np.array(values[:12]).reshape(4, 3)
     path, ref = tmp_path / "cols.csv", tmp_path / "ref.csv"
     write_columns_csv(path, header, table.T)
@@ -163,4 +191,4 @@ def test_rows_are_the_bytes_csv_writer_gives(tmp_path):
         w.writerows(map(repr, row) for row in table.tolist())
     assert path.read_bytes() == ref.read_bytes()
     assert b"-0.0," in path.read_bytes() and b"5e-324" in path.read_bytes()
-    assert b'"x,1"' in path.read_bytes() and path.read_bytes().count(b"\r\n") == 5
+    assert path.read_bytes().count(b"\r\n") == 5

@@ -153,6 +153,25 @@ def test_canonical_graphs_take_build_graphs_vertex_check(make, n):
         make(n)
 
 
+def test_vertex_counts_take_whole_values_of_any_numeric_type():
+    assert nx.path_graph(3.0) == nx.path_graph(3)
+    assert nx.complete_graph(np.int64(4)) == nx.complete_graph(4)
+    assert np.array_equal(index_matrix(3.0, 1, 2), index_matrix(3, 1, 2))
+    assert np.array_equal(nx.IndexField(3.0, 1, 2).element().coeffs, index_matrix(3, 1, 2))
+
+
+@pytest.mark.parametrize("make, n, text", [
+    (nx.cycle_graph, "4", "graph nodes must hold numbers, not '4'"),
+    (nx.star_graph, True, "graph nodes must hold numbers, not True"),
+    (nx.complete_graph, 2.5, "graph nodes must hold whole numbers"),
+    (nx.path_graph, float("nan"), "graph nodes has non-finite entries"),
+], ids=["cycle-str", "star-bool", "complete-2.5", "path-nan"])
+def test_canonical_graphs_reject_malformed_vertex_counts(make, n, text):
+    with pytest.raises(InputError) as info:
+        make(n)
+    assert str(info.value) == text
+
+
 def test_mask_symmetric_diagonal_true_property():
     for g in (nx.path_graph(4), nx.cycle_graph(5), nx.star_graph(3),
               build_graph(3, [(1, 3)])):
@@ -207,9 +226,20 @@ PATH2 = nx.BvpProblem(graph=nx.path_graph(2), target=np.eye(2))
      "initial state has shape (3,), expected (2,) or (2, 2)"),
     (lambda: nx.weights_from_costate(np.eye(2), np.eye(3), mask(nx.path_graph(3))),
      "weights_from_costate: dimension mismatch"),
-    (lambda: nx.shoot(PATH2, np.zeros((3, 3))), "lambda0 has shape (3, 3), expected (2,2)"),
+    (lambda: nx.shoot(PATH2, np.zeros((3, 3))),
+     "lambda0 must be of shape (2, 2), got shape (3, 3)"),
     (lambda: nx.solve_bvp(PATH2, initial_guess=np.zeros((3, 3))),
-     "initial_guess has shape (3, 3), expected (2,2)"),
+     "initial_guess must be of shape (2, 2), got shape (3, 3)"),
+    (lambda: build_graph(3, [(1, 4)]), "graph edges (1,4) out of range for n=3"),
+    # numpy refuses the 10^20-byte edge pattern before it allocates anything
+    (lambda: build_graph(10**10, []),
+     "vertex count 10000000000 is too large to hold its edge pattern"),
+    (lambda: index_matrix(3, 1.5, 1), "index must hold whole numbers"),
+    (lambda: index_matrix(2.5, 1, 1), "vertex count must hold whole numbers"),
+    (lambda: nx.IndexField("3", 1, 1), "vertex count must hold numbers, not '3'"),
+    (lambda: nx.shoot(PATH2, np.full((2, 2), np.nan)), "lambda0 has non-finite entries"),
+    (lambda: nx.solve_bvp(PATH2, initial_guess=[[0.0, np.inf], [0.0, 0.0]]),
+     "initial_guess has non-finite entries"),
 ], ids=["index_matrix", "IndexField", "bracket_general", "bracket",
         "build_graph-edge-1.5", "build_graph-edge-2.9", "build_graph-edge-triple",
         "build_graph-edge-bool", "build_graph-n-2.5", "build_graph-n-bool", "check_feasible",
@@ -217,7 +247,9 @@ PATH2 = nx.BvpProblem(graph=nx.path_graph(2), target=np.eye(2))
         "schedule-shape", "schedule-grid", "schedule-sparsity",
         "rk4-steps", "propagate_state-steps-2.5", "propagate_state-steps-str",
         "integrate_transition-steps-2.5", "propagate_state-start", "weights_from_costate", "shoot-lambda0",
-        "solve_bvp-initial_guess"])
+        "solve_bvp-initial_guess", "build_graph-edge-4", "build_graph-n-too-large",
+        "index_matrix-1.5", "index_matrix-n-2.5", "IndexField-n-str", "shoot-lambda0-nan",
+        "solve_bvp-initial_guess-inf"])
 def test_malformed_input_raises_input_error(call, text):
     # one class for every layer, with each check's own message; bracket's is
     # bracket_general's, since bracket is bracket_general of the index matrices

@@ -78,8 +78,8 @@ def test_swap_target_matrix():
 
 
 @pytest.mark.parametrize("n, pairs, text", [
-    (3, [(0, 1)], "swap pair (0,1) out of range"),
-    (4, [(1, 5)], "swap pair (1,5) out of range"),
+    (3, [(0, 1)], "swap pairs (0,1) out of range for n=3"),
+    (4, [(1, 5)], "swap pairs (1,5) out of range for n=4"),
     (4, [(1, 1)], "swap pairs must be disjoint"),
     (4, [(1, 2), (2, 3)], "swap pairs must be disjoint"),
     (4, [(1.5, 2)], "swap pairs must hold whole numbers"),
