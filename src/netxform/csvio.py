@@ -27,30 +27,6 @@ def _write_table(path, header, table) -> None:
                       for row in np.asarray(table, dtype=float).tolist())
 
 
-def _read_table(path):
-    """Parse a table written by _write_table; returns (header, (rows, cols) array).
-
-    The header must start with a `t` column, and there must be at least one
-    row, each of one finite number per header column. Blank lines are skipped
-    and double-quoted cells are read; `#` starts no comment.
-    """
-    try:
-        with open(path) as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # an empty body is reported below
-            header = fh.readline().rstrip("\n").split(",")
-            data = (np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
-                    if header[0] == "t" else None)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # an undecodable byte, a cell that is no number, a ragged row
-        raise InputError(f"{path}: {exc}") from exc
-    if data is None:
-        raise InputError(f"{path}: expected a schedule header starting with 't'")
-    if not len(data):
-        raise InputError(f"{path}: no schedule rows")
-    return header, numeric_array(data, str(path), (-1, len(header)))
-
-
 def write_schedule_csv(path, sched: WeightSchedule) -> None:
     """Write a schedule, one row per grid time; header lists mask-true entries
     (row-major); off-pattern entries are never serialized."""
@@ -58,10 +34,41 @@ def write_schedule_csv(path, sched: WeightSchedule) -> None:
                  np.column_stack([sched.grid, sched.W_seq[:, sched.mask]]))
 
 
+_ROW_FORMAT = dict(delimiter=",", ndmin=2, comments=None, quotechar='"')
+
+
+def _bad_line(path):
+    """Name the first line of a schedule file that np.loadtxt cannot read as one
+    number per header column (an undecodable byte is no number), or None."""
+    with open(path, errors="replace") as fh:
+        width = len(fh.readline().split(","))
+        for k, line in enumerate(fh, 2):
+            try:  # after a row of `width` zeros, which a row of another width may not follow
+                np.loadtxt([",".join(["0"] * width), line], **_ROW_FORMAT)
+            except ValueError:  # that, or a cell that is no number
+                return f"line {k} must hold {width} numbers, one per header column"
+
+
 def read_schedule_csv(path) -> WeightSchedule:
-    """Parse a schedule file; the sparsity mask is reconstructed from the
-    header, and WeightSchedule decides which times are joins."""
-    header, data = _read_table(path)
+    """Parse a schedule file: a header that starts with a `t` column, then at
+    least one row of one finite number per header column. Blank lines are
+    skipped and double-quoted cells are read; `#` starts no comment. The
+    sparsity mask is reconstructed from the header, and WeightSchedule decides
+    which times are joins."""
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty body is reported below
+            header = fh.readline().rstrip("\n").split(",")
+            data = np.loadtxt(fh, **_ROW_FORMAT) if header[0] == "t" else None
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # an undecodable byte, a cell that is no number, a ragged row
+        raise InputError(f"{path}: {_bad_line(path) or exc}") from exc
+    if data is None:
+        raise InputError(f"{path}: expected a schedule header starting with 't'")
+    if not len(data):
+        raise InputError(f"{path}: no schedule rows")
+    data = numeric_array(data, str(path), (-1, len(header)))
     pairs = {}  # (i, j) -> None, in header order
     for name in header[1:]:
         m = re.fullmatch(r"w_([1-9][0-9]*)_([1-9][0-9]*)", name)

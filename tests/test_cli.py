@@ -179,6 +179,19 @@ def test_check_decides_from_the_determinant_sign(tmp_path, capsys, diagonal, cod
     assert report["feasible"] is (code == 0)
 
 
+def test_check_decides_from_the_exact_sign_where_elimination_rounds_wrong(tmp_path, capsys):
+    # det T > 0 exactly, but the float elimination of T gives a negative product
+    target = [[-1.130207332603566, -0.291056219922398, -0.26008849663367606],
+              [-1.7811155797923373, 0.9619095466468647, 1.6987753437805524],
+              [-0.8119357010735024, -1.0642840706810597, -1.4562486292186398]]
+    assert -1e-15 < nx.determinant(np.array(target)) < 0.0
+    cfg = _write_cfg(tmp_path, "t.json",
+                     {"graph": {"nodes": 3, "edges": [[1, 2], [2, 3]]}, "target": target})
+    assert main(["check", "--config", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["feasible"] is True and report["det"] is None
+
+
 @pytest.mark.parametrize("diagonal", [
     [1e200, 1e200], [1e-200, 1e-200], [-1e200, 1e200], [-1e-200, 1e-200],
 ])
@@ -581,9 +594,12 @@ def test_simulate_joined_scenario_schedule_matches_its_nodes(tmp_path):
     out, sim = tmp_path / "out", tmp_path / "sim"
     assert main(["scenario", "swap", "--config", cfg, "--out", str(out)]) == 0
     assert len(read_schedule_csv(out / "schedule.csv").pieces()) == 2
+    # the scenario's config is a graph config too
     assert main(["simulate", "--schedule", str(out / "schedule.csv"), "--xi", "1,2,3,4",
-                 "--out", str(sim)]) == 0
+                 "--config", cfg, "--out", str(sim)]) == 0
     assert (sim / "nodes.csv").read_bytes() == (out / "nodes.csv").read_bytes()
+    _, xs = _trajectory(sim / "nodes.csv")
+    assert np.abs(xs[-1] - [2.0, 1.0, 4.0, 3.0]).max() < 1e-6
 
 
 def test_simulate_mask_mismatch_exit_one(tmp_path, capsys):
@@ -802,12 +818,14 @@ def test_scenario_densify_disconnected_sparse_graph_exit_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("pairs", [
     [["a", 2]], [[1, 2, 3]], 5, *([[1, 2], [3, bad]] for bad in BAD_NUMBERS), [[1, 2], [3, 4.5]],
+    [[1, 5]],  # node 5 of cycle4
 ])
-def test_scenario_bad_swap_pairs_exit_one(tmp_path, capsys, pairs):
+def test_scenario_bad_swap_pairs_exit_one(tmp_path, capsys, monkeypatch, pairs):
+    shots = _count_calls(monkeypatch, optimal_control, "_shoot_batch")
     cfg = _write_cfg(tmp_path, "bad.json", {**SWAP4, "pairs": pairs})
     assert main(["scenario", "swap", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     _assert_one_error_line(capsys, "swap pairs")
-    assert not (tmp_path / "o").exists()
+    assert shots == [] and not (tmp_path / "o").exists()
 
 
 def test_scenario_odd_permutation_exit_two(tmp_path, capsys):

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 import netxform as nx
-from netxform.csvio import (_read_table, read_schedule_csv, write_columns_csv,
-                            write_matrix_trajectory_csv, write_schedule_csv,
-                            write_vector_trajectory_csv)
+from netxform.csvio import (read_schedule_csv, write_columns_csv, write_matrix_trajectory_csv,
+                            write_schedule_csv, write_vector_trajectory_csv)
 from netxform.graph import InputError, mask
 
 
@@ -78,38 +77,27 @@ def test_wide_schedule_header_parses_in_linear_time(tmp_path):
 
 
 MALFORMED = [
-    (read_schedule_csv, "t\n0.0\n1.0\n"),                        # no w_i_j column
-    (read_schedule_csv, "t,w_1_1,w_1_2\n0.0,1.0\n1.0,1.0,2.0\n"),  # short row
-    (read_schedule_csv, "t,w_1_1\n0.0,1.0,5.0\n1.0,1.0\n"),       # long row
-    (read_schedule_csv, "t,w_1_1\n0.0,abc\n1.0,1.0\n"),           # non-numeric cell
-    (read_schedule_csv, "t,w_1_1\n0.0,1.0#\n1.0,1.0\n"),          # '#' starts no comment
-    (read_schedule_csv, "t,w_1_1\n0.0,1_0\n1.0,1.0\n"),           # digits with '_'
-    (read_schedule_csv, "t,w_1_1\n0.0,nan\n1.0,1.0\n"),           # non-finite cell
-    (read_schedule_csv, "t,w_0_1\n0.0,1.0\n1.0,1.0\n"),           # 0 is not a 1-based index
-    (read_schedule_csv, "t,w_1_1\n0.0,1.0\n"),                    # a one-point segment
-    (read_schedule_csv, "t,w_1_1\n"),                             # no rows
-    (read_schedule_csv, "t\n0.0\n"),                              # no w_i_j column
-    # the row checks of _read_table, the parser under read_schedule_csv, on
-    # headers whose column names it does not read
-    (_read_table, "t,X_1_1\n0.0\n1.0,1.0\n"),      # short row
-    (_read_table, "t,X_1_1\n0.0,1.0,5.0\n"),       # long row
-    (_read_table, "t,X_1_1\n0.0,abc\n"),           # non-numeric cell
-    (_read_table, "t,X_1_1\n0.0,inf\n"),           # non-finite cell
-    (_read_table, "t,X_1_1\n"),                    # no rows
-    (_read_table, "t,x_1,x_2\n0.0,1.0\n"),         # short row
-    (_read_table, "t,x_1\n0.0,1.0,2.0\n"),         # long row
-    (_read_table, "t,x_1\n0.0,1.0\n1.0,abc\n"),    # non-numeric cell
-    (_read_table, "t,x_1\nnan,1.0\n"),             # non-finite cell
-    (_read_table, "t,x_1\n"),                      # no rows
+    ("t\n0.0\n1.0\n", "header has no w_i_j columns"),
+    ("t,w_1_1,w_1_2\n0.0,1.0\n1.0,1.0,2.0\n", "line 2 must hold 3 numbers"),  # short row
+    ("t,w_1_1\n0.0,1.0,5.0\n1.0,1.0\n", "line 2 must hold 2 numbers"),        # long row
+    ("t,w_1_1\n0.0,abc\n1.0,1.0\n", "line 2 must hold 2 numbers"),            # no number
+    ("t,w_1_1\n0.0,1.0#\n1.0,1.0\n", "line 2 must hold 2 numbers"),  # '#' starts no comment
+    ("t,w_1_1\n0.0,1_0\n1.0,1.0\n", "line 2 must hold 2 numbers"),   # digits with '_'
+    ("t,w_1_1\n0.0,nan\n1.0,1.0\n", "has non-finite entries"),
+    ("t,w_0_1\n0.0,1.0\n1.0,1.0\n", "bad schedule column 'w_0_1'"),  # 0 is not 1-based
+    ("t,w_1_1\n0.0,1.0\n", "schedule grid must be increasing"),      # a one-point segment
+    ("t,w_1_1\n", "no schedule rows"),
+    ("t\n0.0\n", "header has no w_i_j columns"),
 ]
 
 
-@pytest.mark.parametrize("reader, text", [pytest.param(r, t, id=t) for r, t in MALFORMED])
-def test_schedule_malformed_rows_raise_format_error(tmp_path, reader, text):
+@pytest.mark.parametrize("text, words", [pytest.param(t, w, id=t) for t, w in MALFORMED])
+def test_schedule_malformed_rows_raise_format_error(tmp_path, text, words):
     p = tmp_path / "bad.csv"
     p.write_text(text)
-    with pytest.raises(InputError):
-        reader(p)
+    with pytest.raises(InputError) as info:
+        read_schedule_csv(p)
+    assert str(info.value).startswith(str(p)) and words in str(info.value)
 
 
 def test_blank_lines_are_skipped_and_quoted_cells_read(tmp_path):
@@ -118,6 +106,10 @@ def test_blank_lines_are_skipped_and_quoted_cells_read(tmp_path):
     sched = read_schedule_csv(p)
     assert sched.grid.tolist() == [0.0, 1.0]
     assert sched.W_seq[:, 0, 0].tolist() == [1.5, 2.0]
+    # a bad row is named by its line in the file, blank lines counted
+    p.write_text('t,w_1_1\n0.0,"1.5"\n\n1.0,2.0,3.0\n')
+    with pytest.raises(InputError, match="line 4 must hold 2 numbers, one per header column$"):
+        read_schedule_csv(p)
 
 
 def test_non_finite_cell_error_names_the_file(tmp_path):

@@ -164,14 +164,17 @@ def test_densify_one_node_is_one_arc():
     (nx.path_graph(3), 15.0),      # 15 arcs
     (nx.cycle_graph(4), 10.5),     # 21 arcs
     (nx.complete_graph(3), 13.0),  # 20 arcs; the float det of T is 0
+    (nx.complete_graph(5), 10.0),  # 50 copies of the densify5 arc
 ])
 def test_densify_long_horizon_follows_the_dense_flow(dense, tau):
     # the cumulative waypoints exp(-L_d tau k/K) of these horizons are
     # numerically singular, but the arc maps exp(-L_d tau/K) are not, and
     # the feasibility gate sees only the arc map
     rep = nx.run_densify(nx.path_graph(dense.n), dense, tf=tau)
+    L = nx.laplacian(dense)
     assert rep.solution.converged
-    want = scipy.linalg.expm(-nx.laplacian(dense) * tau) @ rep.node_states[0]
+    assert len(rep.solution.segments()) == np.ceil(np.trace(L) * tau / MAX_LOG_CONTRACTION)
+    want = scipy.linalg.expm(-L * tau) @ rep.node_states[0]
     assert np.linalg.norm(rep.node_states[-1] - want) < 1e-6
 
 
