@@ -8,10 +8,8 @@ Exit codes: 0 success, 1 usage or malformed input, 2 infeasible problem,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
-import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -137,18 +135,13 @@ def cmd_solve(args) -> int:
 
 
 def _parse_xi(args, n: int) -> np.ndarray:
-    """The initial state from --xi (comma-separated) or --xi-file."""
+    """The initial state from --xi (comma-separated) or --xi-file (a row or a column)."""
     if (args.xi is None) == (args.xi_file is None):
         raise InputError("simulate needs exactly one of --xi and --xi-file")
-    flag, source = (("--xi", io.StringIO(args.xi)) if args.xi is not None
-                    else ("--xi-file", args.xi_file))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the shape check below reports an empty input
-            xi = np.loadtxt(source, delimiter=",", ndmin=1)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read the initial state from {flag}: {exc}") from exc
-    return numeric_array(xi, f"initial state from {flag}", (n,))
+    flag = "--xi" if args.xi is not None else "--xi-file"
+    lines = [args.xi] if args.xi is not None else csvio._read_lines(args.xi_file)
+    xi = csvio._read_rows(lines, 0, f"initial state from {flag}", "cell of the first row")
+    return numeric_array(xi.ravel() if 1 in xi.shape else xi, f"initial state from {flag}", (n,))
 
 
 def cmd_simulate(args) -> int:

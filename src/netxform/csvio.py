@@ -37,35 +37,44 @@ def write_schedule_csv(path, sched: WeightSchedule) -> None:
 _ROW_FORMAT = dict(delimiter=",", ndmin=2, comments=None, quotechar='"')
 
 
-def _bad_line(path):
-    """Name the first line of a schedule file that np.loadtxt cannot read as one
-    number per header column (an undecodable byte is no number), or None."""
-    with open(path, errors="replace") as fh:
-        width = len(fh.readline().split(","))
-        for k, line in enumerate(fh, 2):
+def _read_lines(path) -> list:
+    """The lines of a text file; an undecodable byte reads as U+FFFD, no number."""
+    try:
+        with open(path, errors="replace") as fh:
+            return fh.readlines()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_rows(lines, skip: int, what: str, per: str) -> np.ndarray:
+    """np.loadtxt of the lines after the first `skip`: a row per line that is not
+    blank, maybe none; double-quoted cells are read and `#` starts no comment. An
+    InputError that starts with `what` names a line that does not hold a number
+    per cell (a `per`) of the first line that is not blank."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # no rows: each caller reports that
+            return np.loadtxt(lines[skip:], **_ROW_FORMAT)
+    except ValueError as exc:  # a cell that is no number, a ragged row
+        width = len(next((line for line in lines if line.strip()), "").split(","))
+        for k, line in enumerate(lines[skip:], skip + 1):
             try:  # after a row of `width` zeros, which a row of another width may not follow
                 np.loadtxt([",".join(["0"] * width), line], **_ROW_FORMAT)
             except ValueError:  # that, or a cell that is no number
-                return f"line {k} must hold {width} numbers, one per header column"
+                raise InputError(f"{what}: line {k} must hold {width} "
+                                 f"number{'s' * (width > 1)}, one per {per}") from exc
+        raise InputError(f"{what}: {exc}") from exc
 
 
 def read_schedule_csv(path) -> WeightSchedule:
-    """Parse a schedule file: a header that starts with a `t` column, then at
-    least one row of one finite number per header column. Blank lines are
-    skipped and double-quoted cells are read; `#` starts no comment. The
-    sparsity mask is reconstructed from the header, and WeightSchedule decides
-    which times are joins."""
-    try:
-        with open(path) as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # an empty body is reported below
-            header = fh.readline().rstrip("\n").split(",")
-            data = np.loadtxt(fh, **_ROW_FORMAT) if header[0] == "t" else None
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # an undecodable byte, a cell that is no number, a ragged row
-        raise InputError(f"{path}: {_bad_line(path) or exc}") from exc
-    if data is None:
+    """Parse a schedule file: a header that starts with a `t` column, then rows
+    (_read_rows), at least one, of a finite number per header column. The header
+    gives the sparsity mask, and WeightSchedule decides which times are joins."""
+    lines = _read_lines(path)
+    header = lines[0].rstrip("\n").split(",") if lines else [""]
+    if header[0] != "t":
         raise InputError(f"{path}: expected a schedule header starting with 't'")
+    data = _read_rows(lines, 1, str(path), "header column")
     if not len(data):
         raise InputError(f"{path}: no schedule rows")
     data = numeric_array(data, str(path), (-1, len(header)))

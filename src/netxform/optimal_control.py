@@ -253,7 +253,7 @@ def _shoot_batch(prob: BvpProblem, lam0s: np.ndarray, record: bool = False):
     on every grid point if record=True and the last one otherwise. A member
     diverges when any entry of its final X or lam is beyond the blow-up
     limit or not finite. A member's result does not depend on its batch, so
-    solve_bvp shoots each stack a Newton start yields (_newton_from) as one.
+    solve_bvp's residual function shoots each stack _newton_from passes as one.
     """
     n = lam0s.shape[-1]
     Z = np.empty((3,) + lam0s.shape)
@@ -377,7 +377,7 @@ def _check_reach(target: np.ndarray, what: str) -> None:
                                   f"{DIVERGENCE_LIMIT:.0e}, which no shoot reaches")
 
 
-def _newton_from(prob: BvpProblem, lam0: np.ndarray):
+def _newton_from(prob: BvpProblem, lam0: np.ndarray, residuals):
     """Damped Gauss-Newton (Levenberg-style) from one starting costate.
 
     Each accepted step is corrected with a geodesic acceleration term (a
@@ -386,9 +386,9 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
     strongly contracting targets produce. Only steps that lower the residual
     are accepted, so the current costate is always the best one seen.
 
-    It shoots nothing: it yields each costate stack to shoot as one pass and
-    is sent back the flattened residuals X(tf) - T of its members, None for
-    one that diverged. The first stack holds lam0 with its Jacobian stencil.
+    It shoots nothing: residuals(stack) shoots each costate stack as one pass
+    and returns the flattened residuals X(tf) - T of its members, None for one
+    that diverged. The first stack holds lam0 with its Jacobian stencil.
     The tries of an iteration (_tries) are shot TRIES_PER_PASS at a time: the
     probes of the next tries share one pass and their candidates another.
     The first candidate in order that lowers the residual wins and mu
@@ -398,13 +398,12 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
     residual below |r|, or else of the first; only when another one wins is
     the next stencil shot alone. No bit depends on the pick.
 
-    Returns (lam, residual_norm, iterations, converged) through
-    StopIteration; a diverging start has residual norm inf.
+    Returns (lam, residual_norm, iterations, converged), the norm inf if lam0 diverges.
     """
     n = prob.graph.n
     h = 0.1
     lam = np.asarray(lam0, dtype=float).copy()
-    r, *held = yield np.concatenate([lam[None], _stencil(lam)[0]])
+    r, *held = residuals(np.concatenate([lam[None], _stencil(lam)[0]]))
     if r is None:
         return lam, np.inf, 0, False
     rnorm = float(np.linalg.norm(r))
@@ -415,7 +414,7 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
             break
         members, hs = _stencil(lam)
         if held is None:  # lam's stencil did not ride in the last candidate pass
-            held = yield members
+            held = residuals(members)
         J = _jacobian(r, held, hs)
         if J is None:
             break
@@ -423,12 +422,12 @@ def _newton_from(prob: BvpProblem, lam0: np.ndarray):
         step = None  # (mu, candidate, residual, held) of the accepted try
         while step is None and (group := list(islice(tries, TRIES_PER_PASS))):
             ds = [h * delta.reshape(n, n) for _, _, delta in group]
-            probes = yield np.stack([v for d in ds for v in (lam + d, lam - d)])
+            probes = residuals(np.stack([v for d in ds for v in (lam + d, lam - d)]))
             corrected = [_corrected_step(A, J, r, delta, rp, rm, h)
                          for (_, A, delta), rp, rm in zip(group, probes[::2], probes[1::2])]
             cands = [lam + s.reshape(n, n) for s, _ in corrected]
             ride = next((k for k, (_, model) in enumerate(corrected) if model < rnorm), 0)
-            shot = yield np.concatenate([cands, _stencil(cands[ride])[0]])
+            shot = residuals(np.concatenate([cands, _stencil(cands[ride])[0]]))
             for k, ((mu_try, _, _), cand, rc) in enumerate(zip(group, cands, shot)):
                 if rc is not None and np.linalg.norm(rc) < rnorm:
                     step = mu_try, cand, rc, (shot[len(cands):] if k == ride else None)
@@ -450,8 +449,8 @@ def solve_bvp(prob: BvpProblem, initial_guess: np.ndarray | None = None) -> Extr
     costates, each restart drawing its own RNG stream from seed + restart
     index when it is reached. The first converged start wins; otherwise the
     start with the smallest residual is reported. Each start (_newton_from)
-    yields the costate stacks it needs; this loop, the one place Newton shoots,
-    shoots each as one pass and sends back its residuals. A target that no shoot
+    passes every costate stack it needs to `residuals`, the one place Newton
+    shoots, which shoots the stack as one pass. A target that no shoot
     reaches is rejected before any shoot (see _check_reach), so the zero start,
     whose X stays I, has the finite residual I - T and some start is reported.
     """
@@ -464,14 +463,13 @@ def solve_bvp(prob: BvpProblem, initial_guess: np.ndarray | None = None) -> Extr
     seeded = ((ridx, np.random.default_rng(prob.seed + ridx).uniform(-0.5, 0.5, size=(n, n)))
               for ridx in range(1, prob.restarts + 1))
     best = (np.inf, None, None)  # (residual_norm, restart_idx, lam)
+
+    def residuals(stack):
+        X_tf, diverged, _ = _shoot_batch(prob, stack)
+        return [None if d else (X - prob.target).ravel() for X, d in zip(X_tf, diverged)]
+
     for ridx, lam0 in chain(starts, seeded):
-        newton, shot = _newton_from(prob, lam0), None
-        try:
-            while True:
-                X_tf, diverged, _ = _shoot_batch(prob, newton.send(shot))
-                shot = [None if d else (X - prob.target).ravel() for X, d in zip(X_tf, diverged)]
-        except StopIteration as done:
-            lam, rnorm, iters, converged = done.value
+        lam, rnorm, iters, converged = _newton_from(prob, lam0, residuals)
         total_iters += iters
         if converged:
             return _build_solution(prob, lam, total_iters, ridx, True)

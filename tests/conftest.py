@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import netxform as nx
+from netxform import optimal_control
 
 _CRITERION_RESULTS = {}
 
@@ -73,6 +74,13 @@ CYCLIC_WAYPOINT = np.array([
 ])
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call appends its arguments to the returned list."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or fn(*a, **k))
+    return calls
+
+
 @pytest.fixture(scope="session")
 def scalar_solution():
     from netxform.optimal_control import BvpProblem, solve_bvp
@@ -82,10 +90,14 @@ def scalar_solution():
 
 @pytest.fixture(scope="session")
 def densify_run():
-    """The 5-node densification report and the seconds run_densify took."""
-    start = time.time()
-    report = nx.run_densify(nx.path_graph(5), nx.complete_graph(5))
-    return report, time.time() - start
+    """The 5-node densification report, the seconds run_densify took and
+    the number of shoot passes (_shoot_batch calls) it made."""
+    with pytest.MonkeyPatch.context() as mp:
+        passes = count_calls(mp, optimal_control, "_shoot_batch")
+        start = time.time()
+        report = nx.run_densify(nx.path_graph(5), nx.complete_graph(5))
+        seconds = time.time() - start
+    return report, seconds, len(passes)
 
 
 @pytest.fixture(scope="session")
@@ -94,5 +106,14 @@ def densify_report(densify_run):
 
 
 @pytest.fixture(scope="session")
-def swap_report():
-    return nx.run_swap(nx.cycle_graph(4), ((1, 2), (3, 4)))
+def swap_run():
+    """The 4-node swap report and the number of shoot passes it made."""
+    with pytest.MonkeyPatch.context() as mp:
+        passes = count_calls(mp, optimal_control, "_shoot_batch")
+        report = nx.run_swap(nx.cycle_graph(4), ((1, 2), (3, 4)))
+    return report, len(passes)
+
+
+@pytest.fixture(scope="session")
+def swap_report(swap_run):
+    return swap_run[0]

@@ -125,7 +125,7 @@ def test_criterion_4_densification(densify_report):
 
 
 def test_criterion_4_densification_runtime(densify_run):
-    rep, seconds = densify_run
+    rep, seconds, _ = densify_run
     assert rep.solution.converged
     assert seconds < 60.0
 

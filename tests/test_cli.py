@@ -21,6 +21,8 @@ from netxform import cli, optimal_control
 from netxform.cli import main
 from netxform.csvio import read_schedule_csv
 
+from conftest import count_calls
+
 
 def _trajectory(path):
     """The time column and the value columns, one row per time, of a
@@ -122,6 +124,7 @@ def _assert_one_error_line(capsys, *names):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
     assert all(name in err for name in names), err
+    return err
 
 
 @pytest.mark.parametrize("graph", [
@@ -361,7 +364,7 @@ def test_solve_json_booleans_exit_one(tmp_path, capsys, fields):
 
 def test_solve_keeps_a_large_seed_exact(tmp_path, monkeypatch):
     # the config's int reaches BvpProblem as given: a float would round it to 2**60
-    solves = _count_calls(monkeypatch, cli, "solve_with_waypoints")
+    solves = count_calls(monkeypatch, cli, "solve_with_waypoints")
     path = _write_cfg(tmp_path, "seed.json", {**PATH2_CFG, "solver": {"seed": 2**60 + 1}})
     assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 0
     assert solves[0][0].seed == 2**60 + 1
@@ -454,13 +457,6 @@ def test_unread_flags_exit_one(tmp_path, capsys, path3_cfg, command, flag, value
     assert list(tmp_path.iterdir()) == [Path(path3_cfg)]
 
 
-def _count_calls(monkeypatch, module, name):
-    """Wrap module.name so that each call appends its arguments to the returned list."""
-    calls, fn = [], getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or fn(*a, **k))
-    return calls
-
-
 @pytest.mark.parametrize("command", ["solve", "scenario", "simulate"])
 def test_unusable_out_exit_one_before_any_work(tmp_path, capsys, monkeypatch, command):
     # no directory can be made at a file or at a path through one, so the
@@ -471,8 +467,8 @@ def test_unusable_out_exit_one_before_any_work(tmp_path, capsys, monkeypatch, co
             "scenario": ["scenario", "densify", "--config",
                          _write_cfg(tmp_path, "d.json", DENSIFY2)],
             "simulate": ["simulate", "--schedule", str(spath), "--xi", "1,2"]}[command]
-    shots = _count_calls(monkeypatch, optimal_control, "_shoot_batch")
-    replays = _count_calls(monkeypatch, cli, "propagate_state")
+    shots = count_calls(monkeypatch, optimal_control, "_shoot_batch")
+    replays = count_calls(monkeypatch, cli, "propagate_state")
     blocker = tmp_path / "file"
     blocker.write_text("kept\n")
     for out in (blocker, blocker / "sub"):
@@ -500,10 +496,13 @@ def test_simulate_zero_schedule_keeps_state(tmp_path):
     spath = tmp_path / "s.csv"
     write_schedule_csv(spath, sched)
     out = tmp_path / "out"
-    assert main(["simulate", "--schedule", str(spath), "--xi", "1,2",
-                 "--out", str(out)]) == 0
-    grid, xs = _trajectory(out / "nodes.csv")
-    assert np.array_equal(xs[-1], [1.0, 2.0])
+    # the initial state is read as schedule rows are: a quoted cell is read as
+    # the number inside, and --xi-file may hold a row or a column
+    (tmp_path / "xi.csv").write_text("1\n2\n")
+    for xi in (["--xi", "1,2"], ["--xi", '"1",2'], ["--xi-file", str(tmp_path / "xi.csv")]):
+        assert main(["simulate", "--schedule", str(spath), *xi, "--out", str(out)]) == 0
+        grid, xs = _trajectory(out / "nodes.csv")
+        assert np.array_equal(xs[-1], [1.0, 2.0])
 
 
 @pytest.mark.parametrize("xi", ["-1,2", "-0.5,-2", "-1e-3,4"])
@@ -639,6 +638,8 @@ def test_simulate_bad_xi_exit_one(tmp_path, capsys):
     ("--xi", "-inf,1"),      # non-finite first entry, which starts with a minus sign
     ("--xi", "1,2,3"),       # wrong length
     ("--xi-file", "1,2\n3,4"),  # wrong shape
+    ("--xi-file", "1\n2,3"),    # a row longer than the first
+    ("--xi", '"1",abc'),        # a quoted cell, then a non-numeric one
 ])
 def test_simulate_bad_xi_values_exit_one(tmp_path, capsys, flag, value):
     msk = nx.mask(nx.path_graph(2))
@@ -651,7 +652,12 @@ def test_simulate_bad_xi_values_exit_one(tmp_path, capsys, flag, value):
         value = str(tmp_path / "xi.csv")
     assert main(["simulate", "--schedule", str(spath), flag, value,
                  "--out", str(tmp_path / "o")]) == 1
-    _assert_one_error_line(capsys, flag)
+    # a cell that is no number, or a ragged row, is named by its line in the
+    # schedule reader's words, not numpy's
+    line = {"1,abc": "line 1 must hold 2 numbers", "1\n2,3": "line 2 must hold 1 number,",
+            '"1",abc': "line 1 must hold 2 numbers"}.get(value, "")
+    err = _assert_one_error_line(capsys, flag, line)
+    assert not any(word in err for word in ("float64", "usecols", "row 0")), err
 
 
 def test_simulate_xi_with_xi_file_exit_one(tmp_path, capsys):
@@ -821,7 +827,7 @@ def test_scenario_densify_disconnected_sparse_graph_exit_two(tmp_path, capsys):
     [[1, 5]],  # node 5 of cycle4
 ])
 def test_scenario_bad_swap_pairs_exit_one(tmp_path, capsys, monkeypatch, pairs):
-    shots = _count_calls(monkeypatch, optimal_control, "_shoot_batch")
+    shots = count_calls(monkeypatch, optimal_control, "_shoot_batch")
     cfg = _write_cfg(tmp_path, "bad.json", {**SWAP4, "pairs": pairs})
     assert main(["scenario", "swap", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     _assert_one_error_line(capsys, "swap pairs")
@@ -900,7 +906,7 @@ DENSIFY2 = {"sparse_graph": {"nodes": 2, "edges": [[1, 2]]},
 def test_unresolvable_horizon_exit_one(tmp_path, capsys, monkeypatch, command, base, horizon):
     # tf > t0, but an RK4 step is less than a float spacing at the horizon's
     # end, of the whole horizon or of one arc; either is rejected before any shoot
-    shots = _count_calls(monkeypatch, optimal_control, "_shoot_batch")
+    shots = count_calls(monkeypatch, optimal_control, "_shoot_batch")
     cfg = _write_cfg(tmp_path, "narrow.json", {**base, **horizon})
     assert main(command + ["--config", cfg, "--out", str(tmp_path / "o")]) == 1
     _assert_one_error_line(capsys, "(tf - t0) / steps")

@@ -12,7 +12,7 @@ from netxform import optimal_control
 from netxform.dynamics import DynamicsError, integrate_transition, simulation_steps
 from netxform.graph import InputError, mask
 from netxform.optimal_control import (BvpProblem, InfeasibleError, OptimalControlError,
-                                      _shoot_batch,
+                                      _newton_from, _shoot_batch,
                                       cost, extremal_rhs, hamiltonian,
                                       homotopy_singularity_scan, shoot,
                                       solve_bvp, solve_with_waypoints,
@@ -194,21 +194,11 @@ def _residual(prob, lam):
 
 
 def _residuals(prob, lam0s):
-    # what solve_bvp sends a Newton start for a stack it yields: X(tf) - T
-    # per member, flattened, from one batch shoot; None for a diverged member
+    # what solve_bvp's residual function returns a Newton start for a stack:
+    # X(tf) - T per member, flattened, from one batch shoot; None for a
+    # diverged member
     X_tf, diverged, _ = _shoot_batch(prob, lam0s)
     return [None if d else (X - prob.target).ravel() for X, d in zip(X_tf, diverged)]
-
-
-def _drive(prob, lam0, residuals):
-    # run one Newton start to its end, answering each stack it yields with
-    # residuals(stack); returns (lam, rnorm, iterations, converged)
-    newton, shot = optimal_control._newton_from(prob, lam0), None
-    try:
-        while True:
-            shot = residuals(newton.send(shot))
-    except StopIteration as done:
-        return done.value
 
 
 def _separate_jacobian(prob, lam):
@@ -274,9 +264,9 @@ def _checked_shoot_plan(monkeypatch, graph, target, settings, starts):
     real_newton = optimal_control._newton_from
     m = graph.n ** 2
 
-    def newton_from(prob, lam0):
+    def newton_from(prob, lam0, residuals):
         opening.append(lam0)
-        return real_newton(prob, lam0)
+        return real_newton(prob, lam0, residuals)
 
     def counted(prob, lam0s, record=False):
         B = lam0s.shape[0]
@@ -337,22 +327,25 @@ def test_shoot_plan_across_try_groups(monkeypatch):
     (BvpProblem(graph=nx.cycle_graph(4), target=SWAP_WAYPOINT_4, tf=0.5, max_iter=3,
                 restarts=1), 6),
 ], ids=["path3", "swap4-arc1"])
-def test_solve_shoots_the_stacks_newton_yields(monkeypatch, prob, iterations):
+def test_solve_equals_its_starts_run_by_hand(monkeypatch, prob, iterations):
     # Newton shoots nothing itself: every pass solve_bvp makes before the
-    # recorded final shoot is a stack the starts yield, bit for bit and in
-    # order, as their hand-driven generators yield them
-    yielded = []
+    # recorded final shoot is a stack its starts pass to their residual
+    # function, bit for bit and in order, as when the starts are run by hand,
+    # and the solve reports the costate that the starts run by hand choose
+    stacks = []
 
-    def answer(stack):
-        yielded.append(stack)
+    def by_hand(stack):
+        stacks.append(stack.copy())
         return _residuals(prob, stack)
 
     n = prob.graph.n
-    done = [_drive(prob, np.zeros((n, n)), answer)]
+    done = [_newton_from(prob, np.zeros((n, n)), by_hand)]
     for r in range(1, prob.restarts + 1):  # the seeded restarts, up to a converged start
         if not done[-1][3]:
             lam0 = np.random.default_rng(prob.seed + r).uniform(-0.5, 0.5, (n, n))
-            done.append(_drive(prob, lam0, answer))
+            done.append(_newton_from(prob, lam0, by_hand))
+    # the converged start, or else the first with the smallest residual
+    chosen = done[-1][0] if done[-1][3] else min(done, key=lambda d: d[1])[0]
     handed = []
 
     def recorded(prob, lam0s, record=False):
@@ -362,9 +355,10 @@ def test_solve_shoots_the_stacks_newton_yields(monkeypatch, prob, iterations):
     monkeypatch.setattr(optimal_control, "_shoot_batch", recorded)
     sol = solve_bvp(prob)
     assert sol.iterations == sum(d[2] for d in done) == iterations
-    assert [record for record, _ in handed] == [False] * len(yielded) + [True]
+    assert sol.lambda0.tobytes() == chosen.tobytes() == handed[-1][1][0].tobytes()
+    assert [record for record, _ in handed] == [False] * len(stacks) + [True]
     assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
-               for (_, a), b in zip(handed, yielded))
+               for (_, a), b in zip(handed, stacks))
 
 
 def test_line_search_groups_keep_the_sequential_schedule():
@@ -394,7 +388,7 @@ def test_line_search_groups_keep_the_sequential_schedule():
             out.append(0.5 * r0 if len(tries) == 2 else None)
         return out + [None] * 9
 
-    _, rnorm, iterations, converged = _drive(prob, np.zeros((3, 3)), scripted)
+    _, rnorm, iterations, converged = _newton_from(prob, np.zeros((3, 3)), scripted)
     assert (iterations, converged, len(tries)) == (2, False, 19)
     assert rnorm == 0.5 * np.linalg.norm(r0)
     assert sizes == [1 + 9, 4, 2 + 9, 9] + [4, 2 + 9] * 8 + [2, 1 + 9]
@@ -425,7 +419,7 @@ def test_the_stencil_rides_with_the_try_the_probes_favour():
         return out
 
     prob = BvpProblem(graph=nx.path_graph(3), target=np.eye(3) * 0.7 + 0.1, max_iter=2)
-    lam, rnorm, iterations, converged = _drive(prob, np.zeros((3, 3)), scripted)
+    lam, rnorm, iterations, converged = _newton_from(prob, np.zeros((3, 3)), scripted)
     assert sizes == [1 + m, 4, 2 + m, 4, 2 + m]
     assert riders == [1, 1] and (iterations, converged) == (2, False)
     assert np.array_equal(lam, cands[-1])
@@ -455,7 +449,7 @@ def test_a_diverging_stencil_member_stops_the_start(diverging_pass):
         return out
 
     prob = BvpProblem(graph=nx.path_graph(3), target=np.eye(3) * 0.7 + 0.1)
-    lam, rnorm, iterations, converged = _drive(prob, costates[0], scripted)
+    lam, rnorm, iterations, converged = _newton_from(prob, costates[0], scripted)
     assert sizes == [1 + m, 4, 2 + m][:diverging_pass + 1]
     assert (iterations, converged) == (diverging_pass // 2, False)
     assert np.array_equal(lam, costates[-1])
@@ -529,7 +523,7 @@ def test_singular_tries_count_without_a_shoot(monkeypatch, singular1, accepted1,
     monkeypatch.setattr(optimal_control, "solve_linear", step_solve)
     monkeypatch.setattr(optimal_control, "_jacobian", lambda r, held, hs: np.eye(m))
     prob = BvpProblem(graph=nx.path_graph(3), target=np.eye(3) * 0.7 + 0.1, max_iter=2)
-    lam, rnorm, iterations, converged = _drive(prob, np.zeros((3, 3)), scripted)
+    lam, rnorm, iterations, converged = _newton_from(prob, np.zeros((3, 3)), scripted)
     # each try, singular or not, raises mu tenfold and uses up one of the 30
     assert steps == [1.0 + mu for mu in mus1 + mus2]
     assert (iterations, converged, rnorm) == (2, False, 0.5 * np.linalg.norm(r0))
@@ -562,7 +556,8 @@ def test_a_diverging_warm_start_falls_back_to_the_zero_start():
     prob = BvpProblem(graph=nx.path_graph(3), restarts=0,
                       target=nx.densification_target(nx.complete_graph(3), 0.0, 0.3))
     warm = 20.0 * np.ones((3, 3))
-    assert _drive(prob, warm, lambda stack: _residuals(prob, stack))[1:] == (np.inf, 0, False)
+    assert _newton_from(prob, warm, lambda stack: _residuals(prob, stack))[1:] == \
+        (np.inf, 0, False)
     sol, cold = solve_bvp(prob, initial_guess=warm), solve_bvp(prob)
     assert sol.restart_used == 0
     assert np.array_equal(sol.lambda0, cold.lambda0)

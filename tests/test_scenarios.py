@@ -344,12 +344,14 @@ def test_swap_no_pairs_is_identity_target():
     assert np.abs(rep.node_states[-1] - rep.node_states[0]).max() < 1e-8
 
 
-def test_curated_newton_paths(densify_report, swap_report):
-    # per-arc Newton iterations and restarts of the two curated scenarios: a
-    # change to any accept/reject decision of the solver moves these counts
-    densify = densify_report.solution.segments()
+def test_curated_newton_paths(densify_run, swap_run):
+    # per-arc Newton iterations and restarts, and the shoot passes, of the two
+    # curated scenarios: a change to any accept/reject decision of the solver,
+    # or to how its tries are grouped into passes, moves these counts
+    densify = densify_run[0].solution.segments()
     assert [arc.iterations for arc in densify] == [120, 0, 0, 0, 0]
     assert [arc.restart_used for arc in densify] == [0, 0, 0, 0, 0]
-    swap = swap_report.solution.segments()
+    swap = swap_run[0].solution.segments()
     assert [arc.iterations for arc in swap] == [113, 11]
     assert [arc.restart_used for arc in swap] == [2, 0]
+    assert (densify_run[2], swap_run[1]) == (247, 294)
