@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio
-from .dynamics import DynamicsError, WeightSchedule, propagate_state, simulation_steps
+from .dynamics import DynamicsError, propagate_state, simulation_steps
 from .graph import InputError, graph_from_json_dict, mask, numeric_array
 from .lie_algebra import check_feasible
 from .optimal_control import (BvpProblem, InfeasibleError, OptimalControlError,
@@ -89,13 +89,9 @@ def _waypoints(cfg: dict, n: int) -> list:
 def write_solution_bundle(sol, outdir: Path) -> None:
     """Emit schedule.csv / transition.csv / costate.csv / solution.json."""
     outdir.mkdir(parents=True, exist_ok=True)
-    sched = sol.schedule
-    csvio.write_schedule_csv(outdir / "schedule.csv", sched)
+    csvio.write_schedule_csv(outdir / "schedule.csv", sol.schedule)
     csvio.write_matrix_trajectory_csv(outdir / "transition.csv", *sol.transition(), prefix="X")
-    # the costate jumps at a join too, so it keeps the schedule's grid
-    csvio.write_matrix_trajectory_csv(outdir / "costate.csv", sched.grid,
-                                      np.concatenate([a.lambda_seq for a in sol.segments()]),
-                                      prefix="lambda")
+    csvio.write_matrix_trajectory_csv(outdir / "costate.csv", *sol.costate(), prefix="lambda")
     with open(outdir / "solution.json", "w") as fh:
         json.dump(sol.to_json_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -139,21 +135,14 @@ def _parse_xi(args, n: int) -> np.ndarray:
     if (args.xi is None) == (args.xi_file is None):
         raise InputError("simulate needs exactly one of --xi and --xi-file")
     flag = "--xi" if args.xi is not None else "--xi-file"
-    lines = [args.xi] if args.xi is not None else csvio._read_lines(args.xi_file)
-    xi = csvio._read_rows(lines, 0, f"initial state from {flag}", "cell of the first row")
-    return numeric_array(xi.ravel() if 1 in xi.shape else xi, f"initial state from {flag}", (n,))
+    return csvio.read_initial_state(n, f"initial state from {flag}", args.xi, args.xi_file)
 
 
 def cmd_simulate(args) -> int:
-    sched = csvio.read_schedule_csv(args.schedule)
-    if args.config is not None:
-        cfg = _load_config(args.config)
-        g = _graph(cfg, "graph")
-        pad = g.n - sched.n  # a node the header never names holds zero weight
-        if pad < 0 or np.any(np.pad(sched.mask, (0, pad)) & ~mask(g)):
-            raise InputError("schedule sparsity pattern does not match the graph in --config")
-        sched = WeightSchedule(sched.grid, np.pad(sched.W_seq, [(0, 0), (0, pad), (0, pad)]),
-                               np.pad(sched.mask, (0, pad)))
+    g = None if args.config is None else _graph(_load_config(args.config), "graph")
+    sched = csvio.read_schedule_csv(args.schedule, None if g is None else g.n)
+    if g is not None and (sched.n != g.n or np.any(sched.mask & ~mask(g))):
+        raise InputError("schedule sparsity pattern does not match the graph in --config")
     xi = _parse_xi(args, sched.n)
     grid, xs = propagate_state(sched, xi, simulation_steps(sched))
     outdir = Path(args.out)
@@ -177,8 +166,7 @@ def cmd_scenario(args) -> int:
     outdir = Path(args.out)
     csvio.write_vector_trajectory_csv(outdir / "nodes.csv", report.grid, report.node_states)
     if report.errors:
-        csvio.write_columns_csv(outdir / "errors.csv", ["t", *report.errors],
-                                [report.grid, *report.errors.values()])
+        csvio.write_columns_csv(outdir / "errors.csv", report.grid, report.errors)
     return code
 
 

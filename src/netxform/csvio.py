@@ -1,4 +1,4 @@
-"""CSV emission of schedules and trajectories, and round-trip parsing of schedules.
+"""CSV emission of schedules and trajectories, and parsing of schedules and initial states.
 
 All numbers are written with shortest round-trip decimal formatting, so a
 re-parsed file reproduces the exact floats that were written. A schedule
@@ -56,7 +56,8 @@ def _read_rows(lines, skip: int, what: str, per: str) -> np.ndarray:
             warnings.simplefilter("ignore")  # no rows: each caller reports that
             return np.loadtxt(lines[skip:], **_ROW_FORMAT)
     except ValueError as exc:  # a cell that is no number, a ragged row
-        width = len(next((line for line in lines if line.strip()), "").split(","))
+        first = next((line for line in lines if line.strip()), " ")  # none: one empty cell
+        width = np.loadtxt([first], dtype=str, **_ROW_FORMAT).shape[1]  # quotes respected
         for k, line in enumerate(lines[skip:], skip + 1):
             try:  # after a row of `width` zeros, which a row of another width may not follow
                 np.loadtxt([",".join(["0"] * width), line], **_ROW_FORMAT)
@@ -66,10 +67,11 @@ def _read_rows(lines, skip: int, what: str, per: str) -> np.ndarray:
         raise InputError(f"{what}: {exc}") from exc
 
 
-def read_schedule_csv(path) -> WeightSchedule:
+def read_schedule_csv(path, n: int | None = None) -> WeightSchedule:
     """Parse a schedule file: a header that starts with a `t` column, then rows
     (_read_rows), at least one, of a finite number per header column. The header
-    gives the sparsity mask, and WeightSchedule decides which times are joins."""
+    gives the sparsity mask, at least n nodes wide (a node it never names holds
+    zero weight), and WeightSchedule decides which times are joins."""
     lines = _read_lines(path)
     header = lines[0].rstrip("\n").split(",") if lines else [""]
     if header[0] != "t":
@@ -89,7 +91,7 @@ def read_schedule_csv(path) -> WeightSchedule:
         pairs[pair] = None
     if not pairs:
         raise InputError(f"{path}: header has no w_i_j columns")
-    n = max(max(p) for p in pairs) + 1
+    n = max(n or 0, max(max(p) for p in pairs) + 1)
     idx = tuple(np.array(list(pairs)).T)
     msk = np.zeros((n, n), dtype=bool)
     msk[idx] = True
@@ -99,6 +101,14 @@ def read_schedule_csv(path) -> WeightSchedule:
         return WeightSchedule(grid=data[:, 0].copy(), W_seq=W_seq, mask=msk)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def read_initial_state(n: int, what: str, text: str | None = None, path=None) -> np.ndarray:
+    """n finite numbers in one row or one column of the line `text`, or else of the
+    file at `path`, read as schedule rows are (_read_rows); errors start with `what`."""
+    lines = [text] if path is None else _read_lines(path)
+    xi = _read_rows(lines, 0, what, "cell of the first row")
+    return numeric_array(xi.ravel() if 1 in xi.shape else xi, what, (n,))
 
 
 def write_matrix_trajectory_csv(path, grid, M_seq, prefix: str = "X") -> None:
@@ -117,6 +127,6 @@ def write_vector_trajectory_csv(path, grid, xs) -> None:
                  np.column_stack([grid, xs]))
 
 
-def write_columns_csv(path, header, columns) -> None:
-    """Generic aligned-column CSV (used for the scenario error curves)."""
-    _write_table(path, header, np.column_stack(columns))
+def write_columns_csv(path, grid, columns: dict) -> None:
+    """Named curves on a grid: header t,<name>,... (the scenario error curves)."""
+    _write_table(path, ["t", *columns], np.column_stack([grid, *columns.values()]))

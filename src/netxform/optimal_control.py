@@ -121,9 +121,6 @@ class ExtremalSolution:
         sched = replace(self.schedule, grid=np.linspace(t0, tf, self.grid.size))
         return replace(self, schedule=sched, iterations=0, restart_used=0)
 
-    def to_json_dict(self) -> dict:
-        return _summary(self)
-
 
 @dataclass
 class Solution:
@@ -138,6 +135,7 @@ class Solution:
     target: np.ndarray
 
     def segments(self) -> list:
+        """The arcs, by the name perfbench's scenario counter reads."""
         return self.arcs
 
     @property
@@ -156,6 +154,11 @@ class Solution:
             mats.append((arc.X_seq @ B)[1:])
             B = arc.final @ B
         return np.concatenate(grids), np.concatenate(mats)
+
+    def costate(self):
+        """The joined (grid, lambda); each join's time appears twice, as lambda jumps there."""
+        return (np.concatenate([a.grid for a in self.arcs]),
+                np.concatenate([a.lambda_seq for a in self.arcs]))
 
     @property
     def final(self) -> np.ndarray:
@@ -190,7 +193,7 @@ class Solution:
         more than one arc; a one-arc solution reads as its arc."""
         d = _summary(self)
         if len(self.arcs) > 1:
-            d["segments"] = [arc.to_json_dict() for arc in self.arcs]
+            d["segments"] = [_summary(arc) for arc in self.arcs]
         return d
 
 

@@ -81,11 +81,39 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def _counted_solve(prob):
+    """solve_bvp(prob) and the number of shoot passes (_shoot_batch calls) it made."""
+    with pytest.MonkeyPatch.context() as mp:
+        passes = count_calls(mp, optimal_control, "_shoot_batch")
+        sol = optimal_control.solve_bvp(prob)
+    return sol, len(passes)
+
+
 @pytest.fixture(scope="session")
-def scalar_solution():
-    from netxform.optimal_control import BvpProblem, solve_bvp
+def scalar_run():
+    """Criterion 3's scalar solve, I to 2, and its shoot passes."""
     g = nx.build_graph(1, [])
-    return solve_bvp(BvpProblem(graph=g, target=np.array([[2.0]])))
+    return _counted_solve(optimal_control.BvpProblem(graph=g, target=np.array([[2.0]])))
+
+
+@pytest.fixture(scope="session")
+def scalar_solution(scalar_run):
+    return scalar_run[0]
+
+
+PATH3_TARGET = np.eye(3) * 0.8 + 0.2 / 3  # consensus-like, off path3's pattern
+
+
+@pytest.fixture(scope="session")
+def path3_run():
+    """The direct solve of PATH3_TARGET on path3 and its shoot passes."""
+    return _counted_solve(optimal_control.BvpProblem(graph=nx.path_graph(3),
+                                                     target=PATH3_TARGET))
+
+
+@pytest.fixture(scope="session")
+def path3_solution(path3_run):
+    return path3_run[0]
 
 
 @pytest.fixture(scope="session")

@@ -230,7 +230,7 @@ def test_solve_scalar_bundle(scalar_cfg, tmp_path, capsys):
     # a one-arc bundle's solution.json is its arc's record, with no segments
     prob = nx.BvpProblem(graph=nx.build_graph(1, []), target=np.array([[2.0]]))
     assert "segments" not in sol
-    assert sol == nx.solve_bvp(prob).to_json_dict()
+    assert sol == optimal_control._summary(nx.solve_bvp(prob))
 
 
 def test_solve_identity_target_zero_schedule(tmp_path):
@@ -640,6 +640,8 @@ def test_simulate_bad_xi_exit_one(tmp_path, capsys):
     ("--xi-file", "1,2\n3,4"),  # wrong shape
     ("--xi-file", "1\n2,3"),    # a row longer than the first
     ("--xi", '"1",abc'),        # a quoted cell, then a non-numeric one
+    ("--xi", '"1,5",abc'),      # a quoted comma is no cell boundary
+    ("--xi", '"1,5",2'),        # two cells, the first no number
 ])
 def test_simulate_bad_xi_values_exit_one(tmp_path, capsys, flag, value):
     msk = nx.mask(nx.path_graph(2))
@@ -655,7 +657,8 @@ def test_simulate_bad_xi_values_exit_one(tmp_path, capsys, flag, value):
     # a cell that is no number, or a ragged row, is named by its line in the
     # schedule reader's words, not numpy's
     line = {"1,abc": "line 1 must hold 2 numbers", "1\n2,3": "line 2 must hold 1 number,",
-            '"1",abc': "line 1 must hold 2 numbers"}.get(value, "")
+            '"1",abc': "line 1 must hold 2 numbers", '"1,5",abc': "line 1 must hold 2 numbers",
+            '"1,5",2': "line 1 must hold 2 numbers"}.get(value, "")
     err = _assert_one_error_line(capsys, flag, line)
     assert not any(word in err for word in ("float64", "usecols", "row 0")), err
 

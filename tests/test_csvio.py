@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import netxform as nx
-from netxform.csvio import (read_schedule_csv, write_columns_csv, write_matrix_trajectory_csv,
-                            write_schedule_csv, write_vector_trajectory_csv)
+from netxform.csvio import (read_initial_state, read_schedule_csv, write_columns_csv,
+                            write_matrix_trajectory_csv, write_schedule_csv,
+                            write_vector_trajectory_csv)
 from netxform.graph import InputError, mask
 
 
@@ -129,6 +130,36 @@ def test_empty_schedule_raises_without_a_warning(tmp_path):
             read_schedule_csv(p)
 
 
+def test_schedule_is_read_at_least_n_nodes_wide(tmp_path):
+    # a node the header never names holds zero weight; a wider header keeps its width
+    p = tmp_path / "s.csv"
+    p.write_text("t,w_1_1,w_1_2,w_2_1,w_2_2\n0,1,2,3,4\n1,1,2,3,4\n")
+    narrow, wide = read_schedule_csv(p), read_schedule_csv(p, 4)
+    assert (narrow.n, wide.n, read_schedule_csv(p, 1).n) == (2, 4, 2)
+    assert wide.grid.tobytes() == narrow.grid.tobytes()
+    padded = np.zeros((4, 4), dtype=bool)
+    padded[:2, :2] = narrow.mask
+    assert np.array_equal(wide.mask, padded)
+    assert np.array_equal(wide.W_seq[:, :2, :2], narrow.W_seq) and not wide.W_seq[:, ~padded].any()
+
+
+def test_initial_state_is_a_row_or_a_column(tmp_path):
+    p = tmp_path / "xi.csv"
+    for text in ("1,-2.5,3\n", "1\n-2.5\n3\n", '"1",-2.5,3\n', "\n1,-2.5,3\n\n"):
+        p.write_text(text)
+        assert read_initial_state(3, "xi", path=p).tolist() == [1.0, -2.5, 3.0]
+    assert read_initial_state(3, "xi", text="1,-2.5,3").tolist() == [1.0, -2.5, 3.0]
+    p.write_text("1\n2,3\n")
+    with pytest.raises(InputError, match="^xi: line 2 must hold 1 number, one per cell"):
+        read_initial_state(3, "xi", path=p)
+    with pytest.raises(InputError, match="^xi: line 1 must hold 2 numbers"):
+        read_initial_state(2, "xi", text='"1,5",abc')  # a quoted comma splits no cell
+    with pytest.raises(InputError, match=r"^xi must be of shape \(2,\), got shape \(3,\)"):
+        read_initial_state(2, "xi", text="1,2,3")
+    with pytest.raises(InputError, match="^cannot read"):
+        read_initial_state(2, "xi", path=tmp_path / "nope.csv")
+
+
 def test_missing_file_raises_format_error(tmp_path):
     with pytest.raises(InputError, match="cannot read"):
         read_schedule_csv(tmp_path / "nope.csv")
@@ -158,8 +189,7 @@ def test_vector_trajectory_round_trip(tmp_path):
 
 def test_columns_csv_layout(tmp_path):
     path = tmp_path / "cols.csv"
-    write_columns_csv(path, ["t", "err"], [np.array([0.0, 0.5]),
-                                           np.array([1.0, 0.25])])
+    write_columns_csv(path, np.array([0.0, 0.5]), {"err": np.array([1.0, 0.25])})
     lines = path.read_text().splitlines()
     assert lines[0] == "t,err"
     assert lines[1] == "0.0,1.0"
@@ -176,7 +206,7 @@ def test_rows_are_the_bytes_csv_writer_gives(tmp_path):
     header = ["t", "x_1", "x_2"]
     table = np.array(values[:12]).reshape(4, 3)
     path, ref = tmp_path / "cols.csv", tmp_path / "ref.csv"
-    write_columns_csv(path, header, table.T)
+    write_columns_csv(path, table[:, 0], {"x_1": table[:, 1], "x_2": table[:, 2]})
     with open(ref, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)

@@ -19,6 +19,8 @@ from netxform.optimal_control import (BvpProblem, InfeasibleError, OptimalContro
                                       weights_from_costate)
 from netxform.scenarios import SWAP_WAYPOINT_4
 
+from conftest import PATH3_TARGET
+
 
 # ---------------------------------------------------------------------------
 # pointwise structure
@@ -683,10 +685,8 @@ def test_solve_scalar_matches_analytic_solution(scalar_solution):
     assert abs(sol.cost - 0.5 * np.log(2.0) ** 2) < 1e-8
 
 
-def test_solve_emits_stationary_schedule():
-    prob = BvpProblem(graph=nx.path_graph(3),
-                      target=np.eye(3) * 0.8 + 0.2 / 3)
-    sol = solve_bvp(prob)
+def test_solve_emits_stationary_schedule(path3_solution):
+    sol = path3_solution
     assert sol.converged
     msk = sol.schedule.mask
     for k in range(sol.grid.size):
@@ -699,7 +699,7 @@ def test_solve_forward_verification_at_matched_tolerance():
     # stage-aligned steps reproduces the target to well under 10x the
     # shooting tolerance
     prob = BvpProblem(graph=nx.path_graph(3),
-                      target=np.eye(3) * 0.8 + 0.2 / 3, newton_tol=1e-6)
+                      target=PATH3_TARGET, newton_tol=1e-6)
     sol = solve_bvp(prob)
     assert sol.converged
     final = integrate_transition(sol.schedule, simulation_steps(sol.schedule)).final
@@ -791,11 +791,11 @@ def test_solve_from_a_normal_log_keeps_the_closed_form_energy(graph, L, tau):
 
 
 @pytest.mark.parametrize("c", [2.0, 0.25, 7.0])
-def test_a_shifted_and_rescaled_horizon_reshoots_the_same_arc(c):
+def test_a_shifted_and_rescaled_horizon_reshoots_the_same_arc(c, path3_solution):
     # the extremal system is autonomous and quadratic, so (lambda0 / c, c tau)
     # traces the same X on any start time, with energy J / c
-    prob = BvpProblem(graph=nx.path_graph(3), target=np.eye(3) * 0.8 + 0.2 / 3)
-    sol = solve_bvp(prob)
+    prob = BvpProblem(graph=nx.path_graph(3), target=PATH3_TARGET)
+    sol = path3_solution
     assert sol.converged
     moved = replace(prob, t0=1.0, tf=1.0 + c * (prob.tf - prob.t0))
     X_tf, info = shoot(moved, sol.lambda0 / c)
@@ -811,7 +811,7 @@ def test_waypoints_empty_list_is_plain_solve():
     prob = BvpProblem(graph=nx.build_graph(1, []), target=np.array([[2.0]]))
     sol = solve_with_waypoints(prob, [])
     assert len(sol.segments()) == 1
-    assert sol.to_json_dict() == solve_bvp(prob).to_json_dict()
+    assert sol.to_json_dict() == optimal_control._summary(solve_bvp(prob))
     assert abs(sol.lambda0[0, 0] + np.log(2.0)) < 1e-6
 
 
@@ -878,6 +878,10 @@ def test_solution_schedule_joins_the_arcs():
     assert [p.grid.tolist() for p in sched.pieces()] == [first.grid.tolist(),
                                                          second.grid.tolist()]
     assert np.array_equal(sched.W_seq, np.concatenate([a.schedule.W_seq for a in sol.arcs]))
+    # the costate jumps at the join too, so it keeps the schedule's grid
+    grid, lam = sol.costate()
+    assert grid.tobytes() == sched.grid.tobytes()
+    assert lam.tobytes() == np.concatenate([a.lambda_seq for a in sol.arcs]).tobytes()
 
 
 def test_waypoint_arcs_lie_on_their_shares_of_the_horizon():

@@ -355,3 +355,10 @@ def test_curated_newton_paths(densify_run, swap_run):
     assert [arc.iterations for arc in swap] == [113, 11]
     assert [arc.restart_used for arc in swap] == [2, 0]
     assert (densify_run[2], swap_run[1]) == (247, 294)
+
+
+def test_direct_newton_paths(scalar_run, path3_run):
+    # the same pins on the direct path: iterations, restart and shoot passes of
+    # criterion 3's scalar solve and of the path3 solve
+    assert [(sol.iterations, sol.restart_used, passes)
+            for sol, passes in (scalar_run, path3_run)] == [(4, 0, 10), (13, 0, 28)]
