@@ -2,7 +2,7 @@
 network compute a global linear transformation of its initial state."""
 
 from .graph import (Graph, InputError, build_graph, complete_graph, cycle_graph,
-                    graph_from_json_dict, is_connected, laplacian, mask, path_graph,
+                    graph_from_json_dict, is_connected, laplacian, path_graph,
                     star_graph)
 from .lie_algebra import (AlgebraElement, FeasibilityReport, IndexField,
                           bracket, bracket_general, check_feasible,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import csvio
 from .dynamics import DynamicsError, propagate_state, simulation_steps
-from .graph import InputError, graph_from_json_dict, mask, numeric_array
+from .graph import InputError, graph_from_json_dict, numeric_array
 from .lie_algebra import check_feasible
 from .optimal_control import (BvpProblem, InfeasibleError, OptimalControlError,
                               homotopy_singularity_scan, solve_with_waypoints)
@@ -141,7 +141,7 @@ def _parse_xi(args, n: int) -> np.ndarray:
 def cmd_simulate(args) -> int:
     g = None if args.config is None else _graph(_load_config(args.config), "graph")
     sched = csvio.read_schedule_csv(args.schedule, None if g is None else g.n)
-    if g is not None and (sched.n != g.n or np.any(sched.mask & ~mask(g))):
+    if g is not None and (sched.n != g.n or np.any(sched.mask & ~g.mask)):
         raise InputError("schedule sparsity pattern does not match the graph in --config")
     xi = _parse_xi(args, sched.n)
     grid, xs = propagate_state(sched, xi, simulation_steps(sched))

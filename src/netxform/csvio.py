@@ -48,17 +48,19 @@ def _read_lines(path) -> list:
 
 def _read_rows(lines, skip: int, what: str, per: str) -> np.ndarray:
     """np.loadtxt of the lines after the first `skip`: a row per line that is not
-    blank, maybe none; double-quoted cells are read and `#` starts no comment. An
-    InputError that starts with `what` names a line that does not hold a number
-    per cell (a `per`) of the first line that is not blank."""
+    blank (empty or only spaces and tabs), maybe none; double-quoted cells are
+    read and `#` starts no comment. An InputError that starts with `what` names,
+    by its place in `lines`, a line that does not hold a number per cell (a `per`)
+    of the first line that is not blank."""
+    rows = [(k, line) for k, line in enumerate(lines[skip:], skip + 1) if line.strip()]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # no rows: each caller reports that
-            return np.loadtxt(lines[skip:], **_ROW_FORMAT)
+            return np.loadtxt([line for _, line in rows], **_ROW_FORMAT)
     except ValueError as exc:  # a cell that is no number, a ragged row
         first = next((line for line in lines if line.strip()), " ")  # none: one empty cell
         width = np.loadtxt([first], dtype=str, **_ROW_FORMAT).shape[1]  # quotes respected
-        for k, line in enumerate(lines[skip:], skip + 1):
+        for k, line in rows:
             try:  # after a row of `width` zeros, which a row of another width may not follow
                 np.loadtxt([",".join(["0"] * width), line], **_ROW_FORMAT)
             except ValueError:  # that, or a cell that is no number

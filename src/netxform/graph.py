@@ -1,9 +1,9 @@
 """Undirected information-exchange network with mandatory self-loops.
 
 Vertices are 1-based everywhere a graph crosses an external boundary
-(JSON, CSV headers, error messages). Edges are stored as ordered pairs so
-that the sparsity pattern of a weight matrix can be asymmetric in value
-while symmetric in structure.
+(JSON, CSV headers, error messages). A graph is its edge pattern: which
+entries of a weight matrix may be nonzero. The pattern is symmetric in
+structure, while the weights on it may be asymmetric in value.
 """
 
 from __future__ import annotations
@@ -19,26 +19,37 @@ class InputError(ValueError):
     the dynamics or the solver cannot use. The command line exits 1 on it."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Vertex/edge structure; edges include both orientations and all self-loops."""
+    """The edge pattern as a read-only n-by-n boolean array: mask[i - 1, j - 1]
+    is True exactly when (i, j) is an edge. It is symmetric, and its diagonal,
+    the self-loops, is always True. A weight matrix W is local when
+    np.where(g.mask, W, 0.0) equals it. Graphs compare by pattern; build one
+    with build_graph."""
 
-    n: int
-    edges: frozenset
+    mask: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.mask.shape[0]
+
+    def __eq__(self, other):
+        return isinstance(other, Graph) and np.array_equal(self.mask, other.mask)
 
 
 def build_graph(n: int, edge_list) -> Graph:
     """Construct a graph on a whole n >= 1 from a list of 1-based (i, j) pairs
     of whole numbers in 1..n; anything else raises InputError.
 
-    The edge set is symmetrized and every self-loop is inserted.
+    The pattern is symmetrized and every self-loop is inserted.
     Connectivity is not enforced here; query is_connected separately.
     """
     n = _vertex_count(n, "graph nodes")
-    edges = set(node_pairs(edge_list, "graph edges", n))
-    edges |= {(j, i) for (i, j) in edges}
-    edges |= {(i, i) for i in range(1, n + 1)}
-    return Graph(n=n, edges=frozenset(edges))
+    i, j = np.array(node_pairs(edge_list, "graph edges", n), dtype=int).reshape(-1, 2).T - 1
+    M = np.eye(n, dtype=bool)
+    M[i, j] = M[j, i] = True
+    M.flags.writeable = False
+    return Graph(mask=M)
 
 
 def _vertex_count(n, what: str) -> int:
@@ -119,43 +130,30 @@ def graph_from_json_dict(d: dict) -> Graph:
     return build_graph(d["nodes"], d.get("edges", []))
 
 
-def _components(g: Graph) -> list:
-    """The vertex sets of the connected components, by depth-first search
-    from each vertex not yet reached (self-loops do not connect)."""
-    rows = mask(g).tolist()
-    comps = []
-    for v in range(1, g.n + 1):
-        if not any(v in comp for comp in comps):
-            comp, stack = {v}, [v]
+def _components(g: Graph) -> np.ndarray:
+    """Each vertex's component, labelled by its lowest 0-based vertex, by
+    depth-first search over np.flatnonzero neighbours (self-loops do not connect)."""
+    label = np.full(g.n, -1)
+    for v in range(g.n):
+        if label[v] < 0:
+            label[v], stack = v, [v]
             while stack:
-                for j, edge in enumerate(rows[stack.pop() - 1], start=1):
-                    if edge and j not in comp:
-                        comp.add(j)
-                        stack.append(j)
-            comps.append(comp)
-    return comps
+                new = np.flatnonzero(g.mask[stack.pop()] & (label < 0))
+                label[new] = v
+                stack.extend(new.tolist())
+    return label
 
 
 def is_connected(g: Graph) -> bool:
     """Reachability of every vertex from vertex 1 (self-loops do not connect)."""
-    return len(_components(g)) == 1
+    return not _components(g).any()
 
 
 def laplacian(g: Graph) -> np.ndarray:
     """Standard graph Laplacian L = D - A, self-loops excluded."""
-    A = mask(g).astype(float)
+    A = g.mask.astype(float)
     np.fill_diagonal(A, 0.0)
     return np.diag(A.sum(axis=1)) - A
-
-
-def mask(g: Graph) -> np.ndarray:
-    """The edge pattern as an n-by-n boolean array: entry [i - 1, j - 1] is
-    True exactly when (i, j) is an edge, so the diagonal is always True.
-    A weight matrix W is local when np.where(mask(g), W, 0.0) equals it."""
-    M = np.zeros((g.n, g.n), dtype=bool)
-    for (i, j) in g.edges:
-        M[i - 1, j - 1] = True
-    return M
 
 
 def path_graph(n: int) -> Graph:

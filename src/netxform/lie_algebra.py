@@ -122,7 +122,7 @@ def generated_algebra_dimension(g: Graph) -> int:
     E_ij E_jk - E_jk E_ij = E_ik (i != k) along paths reaches every
     off-diagonal unit, and the self-loops, which build_graph always inserts,
     give the diagonal. Units in different components commute."""
-    return sum(len(comp) ** 2 for comp in _components(g))
+    return int((np.bincount(_components(g)) ** 2).sum())
 
 
 def check_feasible(g: Graph, T: np.ndarray) -> FeasibilityReport:

@@ -16,7 +16,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .dynamics import DynamicsError, WeightSchedule, _rk4, determinant, solve_linear
-from .graph import Graph, InputError, _square_matrix, mask, numeric_array
+from .graph import Graph, InputError, _square_matrix, numeric_array
 from .lie_algebra import check_feasible
 
 DIVERGENCE_LIMIT = 1e12
@@ -261,7 +261,7 @@ def _shoot_batch(prob: BvpProblem, lam0s: np.ndarray, record: bool = False):
     n = lam0s.shape[-1]
     Z = np.empty((3,) + lam0s.shape)
     Y0 = np.stack([np.broadcast_to(np.eye(n), lam0s.shape), np.swapaxes(lam0s, -1, -2)])
-    rate = _extremal_rate(Z, np.broadcast_to(~mask(prob.graph), lam0s.shape).copy())
+    rate = _extremal_rate(Z, np.broadcast_to(~prob.graph.mask, lam0s.shape).copy())
     with np.errstate(over="ignore", invalid="ignore"):
         stepper = _rk4(rate, Y0, prob.t0, prob.tf, prob.steps, stage=Z[:2],
                        sign=np.array([-1.0, 1.0]).reshape(2, 1, 1, 1))
@@ -325,7 +325,7 @@ def _build_solution(prob: BvpProblem, lam0: np.ndarray, iterations: int,
                     restart_used: int, converged: bool) -> ExtremalSolution:
     """Re-shoot the chosen costate with recording on and package the result."""
     X_tf, info = shoot(prob, lam0)
-    msk = mask(prob.graph)
+    msk = prob.graph.mask
     W_seq = weights_from_costate(info["lambda_seq"], info["X_seq"], msk)
     sched = WeightSchedule(grid=info["grid"], W_seq=W_seq, mask=msk)
     return ExtremalSolution(

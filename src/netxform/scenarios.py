@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import DynamicsError, constant_schedule, expm, propagate_state, simulation_steps
-from .graph import Graph, InputError, _vertex_count, laplacian, mask, node_pairs, numeric_array
+from .graph import Graph, InputError, _vertex_count, laplacian, node_pairs, numeric_array
 from .optimal_control import BvpProblem, Solution, solve_bvp, solve_with_waypoints
 
 # The 4-node cyclic waypoint used for the (1,2)(3,4) swap: it keeps the
@@ -131,7 +131,7 @@ def run_densify(sparse_graph: Graph, dense_graph: Graph, initial_state=None,
     # plain consensus runs share the synthesized run's (possibly segmented) grid
     curves = {}
     for name, g in (("err_sparse", sparse_graph), ("err_dense", dense_graph)):
-        sched = constant_schedule(-laplacian(g), prob.t0, prob.tf, mask(g))
+        sched = constant_schedule(-laplacian(g), prob.t0, prob.tf, g.mask)
         curves[name] = propagate_state(sched, xi, grid.size - 1)[1]
     curves["err_synth"] = states
     with np.errstate(over="ignore", invalid="ignore"):  # squared distances above ~1e308

@@ -15,7 +15,6 @@ import pytest
 
 import netxform as nx
 from netxform.dynamics import integrate_transition, simulation_steps
-from netxform.graph import mask
 from netxform.optimal_control import hamiltonian, extremal_rhs, weights_from_costate
 
 from conftest import (CYCLIC_WAYPOINT, SWAP_TARGET, consensus_map,
@@ -178,7 +177,7 @@ def _integrate_between(sched, a, b, steps):
 
 def _observed_order(rng):
     g = nx.path_graph(4)
-    msk = mask(g)
+    msk = g.mask
     grid = np.linspace(0.0, 1.0, 26)
     W_seq = np.array([np.where(msk, rng.uniform(-1.0, 1.0, (4, 4)), 0.0) for _ in grid])
     sched = nx.WeightSchedule(grid=grid, W_seq=W_seq, mask=msk)
@@ -218,7 +217,7 @@ def test_criterion_8_gradient_adjoint_checks():
     for _ in range(20):
         n = int(rng.integers(2, 6))
         g = nx.path_graph(n)
-        msk = mask(g)
+        msk = g.mask
         X = rng.normal(size=(n, n))
         lam = rng.normal(size=(n, n))
         W = np.where(msk, rng.normal(size=(n, n)), 0.0)

@@ -16,7 +16,6 @@ import pytest
 import netxform as nx
 from netxform.dynamics import (DynamicsError, _rk4, determinant, integrate_transition,
                                propagate_state, simulation_steps, solve_linear)
-from netxform.graph import mask
 from netxform.optimal_control import (DIVERGENCE_LIMIT, BvpProblem, _shoot_batch,
                                       extremal_rhs, shoot)
 
@@ -53,7 +52,7 @@ def reference_shoot(prob, lam0s):
     """The extremal system for a costate stack on the stacked state (X, lam);
     returns (grid, Y_seq of shape (steps + 1, 2, B, n, n), diverged)."""
     n = lam0s.shape[-1]
-    msk = mask(prob.graph)
+    msk = prob.graph.mask
     Y0 = np.stack([np.broadcast_to(np.eye(n), lam0s.shape), lam0s])
     with np.errstate(over="ignore", invalid="ignore"):
         grid, Y_seq = reference_rk4(lambda t, Y: extremal_rhs(Y[0], Y[1], msk),
@@ -95,7 +94,7 @@ def test_shoot_matches_the_reference_loop(graph, diverging, batch, steps):
 
 
 def _random_schedule(graph, samples, seed):
-    msk = mask(graph)
+    msk = graph.mask
     rng = np.random.default_rng(seed)
     grid = np.sort(rng.uniform(0.0, 2.0, samples))
     W_seq = np.array([np.where(msk, rng.normal(size=(graph.n, graph.n)), 0.0) for _ in grid])
@@ -198,7 +197,7 @@ def test_replay_reads_each_stage_time_once(monkeypatch):
     """The replay's rate keeps the last W(t): RK4's middle stages share a time, and
     a step's end is often the next step's start (216 reads here, 400 uncached)."""
     graph = nx.path_graph(4)
-    msk = mask(graph)
+    msk = graph.mask
     rng = np.random.default_rng(4)
     grid = np.linspace(0.0, 1.0, 201)
     W_seq = np.array([np.where(msk, rng.normal(size=(4, 4)), 0.0) for _ in grid])

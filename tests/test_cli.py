@@ -490,16 +490,19 @@ def test_output_write_failure_exit_one(tmp_path, capsys):
 
 
 def test_simulate_zero_schedule_keeps_state(tmp_path):
-    msk = nx.mask(nx.path_graph(2))
+    msk = nx.path_graph(2).mask
     sched = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, msk)
     from netxform.csvio import write_schedule_csv
     spath = tmp_path / "s.csv"
     write_schedule_csv(spath, sched)
     out = tmp_path / "out"
     # the initial state is read as schedule rows are: a quoted cell is read as
-    # the number inside, and --xi-file may hold a row or a column
+    # the number inside, --xi-file may hold a row or a column, and a line of
+    # spaces is blank
     (tmp_path / "xi.csv").write_text("1\n2\n")
-    for xi in (["--xi", "1,2"], ["--xi", '"1",2'], ["--xi-file", str(tmp_path / "xi.csv")]):
+    (tmp_path / "xi_spaced.csv").write_text("1\n   \n2\n")
+    for xi in (["--xi", "1,2"], ["--xi", '"1",2'], ["--xi-file", str(tmp_path / "xi.csv")],
+               ["--xi-file", str(tmp_path / "xi_spaced.csv")]):
         assert main(["simulate", "--schedule", str(spath), *xi, "--out", str(out)]) == 0
         grid, xs = _trajectory(out / "nodes.csv")
         assert np.array_equal(xs[-1], [1.0, 2.0])
@@ -508,7 +511,7 @@ def test_simulate_zero_schedule_keeps_state(tmp_path):
 @pytest.mark.parametrize("xi", ["-1,2", "-0.5,-2", "-1e-3,4"])
 def test_simulate_negative_first_xi(tmp_path, xi):
     # a spaced value that starts with a minus sign is the initial state, not a flag
-    msk = nx.mask(nx.path_graph(2))
+    msk = nx.path_graph(2).mask
     sched = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, msk)
     from netxform.csvio import write_schedule_csv
     spath = tmp_path / "s.csv"
@@ -602,7 +605,7 @@ def test_simulate_joined_scenario_schedule_matches_its_nodes(tmp_path):
 
 
 def test_simulate_mask_mismatch_exit_one(tmp_path, capsys):
-    msk = nx.mask(nx.complete_graph(3))
+    msk = nx.complete_graph(3).mask
     sched = nx.constant_schedule(np.zeros((3, 3)), 0.0, 1.0, msk)
     from netxform.csvio import write_schedule_csv
     spath = tmp_path / "s.csv"
@@ -616,7 +619,7 @@ def test_simulate_mask_mismatch_exit_one(tmp_path, capsys):
 
 
 def test_simulate_bad_xi_exit_one(tmp_path, capsys):
-    msk = nx.mask(nx.path_graph(2))
+    msk = nx.path_graph(2).mask
     sched = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, msk)
     from netxform.csvio import write_schedule_csv
     spath = tmp_path / "s.csv"
@@ -644,7 +647,7 @@ def test_simulate_bad_xi_exit_one(tmp_path, capsys):
     ("--xi", '"1,5",2'),        # two cells, the first no number
 ])
 def test_simulate_bad_xi_values_exit_one(tmp_path, capsys, flag, value):
-    msk = nx.mask(nx.path_graph(2))
+    msk = nx.path_graph(2).mask
     sched = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, msk)
     from netxform.csvio import write_schedule_csv
     spath = tmp_path / "s.csv"
@@ -665,7 +668,7 @@ def test_simulate_bad_xi_values_exit_one(tmp_path, capsys, flag, value):
 
 def test_simulate_xi_with_xi_file_exit_one(tmp_path, capsys):
     # neither source wins silently
-    msk = nx.mask(nx.path_graph(2))
+    msk = nx.path_graph(2).mask
     sched = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, msk)
     from netxform.csvio import write_schedule_csv
     spath = tmp_path / "s.csv"
@@ -686,7 +689,7 @@ def test_simulate_steps_follow_the_finest_piece(tmp_path):
     W_seq[2:, 0, 0] = 30.0 * np.sin(300.0 * grid[2:])
     spath = tmp_path / "s.csv"
     write_schedule_csv(spath, nx.WeightSchedule(grid=grid, W_seq=W_seq,
-                                                mask=nx.mask(nx.path_graph(2))))
+                                                mask=nx.path_graph(2).mask))
     assert main(["simulate", "--schedule", str(spath), "--xi", "1,2",
                  "--out", str(tmp_path / "o")]) == 0
     _, xs = _trajectory(tmp_path / "o" / "nodes.csv")

@@ -11,11 +11,11 @@ import netxform as nx
 from netxform.csvio import (read_initial_state, read_schedule_csv, write_columns_csv,
                             write_matrix_trajectory_csv, write_schedule_csv,
                             write_vector_trajectory_csv)
-from netxform.graph import InputError, mask
+from netxform.graph import InputError
 
 
 def _random_schedule(rng, t0=0.0, tf=1.0):
-    msk = mask(nx.path_graph(3))
+    msk = nx.path_graph(3).mask
     grid = np.linspace(t0, tf, 7)
     W_seq = np.array([np.where(msk, rng.normal(size=(3, 3)), 0.0) for _ in grid])
     return nx.WeightSchedule(grid=grid, W_seq=W_seq, mask=msk)
@@ -109,6 +109,21 @@ def test_blank_lines_are_skipped_and_quoted_cells_read(tmp_path):
     assert sched.W_seq[:, 0, 0].tolist() == [1.5, 2.0]
     # a bad row is named by its line in the file, blank lines counted
     p.write_text('t,w_1_1\n0.0,"1.5"\n\n1.0,2.0,3.0\n')
+    with pytest.raises(InputError, match="line 4 must hold 2 numbers, one per header column$"):
+        read_schedule_csv(p)
+
+
+@pytest.mark.parametrize("last", ["   ", "\t", " \t "], ids=["spaces", "tab", "mixed"])
+def test_whitespace_only_lines_are_blank(tmp_path, last):
+    want = tmp_path / "want.csv"
+    want.write_text("t,w_1_1\n0.0,1.0\n1.0,2.0\n\n")
+    p = tmp_path / "s.csv"
+    p.write_text(f"t,w_1_1\n0.0,1.0\n{last}\n1.0,2.0\n{last}")
+    got, ref = read_schedule_csv(p), read_schedule_csv(want)
+    assert np.array_equal(got.grid, ref.grid) and np.array_equal(got.W_seq, ref.W_seq)
+    assert np.array_equal(got.mask, ref.mask)
+    # a bad row keeps its line in the file, the whitespace lines counted
+    p.write_text(f"t,w_1_1\n{last}\n0.0,1.0\n1.0,2.0,3.0\n")
     with pytest.raises(InputError, match="line 4 must hold 2 numbers, one per header column$"):
         read_schedule_csv(p)
 

@@ -8,7 +8,7 @@ import netxform as nx
 from netxform.dynamics import (DynamicsError, determinant, expm,
                                integrate_transition, liouville_residual,
                                propagate_state, simulation_steps, solve_linear)
-from netxform.graph import InputError, mask
+from netxform.graph import InputError
 
 from conftest import SWAP_TARGET, single_node_average_map
 
@@ -22,7 +22,7 @@ def random_conforming_schedule(rng):
     n = int(rng.integers(2, 6))
     builders = [nx.path_graph, nx.complete_graph, nx.star_graph]
     g = builders[int(rng.integers(0, len(builders)))](n)
-    msk = mask(g)
+    msk = g.mask
     grid = np.linspace(0.0, 1.0, 9)
     W_seq = np.array([np.where(msk, rng.uniform(-1.0, 1.0, (n, n)), 0.0) for _ in grid])
     return nx.WeightSchedule(grid=grid, W_seq=W_seq, mask=msk)
@@ -104,14 +104,14 @@ def test_expm_rejects_non_finite():
 
 
 def test_schedule_rejects_off_pattern_entries():
-    msk = mask(nx.path_graph(3))
+    msk = nx.path_graph(3).mask
     W = np.ones((2, 3, 3))
     with pytest.raises(InputError):
         nx.WeightSchedule(grid=np.array([0.0, 1.0]), W_seq=W, mask=msk)
 
 
 def test_schedule_rejects_bad_grid():
-    msk = mask(nx.path_graph(2))
+    msk = nx.path_graph(2).mask
     W = np.zeros((2, 2, 2))
     with pytest.raises(InputError):
         nx.WeightSchedule(grid=np.array([1.0, 0.0]), W_seq=W, mask=msk)
@@ -127,7 +127,7 @@ def test_schedule_rejects_bad_grid():
     ([0.0, 0.5, 1.0, 1.0], False),       # a join at the end
 ])
 def test_schedule_join_rules(grid, ok):
-    msk = mask(nx.build_graph(1, []))
+    msk = nx.build_graph(1, []).mask
     W_seq = np.arange(len(grid), dtype=float).reshape(-1, 1, 1)
     if not ok:
         with pytest.raises(InputError):
@@ -139,7 +139,7 @@ def test_schedule_join_rules(grid, ok):
 
 
 def test_schedule_interpolation_is_linear_and_clamped():
-    msk = mask(nx.complete_graph(2))
+    msk = nx.complete_graph(2).mask
     W_seq = np.array([np.zeros((2, 2)), np.ones((2, 2))])
     sched = nx.WeightSchedule(grid=np.array([0.0, 1.0]), W_seq=W_seq, mask=msk)
     assert np.abs(sched.W_at(0.5) - 0.5).max() < 1e-15
@@ -152,7 +152,7 @@ def test_schedule_interpolation_is_linear_and_clamped():
 
 
 def test_integrate_zero_schedule_is_identity():
-    msk = mask(nx.path_graph(3))
+    msk = nx.path_graph(3).mask
     sched = nx.constant_schedule(np.zeros((3, 3)), 0.0, 1.0, msk)
     traj = integrate_transition(sched, 50)
     assert np.array_equal(traj.X_seq[0], np.eye(3))
@@ -160,13 +160,13 @@ def test_integrate_zero_schedule_is_identity():
 
 
 def test_integrate_scalar_exponential():
-    msk = mask(nx.build_graph(1, []))
+    msk = nx.build_graph(1, []).mask
     sched = nx.constant_schedule(np.array([[np.log(2.0)]]), 0.0, 1.0, msk)
     assert abs(integrate_transition(sched, 200).final[0, 0] - 2.0) < 1e-10
 
 
 def test_integrate_rotation_quarter_turn():
-    msk = mask(nx.complete_graph(2))
+    msk = nx.complete_graph(2).mask
     W = np.array([[0.0, 1.0], [-1.0, 0.0]])
     sched = nx.constant_schedule(W, 0.0, np.pi / 2, msk)
     got = integrate_transition(sched, 400).final
@@ -219,7 +219,7 @@ def test_propagate_state_rejects_bad_start_shapes():
 
 
 def test_replay_rejects_steps_below_one():
-    sched = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, mask(nx.path_graph(2)))
+    sched = nx.constant_schedule(np.zeros((2, 2)), 0.0, 1.0, nx.path_graph(2).mask)
     with pytest.raises(InputError, match="steps must be >= 1"):
         propagate_state(sched, np.ones(2), 0)
     with pytest.raises(InputError, match="steps must be >= 1"):
@@ -235,7 +235,7 @@ def test_replay_takes_whole_steps_of_any_numeric_type():
 
 
 def test_propagate_state_chains_pieces():
-    msk = mask(nx.build_graph(1, []))
+    msk = nx.build_graph(1, []).mask
     sched = nx.WeightSchedule(grid=np.array([0.0, 0.5, 0.5, 1.0]),
                               W_seq=np.full((4, 1, 1), np.log(2.0)), mask=msk)
     grid, xs = propagate_state(sched, np.array([1.0]), 100)
@@ -245,7 +245,7 @@ def test_propagate_state_chains_pieces():
 
 
 def test_liouville_residual_zero_and_constant():
-    msk = mask(nx.build_graph(1, []))
+    msk = nx.build_graph(1, []).mask
     zero = nx.constant_schedule(np.zeros((1, 1)), 0.0, 1.0, msk)
     assert liouville_residual(integrate_transition(zero, 50), zero) == 0.0
     const = nx.constant_schedule(np.array([[0.7]]), 0.0, 1.0, msk)
@@ -254,7 +254,7 @@ def test_liouville_residual_zero_and_constant():
 
 def test_liouville_residual_random_schedule():
     rng = np.random.default_rng(6)
-    msk = mask(nx.complete_graph(4))
+    msk = nx.complete_graph(4).mask
     grid = np.linspace(0.0, 1.0, 9)
     W_seq = np.array([np.where(msk, rng.uniform(-1, 1, (4, 4)), 0.0) for _ in grid])
     sched = nx.WeightSchedule(grid=grid, W_seq=W_seq, mask=msk)
@@ -263,7 +263,7 @@ def test_liouville_residual_random_schedule():
 
 def test_liouville_residual_takes_each_side_of_a_join():
     # W = 0 on [0, 0.5], then W = 1 on [0.5, 1]: the trace jumps at the join
-    msk = mask(nx.build_graph(1, []))
+    msk = nx.build_graph(1, []).mask
     sched = nx.WeightSchedule(grid=np.array([0.0, 0.5, 0.5, 1.0]),
                               W_seq=np.array([0.0, 0.0, 1.0, 1.0]).reshape(4, 1, 1), mask=msk)
     traj = integrate_transition(sched, 100)
@@ -274,7 +274,7 @@ def test_liouville_residual_takes_each_side_of_a_join():
 def test_convergence_is_fourth_order():
     rng = np.random.default_rng(7)
     g = nx.path_graph(3)
-    msk = mask(g)
+    msk = g.mask
     grid = np.linspace(0.0, 1.0, 26)
     W_seq = np.array([np.where(msk, rng.uniform(-1, 1, (3, 3)), 0.0) for _ in grid])
     sched = nx.WeightSchedule(grid=grid, W_seq=W_seq, mask=msk)
@@ -286,7 +286,7 @@ def test_convergence_is_fourth_order():
 
 
 def test_simulation_steps_alignment():
-    msk = mask(nx.path_graph(2))
+    msk = nx.path_graph(2).mask
     fine = nx.WeightSchedule(grid=np.linspace(0.0, 1.0, 201),
                              W_seq=np.zeros((201, 2, 2)), mask=msk)
     assert simulation_steps(fine) == 100

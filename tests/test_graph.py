@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 
 import netxform as nx
-from netxform.graph import InputError, build_graph, mask, numeric_array
+from netxform.graph import InputError, build_graph, numeric_array
 from netxform.lie_algebra import index_matrix
 
 
 def test_build_graph_symmetrizes_and_adds_self_loops():
     g = build_graph(2, [(1, 2)])
-    assert g.edges == frozenset({(1, 1), (2, 2), (1, 2), (2, 1)})
+    assert g.mask.tolist() == [[True, True], [True, True]]
+    assert g.n == 2
 
 
 def test_build_graph_single_node():
     g = build_graph(1, [])
-    assert g.edges == frozenset({(1, 1)})
+    assert g.mask.tolist() == [[True]]
+    assert g.n == 1
 
 
 def test_build_graph_rejects_out_of_range_index():
@@ -107,36 +109,59 @@ def test_laplacian_rows_sum_to_zero_and_symmetric():
 def test_mask_pattern_of_four_node_example():
     # two hubs: node 1 talks to 2 and 3, node 3 talks to 4
     g = build_graph(4, [(1, 2), (1, 3), (3, 4)])
-    m = nx.mask(g)
+    m = g.mask
     for (i, j) in [(1, 4), (4, 1), (2, 3), (3, 2), (2, 4), (4, 2)]:
         assert not m[i - 1, j - 1]
     assert m.diagonal().all()
     assert np.array_equal(m, m.T)
 
 
+@pytest.mark.parametrize("edges", [
+    [(3, 4), (1, 3), (1, 2)],                  # reversed
+    [(2, 1), (3, 1), (4, 3)],                  # each pair flipped
+    [(1, 2), (2, 1), (1, 3), (1, 3), (3, 4)],  # repeated
+    np.array([[1, 2], [1, 3], [3, 4]]),        # a numpy array
+], ids=["reversed", "flipped", "repeated", "array"])
+def test_build_graph_pattern_ignores_edge_order_orientation_and_repeats(edges):
+    want = build_graph(4, [(1, 2), (1, 3), (3, 4)])
+    g = build_graph(4, edges)
+    assert g == want
+    assert np.array_equal(g.mask, want.mask)
+    assert g != build_graph(4, [(1, 2), (1, 3)])
+
+
+def test_graph_mask_is_read_only():
+    g = nx.path_graph(3)
+    with pytest.raises(ValueError):
+        g.mask[0, 2] = True
+    with pytest.raises(ValueError):
+        g.mask.fill(False)
+    assert g == nx.path_graph(3)
+
+
 def test_mask_trivial_patterns():
-    assert nx.mask(build_graph(1, [])).tolist() == [[True]]
-    assert nx.mask(nx.complete_graph(2)).all()
+    assert build_graph(1, []).mask.tolist() == [[True]]
+    assert nx.complete_graph(2).mask.all()
 
 
 def test_mask_apply():
-    m = nx.mask(nx.path_graph(3))
+    m = nx.path_graph(3).mask
     W = np.full((3, 3), 2.0)
     applied = np.where(m, W, 0.0)
     assert applied[0, 2] == 0.0 and applied[0, 1] == 2.0
 
 
 def test_mask_index_pairs_row_major():
-    pairs = np.argwhere(nx.mask(nx.path_graph(3))) + 1
+    pairs = np.argwhere(nx.path_graph(3).mask) + 1
     assert pairs.tolist() == [[1, 1], [1, 2], [2, 1], [2, 2], [2, 3], [3, 2], [3, 3]]
 
 
 def test_canonical_graph_edge_counts():
     # every self-loop, and each undirected edge in both orientations
-    assert len(nx.path_graph(2).edges) == 2 + 2 * 1
-    assert len(nx.complete_graph(4).edges) == 4 + 2 * 6
-    assert len(nx.cycle_graph(3).edges) == 3 + 2 * 3
-    assert len(nx.star_graph(5).edges) == 5 + 2 * 4
+    assert nx.path_graph(2).mask.sum() == 2 + 2 * 1
+    assert nx.complete_graph(4).mask.sum() == 4 + 2 * 6
+    assert nx.cycle_graph(3).mask.sum() == 3 + 2 * 3
+    assert nx.star_graph(5).mask.sum() == 5 + 2 * 4
 
 
 def test_canonical_graph_argument_validation():
@@ -175,7 +200,7 @@ def test_canonical_graphs_reject_malformed_vertex_counts(make, n, text):
 def test_mask_symmetric_diagonal_true_property():
     for g in (nx.path_graph(4), nx.cycle_graph(5), nx.star_graph(3),
               build_graph(3, [(1, 3)])):
-        m = nx.mask(g)
+        m = g.mask
         assert np.array_equal(m, m.T)
         assert m.diagonal().all()
 
@@ -186,7 +211,7 @@ def test_mask_symmetric_diagonal_true_property():
 
 
 def _schedule(grid=(0.0, 1.0), W_seq=np.zeros((2, 2, 2)), g=nx.path_graph(2)):
-    return nx.WeightSchedule(grid=np.array(grid), W_seq=W_seq, mask=mask(g))
+    return nx.WeightSchedule(grid=np.array(grid), W_seq=W_seq, mask=g.mask)
 
 
 PATH2 = nx.BvpProblem(graph=nx.path_graph(2), target=np.eye(2))
@@ -224,7 +249,7 @@ PATH2 = nx.BvpProblem(graph=nx.path_graph(2), target=np.eye(2))
     (lambda: nx.integrate_transition(_schedule(), 2.5), "steps must hold whole numbers"),
     (lambda: nx.propagate_state(_schedule(), np.ones(3), 10),
      "initial state has shape (3,), expected (2,) or (2, 2)"),
-    (lambda: nx.weights_from_costate(np.eye(2), np.eye(3), mask(nx.path_graph(3))),
+    (lambda: nx.weights_from_costate(np.eye(2), np.eye(3), nx.path_graph(3).mask),
      "weights_from_costate: dimension mismatch"),
     (lambda: nx.shoot(PATH2, np.zeros((3, 3))),
      "lambda0 must be of shape (2, 2), got shape (3, 3)"),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import netxform as nx
-from netxform.graph import InputError, mask
+from netxform.graph import InputError
 from netxform.lie_algebra import index_matrix
 
 from conftest import SWAP_TARGET, consensus_map, single_node_average_map
@@ -53,7 +53,7 @@ def brute_force_closure_dimension(g) -> int:
     n = g.n
     basis = []
     span = _ExactSpan(n * n)
-    for (i, j) in np.argwhere(mask(g)) + 1:
+    for (i, j) in np.argwhere(g.mask) + 1:
         M = np.zeros((n, n), dtype=int)
         M[i - 1, j - 1] = 1
         if span.add(M.ravel()):

@@ -10,7 +10,7 @@ import scipy.linalg
 import netxform as nx
 from netxform import optimal_control
 from netxform.dynamics import DynamicsError, integrate_transition, simulation_steps
-from netxform.graph import InputError, mask
+from netxform.graph import InputError
 from netxform.optimal_control import (BvpProblem, InfeasibleError, OptimalControlError,
                                       _newton_from, _shoot_batch,
                                       cost, extremal_rhs, hamiltonian,
@@ -27,44 +27,44 @@ from conftest import PATH3_TARGET
 
 
 def test_weights_zero_costate_gives_zero_weights():
-    msk = mask(nx.path_graph(3))
+    msk = nx.path_graph(3).mask
     W = weights_from_costate(np.zeros((3, 3)), np.eye(3), msk)
     assert not W.any()
 
 
 def test_weights_scalar_case():
-    msk = mask(nx.build_graph(1, []))
+    msk = nx.build_graph(1, []).mask
     W = weights_from_costate(np.array([[-0.7]]), np.array([[2.0]]), msk)
     assert W[0, 0] == 1.4
 
 
 def test_weights_complete_graph_identity_arguments():
-    msk = mask(nx.complete_graph(2))
+    msk = nx.complete_graph(2).mask
     assert np.array_equal(weights_from_costate(np.eye(2), np.eye(2), msk),
                           -np.eye(2))
 
 
 def test_weights_respect_mask_zeros():
-    msk = mask(nx.path_graph(3))
+    msk = nx.path_graph(3).mask
     rng = np.random.default_rng(0)
     W = weights_from_costate(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), msk)
     assert W[0, 2] == 0.0 and W[2, 0] == 0.0
 
 
 def test_weights_dimension_mismatch():
-    msk = mask(nx.path_graph(3))
+    msk = nx.path_graph(3).mask
     with pytest.raises(InputError):
         weights_from_costate(np.eye(2), np.eye(3), msk)
 
 
 def test_extremal_rhs_zero_costate_is_stationary():
-    msk = mask(nx.path_graph(3))
+    msk = nx.path_graph(3).mask
     dX, dlam = extremal_rhs(np.eye(3), np.zeros((3, 3)), msk)
     assert not dX.any() and not dlam.any()
 
 
 def test_extremal_rhs_scalar_closed_form():
-    msk = mask(nx.build_graph(1, []))
+    msk = nx.build_graph(1, []).mask
     x, c = 1.7, -0.4
     dX, dlam = extremal_rhs(np.array([[x]]), np.array([[c]]), msk)
     assert abs(dX[0, 0] + c * x * x) < 1e-15
@@ -73,7 +73,7 @@ def test_extremal_rhs_scalar_closed_form():
 
 def test_extremal_rhs_matches_entrywise_forms():
     rng = np.random.default_rng(1)
-    msk = mask(nx.cycle_graph(4))
+    msk = nx.cycle_graph(4).mask
     X = rng.normal(size=(4, 4))
     lam = rng.normal(size=(4, 4))
     W = weights_from_costate(lam, X, msk)
@@ -84,7 +84,7 @@ def test_extremal_rhs_matches_entrywise_forms():
 
 def test_weights_and_rhs_on_stacks_match_per_matrix_calls_bitwise():
     rng = np.random.default_rng(5)
-    msk = mask(nx.cycle_graph(5))
+    msk = nx.cycle_graph(5).mask
     lam = rng.normal(size=(2, 7, 5, 5))
     X = rng.normal(size=(2, 7, 5, 5))
     W = weights_from_costate(lam, X, msk)
@@ -98,7 +98,7 @@ def test_weights_and_rhs_on_stacks_match_per_matrix_calls_bitwise():
 @pytest.mark.parametrize("stack", [(), (3,), (2, 7)])
 def test_extremal_rhs_is_one_stacked_rate(stack):
     rng = np.random.default_rng(6)
-    msk = mask(nx.cycle_graph(5))
+    msk = nx.cycle_graph(5).mask
     X = rng.normal(size=stack + (5, 5))
     lam = rng.normal(size=stack + (5, 5))
     X0, lam0 = X.copy(), lam.copy()
@@ -112,7 +112,7 @@ def test_extremal_rhs_is_one_stacked_rate(stack):
 
 
 def test_weights_stack_shape_mismatch():
-    msk = mask(nx.path_graph(3))
+    msk = nx.path_graph(3).mask
     with pytest.raises(InputError):
         weights_from_costate(np.zeros((4, 3, 3)), np.zeros((3, 3, 3)), msk)
     with pytest.raises(InputError):
@@ -150,7 +150,7 @@ def test_shoot_conserves_costate_state_product():
     prob = BvpProblem(graph=nx.path_graph(3),
                       target=np.eye(3) * 0.9 + 0.1 / 3)
     rng = np.random.default_rng(2)
-    lam0 = np.where(mask(prob.graph), rng.uniform(-0.3, 0.3, (3, 3)), 0.0)
+    lam0 = np.where(prob.graph.mask, rng.uniform(-0.3, 0.3, (3, 3)), 0.0)
     _, info = shoot(prob, lam0)
     lamX = np.einsum("kji,kjl->kil", info["lambda_seq"], info["X_seq"])
     assert np.abs(lamX - lamX[0]).max() < 1e-8
@@ -227,7 +227,7 @@ def test_forward_jacobian_at_the_zero_start_keeps_the_edge_pattern():
     prob = BvpProblem(graph=graph, target=np.eye(5) * 0.8 + 0.04)
     lam = np.zeros((5, 5))
     J = _separate_jacobian(prob, lam)
-    off = ~mask(graph).ravel()
+    off = ~graph.mask.ravel()
     assert off.sum() == 12 and not J[:, off].any()
     assert np.linalg.matrix_rank(J) == 13
 
@@ -596,7 +596,7 @@ def test_shoot_rejects_wrong_shape():
 
 
 def test_cost_zero_and_scalar_closed_form():
-    msk = mask(nx.build_graph(1, []))
+    msk = nx.build_graph(1, []).mask
     zero = nx.constant_schedule(np.zeros((1, 1)), 0.0, 1.0, msk)
     assert cost(zero) == 0.0
     const = nx.constant_schedule(np.array([[np.log(2.0)]]), 0.0, 1.0, msk)
@@ -604,7 +604,7 @@ def test_cost_zero_and_scalar_closed_form():
 
 
 def test_cost_quadratic_in_the_weights():
-    msk = mask(nx.path_graph(3))
+    msk = nx.path_graph(3).mask
     rng = np.random.default_rng(3)
     grid = np.linspace(0.0, 1.0, 11)
     W_seq = np.array([np.where(msk, rng.normal(size=(3, 3)), 0.0) for _ in grid])
@@ -769,7 +769,7 @@ def _closed_form_problem(graph, L, tau):
 
 
 def _recorded_cost(prob, info):
-    msk = mask(prob.graph)
+    msk = prob.graph.mask
     W_seq = weights_from_costate(info["lambda_seq"], info["X_seq"], msk)
     return cost(nx.WeightSchedule(grid=info["grid"], W_seq=W_seq, mask=msk))
 
