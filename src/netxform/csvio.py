@@ -35,6 +35,7 @@ def write_schedule_csv(path, sched: WeightSchedule) -> None:
 
 
 _ROW_FORMAT = dict(delimiter=",", ndmin=2, comments=None, quotechar='"')
+_COLUMN = "w_[1-9][0-9]*_[1-9][0-9]*"  # a schedule weight column, nodes 1-based
 
 
 def _read_lines(path) -> list:
@@ -82,23 +83,27 @@ def read_schedule_csv(path, n: int | None = None) -> WeightSchedule:
     if not len(data):
         raise InputError(f"{path}: no schedule rows")
     data = numeric_array(data, str(path), (-1, len(header)))
-    pairs = {}  # (i, j) -> None, in header order
-    for name in header[1:]:
-        m = re.fullmatch(r"w_([1-9][0-9]*)_([1-9][0-9]*)", name)
-        if m is None:
-            raise InputError(f"{path}: bad schedule column {name!r}")
-        pair = (int(m[1]) - 1, int(m[2]) - 1)
-        if pair in pairs:
-            raise InputError(f"{path}: repeated schedule column {name!r}")
-        pairs[pair] = None
-    if not pairs:
+    names = header[1:]
+    if not names:
         raise InputError(f"{path}: header has no w_i_j columns")
-    n = max(n or 0, max(max(p) for p in pairs) + 1)
-    idx = tuple(np.array(list(pairs)).T)
+    # no node number has a leading zero, so two names of one (i, j) are equal
+    # strings, and one match and one set check the whole header
+    joined = ",".join(names)
+    if not re.fullmatch(f"{_COLUMN}(?:,{_COLUMN})*", joined) or len(set(names)) < len(names):
+        seen = set()  # only to name the first offender, in header order
+        for name in names:
+            if not re.fullmatch(_COLUMN, name):
+                raise InputError(f"{path}: bad schedule column {name!r}")
+            if name in seen:
+                raise InputError(f"{path}: repeated schedule column {name!r}")
+            seen.add(name)
+    ij = np.fromstring(joined[2:].replace(",w_", "_"), dtype=np.int64, sep="_") - 1
+    n = max(n or 0, int(ij.max()) + 1)
+    i, j = ij.reshape(-1, 2).T
     msk = np.zeros((n, n), dtype=bool)
-    msk[idx] = True
+    msk[i, j] = True
     W_seq = np.zeros((len(data), n, n))
-    W_seq[:, idx[0], idx[1]] = data[:, 1:]
+    W_seq[:, i, j] = data[:, 1:]
     try:
         return WeightSchedule(grid=data[:, 0].copy(), W_seq=W_seq, mask=msk)
     except InputError as exc:

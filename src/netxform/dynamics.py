@@ -191,10 +191,6 @@ class TransitionTrajectory:
     X_seq: np.ndarray
     dets: np.ndarray
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.X_seq[-1]
-
 
 def _rk4(f, y0: np.ndarray, t0: float, tf: float, steps: int,
          stage: np.ndarray | None = None, sign=1.0):

@@ -78,18 +78,6 @@ class BvpProblem:
             raise InfeasibleError(f"infeasible problem: {report.reason}")
 
 
-def _summary(sol) -> dict:
-    """The six aggregate solution.json keys of an arc or a whole solution."""
-    return {
-        "converged": sol.converged,
-        "residual": sol.residual_norm,
-        "cost": sol.cost,
-        "iterations": sol.iterations,
-        "restart_used": sol.restart_used,
-        "lambda0": [[float(v) for v in row] for row in sol.lambda0],
-    }
-
-
 @dataclass
 class ExtremalSolution:
     """One extremal arc from X = I: the result of a single shooting solve, or
@@ -105,21 +93,25 @@ class ExtremalSolution:
     iterations: int
     restart_used: int
 
-    @property
-    def grid(self) -> np.ndarray:
-        return self.schedule.grid
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.X_seq[-1]
-
     def moved_to(self, t0: float, tf: float) -> ExtremalSolution:
-        """This arc on np.linspace(t0, tf, grid.size), which ends on tf itself as
-        a solved arc's grid does, as a copy that spent no Newton iteration or
+        """This arc on np.linspace(t0, tf, its grid's size), which ends on tf itself
+        as a solved arc's grid does, as a copy that spent no Newton iteration or
         restart. The extremal system is autonomous, so the arc reaches the same
         map on any interval of its length."""
-        sched = replace(self.schedule, grid=np.linspace(t0, tf, self.grid.size))
+        sched = replace(self.schedule, grid=np.linspace(t0, tf, self.schedule.grid.size))
         return replace(self, schedule=sched, iterations=0, restart_used=0)
+
+
+def _summary(arc: ExtremalSolution) -> dict:
+    """An arc's record of the six solution.json keys."""
+    return {
+        "converged": arc.converged,
+        "residual": arc.residual_norm,
+        "cost": arc.cost,
+        "iterations": arc.iterations,
+        "restart_used": arc.restart_used,
+        "lambda0": [[float(v) for v in row] for row in arc.lambda0],
+    }
 
 
 @dataclass
@@ -148,52 +140,40 @@ class Solution:
     def transition(self):
         """The composed (grid, X) over all arcs; each join's time appears once."""
         B = np.eye(self.target.shape[0])
-        grids, mats = [self.arcs[0].grid[:1]], [B[None]]
+        grids, mats = [self.arcs[0].schedule.grid[:1]], [B[None]]
         for arc in self.arcs:
-            grids.append(arc.grid[1:])
+            grids.append(arc.schedule.grid[1:])
             mats.append((arc.X_seq @ B)[1:])
-            B = arc.final @ B
+            B = arc.X_seq[-1] @ B
         return np.concatenate(grids), np.concatenate(mats)
 
     def costate(self):
         """The joined (grid, lambda); each join's time appears twice, as lambda jumps there."""
-        return (np.concatenate([a.grid for a in self.arcs]),
+        return (np.concatenate([a.schedule.grid for a in self.arcs]),
                 np.concatenate([a.lambda_seq for a in self.arcs]))
 
     @property
-    def final(self) -> np.ndarray:
-        return self.transition()[1][-1]
-
-    @property
     def residual_norm(self) -> float:
-        return float(np.linalg.norm(self.final - self.target))
-
-    @property
-    def cost(self) -> float:
-        return float(sum(arc.cost for arc in self.arcs))
+        """The composed transition's distance to the target at tf."""
+        return float(np.linalg.norm(self.transition()[1][-1] - self.target))
 
     @property
     def converged(self) -> bool:
         return all(arc.converged for arc in self.arcs)
 
-    @property
-    def iterations(self) -> int:
-        return sum(arc.iterations for arc in self.arcs)
-
-    @property
-    def restart_used(self) -> int:
-        return max(arc.restart_used for arc in self.arcs)
-
-    @property
-    def lambda0(self) -> np.ndarray:
-        return self.arcs[0].lambda0
-
     def to_json_dict(self) -> dict:
-        """The six aggregate keys, plus the per-arc records when there is
-        more than one arc; a one-arc solution reads as its arc."""
-        d = _summary(self)
-        if len(self.arcs) > 1:
-            d["segments"] = [_summary(arc) for arc in self.arcs]
+        """The arcs' records (_summary) aggregated: cost the float sum in arc
+        order, iterations the sum, restart_used the largest, converged if every
+        arc is, the first arc's lambda0 and the composed residual; plus the
+        records themselves when there is more than one arc."""
+        recs = [_summary(arc) for arc in self.arcs]
+        d = {"converged": self.converged, "residual": self.residual_norm,
+             "cost": float(sum(r["cost"] for r in recs)),
+             "iterations": sum(r["iterations"] for r in recs),
+             "restart_used": max(r["restart_used"] for r in recs),
+             "lambda0": recs[0]["lambda0"]}
+        if len(recs) > 1:
+            d["segments"] = recs
         return d
 
 

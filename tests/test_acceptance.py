@@ -115,7 +115,7 @@ def test_criterion_4_densification(densify_report):
     composed = np.eye(5)
     for seg in sol.segments():
         traj = integrate_transition(seg.schedule, simulation_steps(seg.schedule))
-        composed = traj.final @ composed
+        composed = traj.X_seq[-1] @ composed
     assert np.linalg.norm(composed - T) < 1e-5
 
     assert rep.errors["err_synth"][-1] <= rep.errors["err_sparse"][-1]
@@ -159,7 +159,7 @@ def test_criterion_6_trajectory_invariants():
         mid = 0.5 * (sched.t0 + sched.tf)
         first = _integrate_between(sched, sched.t0, mid, 100)
         second = _integrate_between(sched, mid, sched.tf, 100)
-        assert np.linalg.norm(second @ first - traj.final) < 1e-8
+        assert np.linalg.norm(second @ first - traj.X_seq[-1]) < 1e-8
 
     # convergence order against a fine reference, sampled on a schedule whose
     # grid every tested step count subdivides evenly
@@ -172,7 +172,7 @@ def _integrate_between(sched, a, b, steps):
     keep = (sched.grid >= a - 1e-12) & (sched.grid <= b + 1e-12)
     sub = nx.WeightSchedule(grid=sched.grid[keep], W_seq=sched.W_seq[keep],
                             mask=sched.mask)
-    return integrate_transition(sub, steps).final
+    return integrate_transition(sub, steps).X_seq[-1]
 
 
 def _observed_order(rng):
@@ -181,8 +181,8 @@ def _observed_order(rng):
     grid = np.linspace(0.0, 1.0, 26)
     W_seq = np.array([np.where(msk, rng.uniform(-1.0, 1.0, (4, 4)), 0.0) for _ in grid])
     sched = nx.WeightSchedule(grid=grid, W_seq=W_seq, mask=msk)
-    ref = integrate_transition(sched, 10000).final
-    errs = [np.linalg.norm(integrate_transition(sched, s).final - ref)
+    ref = integrate_transition(sched, 10000).X_seq[-1]
+    errs = [np.linalg.norm(integrate_transition(sched, s).X_seq[-1] - ref)
             for s in (50, 100, 200, 400)]
     rates = [np.log2(errs[k] / errs[k + 1]) for k in range(3)]
     return float(np.mean(rates))
@@ -207,7 +207,7 @@ def test_criterion_7_conservation(scalar_solution, densify_report, swap_report):
         if norms.mean() > 0.0:
             assert (norms.max() - norms.min()) / norms.mean() < 1e-6
 
-        for k in range(sol.grid.size):
+        for k in range(sol.schedule.grid.size):
             W = weights_from_costate(sol.lambda_seq[k], sol.X_seq[k], sol.schedule.mask)
             assert np.abs(sol.schedule.W_seq[k] - W).max() < 1e-8
 

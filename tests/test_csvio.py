@@ -86,6 +86,9 @@ MALFORMED = [
     ("t,w_1_1\n0.0,1_0\n1.0,1.0\n", "line 2 must hold 2 numbers"),   # digits with '_'
     ("t,w_1_1\n0.0,nan\n1.0,1.0\n", "has non-finite entries"),
     ("t,w_0_1\n0.0,1.0\n1.0,1.0\n", "bad schedule column 'w_0_1'"),  # 0 is not 1-based
+    # the first offending column in header order is named, malformed or repeated
+    ("t,w_1_1,w_1_1,w_0_1\n0,1,1,1\n1,1,1,1\n", "repeated schedule column 'w_1_1'"),
+    ("t,w_0_1,w_1_1,w_1_1\n0,1,1,1\n1,1,1,1\n", "bad schedule column 'w_0_1'"),
     ("t,w_1_1\n0.0,1.0\n", "schedule grid must be increasing"),      # a one-point segment
     ("t,w_1_1\n", "no schedule rows"),
     ("t\n0.0\n", "header has no w_i_j columns"),

@@ -156,20 +156,20 @@ def test_integrate_zero_schedule_is_identity():
     sched = nx.constant_schedule(np.zeros((3, 3)), 0.0, 1.0, msk)
     traj = integrate_transition(sched, 50)
     assert np.array_equal(traj.X_seq[0], np.eye(3))
-    assert np.abs(traj.final - np.eye(3)).max() == 0.0
+    assert np.abs(traj.X_seq[-1] - np.eye(3)).max() == 0.0
 
 
 def test_integrate_scalar_exponential():
     msk = nx.build_graph(1, []).mask
     sched = nx.constant_schedule(np.array([[np.log(2.0)]]), 0.0, 1.0, msk)
-    assert abs(integrate_transition(sched, 200).final[0, 0] - 2.0) < 1e-10
+    assert abs(integrate_transition(sched, 200).X_seq[-1][0, 0] - 2.0) < 1e-10
 
 
 def test_integrate_rotation_quarter_turn():
     msk = nx.complete_graph(2).mask
     W = np.array([[0.0, 1.0], [-1.0, 0.0]])
     sched = nx.constant_schedule(W, 0.0, np.pi / 2, msk)
-    got = integrate_transition(sched, 400).final
+    got = integrate_transition(sched, 400).X_seq[-1]
     assert np.abs(got - [[0.0, 1.0], [-1.0, 0.0]]).max() < 1e-10
     assert np.abs(got - scipy.linalg.expm(W * np.pi / 2)).max() < 1e-10
 
@@ -187,7 +187,7 @@ def test_propagate_state_matches_transition_action():
     xi = rng.normal(size=sched.n)
     xi /= np.linalg.norm(xi)
     _, xs = propagate_state(sched, xi, 200)
-    final = integrate_transition(sched, 200).final
+    final = integrate_transition(sched, 200).X_seq[-1]
     assert np.linalg.norm(xs[-1] - final @ xi) < 1e-8
 
 
@@ -267,7 +267,7 @@ def test_liouville_residual_takes_each_side_of_a_join():
     sched = nx.WeightSchedule(grid=np.array([0.0, 0.5, 0.5, 1.0]),
                               W_seq=np.array([0.0, 0.0, 1.0, 1.0]).reshape(4, 1, 1), mask=msk)
     traj = integrate_transition(sched, 100)
-    assert abs(traj.final[0, 0] - np.exp(0.5)) < 1e-10
+    assert abs(traj.X_seq[-1][0, 0] - np.exp(0.5)) < 1e-10
     assert liouville_residual(traj, sched) < 1e-9
 
 
@@ -278,8 +278,8 @@ def test_convergence_is_fourth_order():
     grid = np.linspace(0.0, 1.0, 26)
     W_seq = np.array([np.where(msk, rng.uniform(-1, 1, (3, 3)), 0.0) for _ in grid])
     sched = nx.WeightSchedule(grid=grid, W_seq=W_seq, mask=msk)
-    ref = integrate_transition(sched, 10000).final
-    errs = [np.linalg.norm(integrate_transition(sched, s).final - ref)
+    ref = integrate_transition(sched, 10000).X_seq[-1]
+    errs = [np.linalg.norm(integrate_transition(sched, s).X_seq[-1] - ref)
             for s in (50, 100, 200)]
     for k in range(2):
         assert abs(np.log2(errs[k] / errs[k + 1]) - 4.0) < 0.3

@@ -689,7 +689,7 @@ def test_solve_emits_stationary_schedule(path3_solution):
     sol = path3_solution
     assert sol.converged
     msk = sol.schedule.mask
-    for k in range(sol.grid.size):
+    for k in range(sol.schedule.grid.size):
         W = weights_from_costate(sol.lambda_seq[k], sol.X_seq[k], msk)
         assert np.abs(sol.schedule.W_seq[k] - W).max() < 1e-12
 
@@ -702,14 +702,14 @@ def test_solve_forward_verification_at_matched_tolerance():
                       target=PATH3_TARGET, newton_tol=1e-6)
     sol = solve_bvp(prob)
     assert sol.converged
-    final = integrate_transition(sol.schedule, simulation_steps(sol.schedule)).final
+    final = integrate_transition(sol.schedule, simulation_steps(sol.schedule)).X_seq[-1]
     assert np.linalg.norm(final - prob.target) < 10 * prob.newton_tol
 
 
 def test_solve_scalar_forward_verification_tight():
     prob = BvpProblem(graph=nx.build_graph(1, []), target=np.array([[2.0]]))
     sol = solve_bvp(prob)
-    final = integrate_transition(sol.schedule, simulation_steps(sol.schedule)).final
+    final = integrate_transition(sol.schedule, simulation_steps(sol.schedule)).X_seq[-1]
     assert np.linalg.norm(final - prob.target) < 10 * prob.newton_tol
 
 
@@ -799,7 +799,7 @@ def test_a_shifted_and_rescaled_horizon_reshoots_the_same_arc(c, path3_solution)
     assert sol.converged
     moved = replace(prob, t0=1.0, tf=1.0 + c * (prob.tf - prob.t0))
     X_tf, info = shoot(moved, sol.lambda0 / c)
-    assert np.abs(X_tf - sol.final).max() < 1e-14
+    assert np.abs(X_tf - sol.X_seq[-1]).max() < 1e-14
     assert abs(_recorded_cost(moved, info) * c - sol.cost) < 1e-12 * sol.cost
 
 
@@ -812,7 +812,7 @@ def test_waypoints_empty_list_is_plain_solve():
     sol = solve_with_waypoints(prob, [])
     assert len(sol.segments()) == 1
     assert sol.to_json_dict() == optimal_control._summary(solve_bvp(prob))
-    assert abs(sol.lambda0[0, 0] + np.log(2.0)) < 1e-6
+    assert abs(sol.arcs[0].lambda0[0, 0] + np.log(2.0)) < 1e-6
 
 
 def test_waypoint_equal_to_target_makes_second_leg_free():
@@ -834,8 +834,45 @@ def test_waypoints_compose_to_the_target():
     sol = solve_with_waypoints(prob, [mid])
     assert sol.converged
     assert sol.residual_norm < prob.newton_tol
-    assert np.linalg.norm(sol.final - T) == sol.residual_norm
-    assert abs(sol.cost - sum(s.cost for s in sol.segments())) < 1e-15
+    assert np.linalg.norm(sol.transition()[1][-1] - T) == sol.residual_norm
+    assert abs(sol.to_json_dict()["cost"] - sum(s.cost for s in sol.segments())) < 1e-15
+
+
+@pytest.mark.parametrize("report", ["densify_report", "swap_report"])
+def test_solution_json_aggregates_its_arc_records(report, request):
+    # the top-level keys are the segments' records aggregated: cost the float
+    # sum in arc order, iterations the sum, restart_used the largest,
+    # converged all, lambda0 the first arc's, residual the composed one
+    sol = request.getfixturevalue(report).solution
+    d = sol.to_json_dict()
+    segs = d["segments"]
+    assert segs == [optimal_control._summary(arc) for arc in sol.arcs] and len(segs) > 1
+    assert d["cost"] == float(sum(seg["cost"] for seg in segs))
+    assert d["iterations"] == sum(seg["iterations"] for seg in segs)
+    assert d["restart_used"] == max(seg["restart_used"] for seg in segs)
+    assert d["converged"] is all(seg["converged"] for seg in segs)
+    assert d["lambda0"] == segs[0]["lambda0"]
+    assert d["residual"] == float(np.linalg.norm(sol.transition()[1][-1] - sol.target))
+
+
+def test_solution_json_aggregation_tells_the_rules_apart(swap_report):
+    # the fixtures' arcs cannot tell max from sum or one summation order from
+    # another; arcs with unequal records can: 1 + 1e-16 rounds to 1 first
+    a, b = swap_report.solution.arcs
+    arcs = [replace(b, cost=1.0, restart_used=1), replace(a, cost=1e-16, restart_used=3),
+            replace(a, cost=-1.0, restart_used=2)]
+    d = nx.Solution(arcs=arcs, target=swap_report.solution.target).to_json_dict()
+    assert (d["cost"], d["restart_used"]) == (0.0, 3)
+    assert d["iterations"] == b.iterations + 2 * a.iterations
+    assert d["lambda0"] == b.lambda0.tolist()
+
+
+def test_one_arc_solution_json_is_its_arc_record(path3_solution):
+    sol = nx.Solution(arcs=[path3_solution], target=PATH3_TARGET)
+    d, rec = sol.to_json_dict(), optimal_control._summary(path3_solution)
+    assert d.pop("residual") == float(np.linalg.norm(sol.transition()[1][-1] - PATH3_TARGET))
+    del rec["residual"]
+    assert d == rec
 
 
 def test_waypoints_reject_infeasible_waypoint():
@@ -849,18 +886,18 @@ def test_waypoint_segments_split_the_horizon_evenly():
     prob = BvpProblem(graph=nx.build_graph(1, []), target=T, t0=0.0, tf=1.0)
     sol = solve_with_waypoints(prob, [np.array([[2.0]])])
     segs = sol.segments()
-    assert segs[0].grid[0] == 0.0 and segs[0].grid[-1] == 0.5
-    assert segs[1].grid[0] == 0.5 and segs[1].grid[-1] == 1.0
+    assert segs[0].schedule.grid[0] == 0.0 and segs[0].schedule.grid[-1] == 0.5
+    assert segs[1].schedule.grid[0] == 0.5 and segs[1].schedule.grid[-1] == 1.0
 
 
 def test_moved_to_is_the_arc_solved_on_its_interval(scalar_solution):
     # a copy keeps every sample and takes the grid a shoot on [t0, tf] gives
     arc = scalar_solution
     copy = arc.moved_to(0.7, 1.9)
-    assert copy.grid.tobytes() == np.linspace(0.7, 1.9, arc.grid.size).tobytes()
+    assert copy.schedule.grid.tobytes() == np.linspace(0.7, 1.9, arc.schedule.grid.size).tobytes()
     prob = BvpProblem(graph=nx.build_graph(1, []), target=np.array([[2.0]]), t0=0.7, tf=1.9)
     _, info = shoot(prob, arc.lambda0)
-    assert info["grid"].tobytes() == copy.grid.tobytes()
+    assert info["grid"].tobytes() == copy.schedule.grid.tobytes()
     assert copy.schedule.W_seq.tobytes() == arc.schedule.W_seq.tobytes()
     assert copy.X_seq is arc.X_seq and copy.lambda_seq is arc.lambda_seq
     assert (copy.cost, copy.converged) == (arc.cost, arc.converged)
@@ -873,10 +910,10 @@ def test_solution_schedule_joins_the_arcs():
     prob = BvpProblem(graph=nx.build_graph(1, []), target=np.array([[4.0]]), tf=1.8)
     sol = solve_with_waypoints(prob, [np.array([[2.0]])])
     first, second = sol.arcs
-    assert first.grid[-1] == second.grid[0] == 0.9
+    assert first.schedule.grid[-1] == second.schedule.grid[0] == 0.9
     sched = sol.schedule
-    assert [p.grid.tolist() for p in sched.pieces()] == [first.grid.tolist(),
-                                                         second.grid.tolist()]
+    assert [p.grid.tolist() for p in sched.pieces()] == [first.schedule.grid.tolist(),
+                                                         second.schedule.grid.tolist()]
     assert np.array_equal(sched.W_seq, np.concatenate([a.schedule.W_seq for a in sol.arcs]))
     # the costate jumps at the join too, so it keeps the schedule's grid
     grid, lam = sol.costate()
@@ -889,7 +926,8 @@ def test_waypoint_arcs_lie_on_their_shares_of_the_horizon():
     prob = BvpProblem(graph=nx.build_graph(1, []), target=np.array([[4.0]]), tf=1.8)
     sol = solve_with_waypoints(prob, [np.array([[v]]) for v in (1.5, 2.0, 3.0)])
     times = np.linspace(0.0, 1.8, 5)
-    assert [(a.grid[0], a.grid[-1]) for a in sol.arcs] == list(zip(times[:-1], times[1:]))
+    assert [(a.schedule.grid[0], a.schedule.grid[-1]) for a in sol.arcs] == \
+        list(zip(times[:-1], times[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -192,8 +192,8 @@ def test_densify_arc_newton_counts(monkeypatch):
     arcs = rep.solution.segments()
     assert len(calls) == 1
     assert [arc.iterations for arc in arcs] == [9] + [0] * 14
-    assert arcs[-1].grid[-1] == 10.0
-    assert all(a.grid[-1] == b.grid[0] for a, b in zip(arcs, arcs[1:]))
+    assert arcs[-1].schedule.grid[-1] == 10.0
+    assert all(a.schedule.grid[-1] == b.schedule.grid[0] for a, b in zip(arcs, arcs[1:]))
 
 
 def test_densify_copies_lie_on_their_shares_of_the_horizon():
@@ -202,7 +202,8 @@ def test_densify_copies_lie_on_their_shares_of_the_horizon():
     rep = nx.run_densify(nx.path_graph(4), nx.cycle_graph(4), tf=1.8)
     times = np.linspace(0.0, 1.8, 5)
     arcs = rep.solution.segments()
-    assert [(a.grid[0], a.grid[-1]) for a in arcs] == list(zip(times[:-1], times[1:]))
+    assert [(a.schedule.grid[0], a.schedule.grid[-1]) for a in arcs] == \
+        list(zip(times[:-1], times[1:]))
 
 
 def test_densify5_arcs_lie_on_the_linspace_of_their_shares(densify_report):
@@ -211,7 +212,7 @@ def test_densify5_arcs_lie_on_the_linspace_of_their_shares(densify_report):
     times = np.linspace(0.0, 1.0, 6)
     assert len(arcs) == 5
     for arc, a, b in zip(arcs, times, times[1:]):
-        assert arc.grid.tobytes() == np.linspace(a, b, 201).tobytes()
+        assert arc.schedule.grid.tobytes() == np.linspace(a, b, 201).tobytes()
 
 
 def test_densify_copies_are_fresh_shoots_on_their_intervals(densify_report):
@@ -222,7 +223,7 @@ def test_densify_copies_are_fresh_shoots_on_their_intervals(densify_report):
     arc_map = densification_target(dense, 0.0, 1.0 / len(arcs))
     for arc in arcs:
         prob = nx.BvpProblem(graph=nx.path_graph(5), target=arc_map,
-                             t0=arc.grid[0], tf=arc.grid[-1])
+                             t0=arc.schedule.grid[0], tf=arc.schedule.grid[-1])
         _, info = nx.shoot(prob, arc.lambda0)
         assert np.abs(info["X_seq"] - arc.X_seq).max() < 1e-13
         W_seq = nx.weights_from_costate(info["lambda_seq"], info["X_seq"], arc.schedule.mask)
@@ -299,7 +300,7 @@ def test_densify_final_state_matches_exponential_oracle(densify_report):
     arcs = rep.solution.segments()
     assert len(arcs) == 5
     for arc in arcs[:-1]:
-        t = arc.grid[-1]
+        t = arc.schedule.grid[-1]
         k = np.argmin(np.abs(rep.grid - t))
         assert abs(rep.grid[k] - t) < 1e-12
         assert np.linalg.norm(rep.node_states[k] - scipy.linalg.expm(-L * t) @ xi) < 1e-6
@@ -334,7 +335,7 @@ def test_swap_segment_products_telescope(swap_report):
     segs = swap_report.solution.segments()
     composed = np.eye(4)
     for s in segs:
-        composed = s.final @ composed
+        composed = s.X_seq[-1] @ composed
     assert np.linalg.norm(composed - swap_report.solution.target) < 1e-7
 
 
