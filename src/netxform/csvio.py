@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .dynamics import WeightSchedule
-from .graph import InputError, numeric_array
+from .graph import InputError, _vertex_count, numeric_array
 
 
 def _write_table(path, header, table) -> None:
@@ -98,13 +98,13 @@ def read_schedule_csv(path, n: int | None = None) -> WeightSchedule:
                 raise InputError(f"{path}: repeated schedule column {name!r}")
             seen.add(name)
     ij = np.fromstring(joined[2:].replace(",w_", "_"), dtype=np.int64, sep="_") - 1
-    n = max(n or 0, int(ij.max()) + 1)
-    i, j = ij.reshape(-1, 2).T
-    msk = np.zeros((n, n), dtype=bool)
-    msk[i, j] = True
-    W_seq = np.zeros((len(data), n, n))
-    W_seq[:, i, j] = data[:, 1:]
     try:
+        n = _vertex_count(max(n or 0, int(ij.max()) + 1), "schedule nodes")
+        i, j = ij.reshape(-1, 2).T
+        msk = np.zeros((n, n), dtype=bool)
+        msk[i, j] = True
+        W_seq = np.zeros((len(data), n, n))
+        W_seq[:, i, j] = data[:, 1:]
         return WeightSchedule(grid=data[:, 0].copy(), W_seq=W_seq, mask=msk)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc

@@ -482,13 +482,10 @@ def solve_with_waypoints(prob: BvpProblem, waypoints) -> Solution:
     """Sequential shooting through intermediate target matrices: arc k goes
     from I to B_k B_{k-1}^{-1} (B_0 = I, B_last = T) on exactly [times[k],
     times[k+1]] of times = np.linspace(t0, tf, K + 1), warm-started from the
-    arc before, so the arcs telescope to T. Every arc's problem is built, and
-    so checked, before the first shoot."""
+    arc before, so the arcs telescope to T. Before the first shoot every arc
+    is built, and so gated (InfeasibleError naming the arc), and only then,
+    with waypoints, is each arc's target, never T itself, checked for reach."""
     waypoints = [np.asarray(W, dtype=float) for W in waypoints]
-    for k, B in enumerate(waypoints):
-        rep = check_feasible(prob.graph, B)
-        if not rep.feasible:
-            raise InfeasibleError(f"waypoint {k + 1} infeasible: {rep.reason}")
     ends = ["I", *(f"waypoint {k}" for k in range(1, len(waypoints) + 1)), "the target"]
     times = np.linspace(prob.t0, prob.tf, len(waypoints) + 2)
     probs = []
@@ -496,12 +493,14 @@ def solve_with_waypoints(prob: BvpProblem, waypoints) -> Solution:
                                       waypoints + [prob.target])):
         try:
             target = solve_linear(prev.T, B.T).T
+            probs.append(replace(prob, target=target, t0=float(times[k]), tf=float(times[k + 1]),
+                                 seed=prob.seed + 1000 * k))
         except DynamicsError as exc:  # prev is waypoint k
             raise InfeasibleError(f"waypoint {k} is singular to working precision") from exc
-        if waypoints:
-            _check_reach(target, f"the target of arc {k + 1} ({ends[k]} to {ends[k + 1]})")
-        probs.append(replace(prob, target=target, t0=float(times[k]), tf=float(times[k + 1]),
-                             seed=prob.seed + 1000 * k))
+        except InfeasibleError as exc:  # the gate, on the arc's target
+            raise InfeasibleError(f"arc {k + 1} ({ends[k]} to {ends[k + 1]}): {exc}") from exc
+    for k, arc_prob in enumerate(probs if waypoints else []):
+        _check_reach(arc_prob.target, f"the target of arc {k + 1} ({ends[k]} to {ends[k + 1]})")
     arcs = []
     warm = None
     for arc_prob in probs:

@@ -262,6 +262,25 @@ def test_solve_infeasible_waypoint_exit_two(path3_cfg, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("first, second, why", [
+    ([2.0, 1.0], [-1.0, 1.0], "infeasible"),
+    ([1.0, 1e13], [-1.0, 1.0], "infeasible"),
+    ([1.0, 1e13], [1.0, 1e-20], "singular"),
+], ids=["feasible-first", "far-first", "far-first-singular"])
+def test_solve_second_waypoint_fault_exit_two_before_any_shoot(tmp_path, capsys, monkeypatch,
+                                                               first, second, why):
+    # the arc ending on waypoint 2 carries its det < 0; the next arc meets it
+    # singular. Every arc is gated before any reach check, so an arc 1 out of
+    # reach (I to diag(1, 1e13)) does not hide the fault
+    shots = count_calls(monkeypatch, optimal_control, "_shoot_batch")
+    cfg = _write_cfg(tmp_path, "wp.json", {
+        **PATH2_CFG, "waypoints": [np.diag(first).tolist(), np.diag(second).tolist()],
+    })
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    _assert_one_error_line(capsys, "waypoint 2", why)
+    assert shots == [] and not (tmp_path / "o").exists()
+
+
 def test_solve_settings_checked_before_feasibility(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "inf.json", {
         "graph": {"nodes": 2, "edges": [[1, 2]]},
@@ -426,6 +445,24 @@ def test_solve_unreachable_waypoint_exit_three(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+class _Shot(Exception):
+    pass
+
+
+def test_solve_far_target_with_arcs_in_reach_is_shot(tmp_path, monkeypatch):
+    # only the arcs are shot, so only they must stay inside the divergence limit
+    def first_shoot(prob, stack):
+        raise _Shot(prob.target)
+
+    monkeypatch.setattr(optimal_control, "_shoot_batch", first_shoot)
+    cfg = _write_cfg(tmp_path, "far.json", {
+        **PATH2_CFG, "target": np.diag([1.0, 1e13]).tolist(),
+        "waypoints": [np.diag([1.0, 1e6]).tolist(), np.diag([1.0, 1e12]).tolist()],
+    })
+    with pytest.raises(_Shot):
+        main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
 # ---------------------------------------------------------------------------
 # shared flags
 
@@ -574,6 +611,18 @@ def test_simulate_repeated_column_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 1
     _assert_one_error_line(capsys, str(spath), "repeated", "w_1_1")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("node", ["99999999999999999999", "9223372036854775808"])
+def test_simulate_node_past_int64_exit_one(tmp_path, capsys, monkeypatch, node):
+    # the node number saturates to 2^63 - 1, whose edge pattern no array holds
+    spath = tmp_path / "s.csv"
+    spath.write_text(f"t,w_1_1,w_{node}_1\n0,0,0\n1,0,0\n")
+    replays = count_calls(monkeypatch, cli, "propagate_state")
+    assert main(["simulate", "--schedule", str(spath), "--xi", "1",
+                 "--out", str(tmp_path / "o")]) == 1
+    _assert_one_error_line(capsys, str(spath), "too large")
+    assert replays == [] and not (tmp_path / "o").exists()
 
 
 def test_simulate_overflowing_schedule_exit_one(tmp_path, capsys):
