@@ -90,8 +90,8 @@ def write_solution_bundle(sol, outdir: Path) -> None:
     """Emit schedule.csv / transition.csv / costate.csv / solution.json."""
     outdir.mkdir(parents=True, exist_ok=True)
     csvio.write_schedule_csv(outdir / "schedule.csv", sol.schedule)
-    csvio.write_matrix_trajectory_csv(outdir / "transition.csv", *sol.transition(), prefix="X")
-    csvio.write_matrix_trajectory_csv(outdir / "costate.csv", *sol.costate(), prefix="lambda")
+    csvio.write_trajectory_csv(outdir / "transition.csv", *sol.transition(), prefix="X")
+    csvio.write_trajectory_csv(outdir / "costate.csv", *sol.costate(), prefix="lambda")
     with open(outdir / "solution.json", "w") as fh:
         json.dump(sol.to_json_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -147,7 +147,7 @@ def cmd_simulate(args) -> int:
     grid, xs = propagate_state(sched, xi, simulation_steps(sched))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    csvio.write_vector_trajectory_csv(outdir / "nodes.csv", grid, xs)
+    csvio.write_trajectory_csv(outdir / "nodes.csv", grid, xs, prefix="x")
     return EXIT_OK
 
 
@@ -164,7 +164,7 @@ def cmd_scenario(args) -> int:
                           cfg.get("initial_state"), **settings)
     code = _finish(report.solution, args.out)
     outdir = Path(args.out)
-    csvio.write_vector_trajectory_csv(outdir / "nodes.csv", report.grid, report.node_states)
+    csvio.write_trajectory_csv(outdir / "nodes.csv", report.grid, report.node_states, prefix="x")
     if report.errors:
         csvio.write_columns_csv(outdir / "errors.csv", report.grid, report.errors)
     return code

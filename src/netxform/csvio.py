@@ -17,21 +17,21 @@ from .dynamics import WeightSchedule
 from .graph import InputError, _vertex_count, numeric_array
 
 
-def _write_table(path, header, table) -> None:
-    """Write a header row, then one row of numbers per row of the 2-D table.
-    Neither a header name the program writes nor a float's repr needs
-    quoting, so the cells are joined directly, to the bytes csv.writer gives."""
+def _write_table(path, grid, columns: dict) -> None:
+    """Write the grid as column t and each named 1-D array as one column, under
+    a header of the names. Neither a name the program writes nor a float's repr
+    needs quoting, so cells are joined directly, to the bytes csv.writer gives."""
+    table = np.asarray(np.column_stack([grid, *columns.values()]), dtype=float)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(repr, row)) + "\r\n"
-                      for row in np.asarray(table, dtype=float).tolist())
+        fh.write(",".join(["t", *columns]) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in table.tolist())
 
 
 def write_schedule_csv(path, sched: WeightSchedule) -> None:
     """Write a schedule, one row per grid time; header lists mask-true entries
     (row-major); off-pattern entries are never serialized."""
-    _write_table(path, ["t"] + [f"w_{i}_{j}" for i, j in np.argwhere(sched.mask) + 1],
-                 np.column_stack([sched.grid, sched.W_seq[:, sched.mask]]))
+    names = [f"w_{i}_{j}" for i, j in np.argwhere(sched.mask) + 1]
+    _write_table(path, sched.grid, dict(zip(names, sched.W_seq[:, sched.mask].T)))
 
 
 _ROW_FORMAT = dict(delimiter=",", ndmin=2, comments=None, quotechar='"')
@@ -54,13 +54,16 @@ def _read_rows(lines, skip: int, what: str, per: str) -> np.ndarray:
     by its place in `lines`, a line that does not hold a number per cell (a `per`)
     of the first line that is not blank."""
     rows = [(k, line) for k, line in enumerate(lines[skip:], skip + 1) if line.strip()]
+    first = next((line for line in lines if line.strip()), " ")  # none: one empty cell
+    width = np.loadtxt([first], dtype=str, max_rows=1, **_ROW_FORMAT).shape[1]  # quotes respected
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # no rows: each caller reports that
-            return np.loadtxt([line for _, line in rows], **_ROW_FORMAT)
-    except ValueError as exc:  # a cell that is no number, a ragged row
-        first = next((line for line in lines if line.strip()), " ")  # none: one empty cell
-        width = np.loadtxt([first], dtype=str, **_ROW_FORMAT).shape[1]  # quotes respected
+            data = np.loadtxt([line for _, line in rows], **_ROW_FORMAT)
+        if len(data) and data.shape[1] != width:
+            raise ValueError("every row is of another width")  # the search names row 1
+        return data
+    except ValueError as exc:  # a cell that is no number, a row of another width
         for k, line in rows:
             try:  # after a row of `width` zeros, which a row of another width may not follow
                 np.loadtxt([",".join(["0"] * width), line], **_ROW_FORMAT)
@@ -118,22 +121,14 @@ def read_initial_state(n: int, what: str, text: str | None = None, path=None) ->
     return numeric_array(xi.ravel() if 1 in xi.shape else xi, what, (n,))
 
 
-def write_matrix_trajectory_csv(path, grid, M_seq, prefix: str = "X") -> None:
-    """Write a gridded matrix trajectory: header t,<prefix>_1_1,...,row-major."""
-    M_seq = np.asarray(M_seq)
-    n = M_seq.shape[1]
-    _write_table(path, ["t"] + [f"{prefix}_{i}_{j}" for i in range(1, n + 1)
-                                for j in range(1, n + 1)],
-                 np.column_stack([grid, M_seq.reshape(len(M_seq), n * n)]))
-
-
-def write_vector_trajectory_csv(path, grid, xs) -> None:
-    """Node-state trajectory: header t,x_1,...,x_n."""
-    xs = np.asarray(xs)
-    _write_table(path, ["t"] + [f"x_{i}" for i in range(1, xs.shape[1] + 1)],
-                 np.column_stack([grid, xs]))
+def write_trajectory_csv(path, grid, seq, prefix: str) -> None:
+    """Write a gridded vector or matrix trajectory: one column per entry, named
+    <prefix>_i or <prefix>_i_j, row-major and 1-based."""
+    seq = np.asarray(seq)
+    names = ["_".join([prefix, *(str(i + 1) for i in ij)]) for ij in np.ndindex(seq.shape[1:])]
+    _write_table(path, grid, dict(zip(names, seq.reshape(len(seq), -1).T)))
 
 
 def write_columns_csv(path, grid, columns: dict) -> None:
     """Named curves on a grid: header t,<name>,... (the scenario error curves)."""
-    _write_table(path, ["t", *columns], np.column_stack([grid, *columns.values()]))
+    _write_table(path, grid, columns)

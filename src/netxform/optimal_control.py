@@ -355,7 +355,7 @@ def _tries(JTJ: np.ndarray, g: np.ndarray, mu: float):
 def _check_reach(target: np.ndarray, what: str) -> None:
     """Reject a target with an entry beyond DIVERGENCE_LIMIT, since a shoot
     whose X passes that limit counts as diverged; `what` names the target."""
-    if np.abs(target).max() > DIVERGENCE_LIMIT:
+    if not np.abs(target).max() <= DIVERGENCE_LIMIT:  # nan too
         raise OptimalControlError(f"{what} has entries beyond the divergence limit "
                                   f"{DIVERGENCE_LIMIT:.0e}, which no shoot reaches")
 
@@ -482,25 +482,28 @@ def solve_with_waypoints(prob: BvpProblem, waypoints) -> Solution:
     """Sequential shooting through intermediate target matrices: arc k goes
     from I to B_k B_{k-1}^{-1} (B_0 = I, B_last = T) on exactly [times[k],
     times[k+1]] of times = np.linspace(t0, tf, K + 1), warm-started from the
-    arc before, so the arcs telescope to T. Before the first shoot every arc
-    is built, and so gated (InfeasibleError naming the arc), and only then,
-    with waypoints, is each arc's target, never T itself, checked for reach."""
+    arc before, so the arcs telescope to T. Before the first shoot every arc of
+    finite target is built, and so gated (InfeasibleError naming the arc), and
+    only then, with waypoints, is each arc's target, never T, checked for reach."""
     waypoints = [np.asarray(W, dtype=float) for W in waypoints]
     ends = ["I", *(f"waypoint {k}" for k in range(1, len(waypoints) + 1)), "the target"]
     times = np.linspace(prob.t0, prob.tf, len(waypoints) + 2)
-    probs = []
+    targets, probs = [], []
     for k, (prev, B) in enumerate(zip([np.eye(prob.graph.n)] + waypoints,
                                       waypoints + [prob.target])):
         try:
-            target = solve_linear(prev.T, B.T).T
-            probs.append(replace(prob, target=target, t0=float(times[k]), tf=float(times[k + 1]),
-                                 seed=prob.seed + 1000 * k))
+            with np.errstate(over="ignore", invalid="ignore"):  # the reach rule judges overflow
+                target = solve_linear(prev.T, B.T).T
+            targets.append(target)
+            if np.isfinite(target).all():
+                probs.append(replace(prob, target=target, t0=float(times[k]),
+                                     tf=float(times[k + 1]), seed=prob.seed + 1000 * k))
         except DynamicsError as exc:  # prev is waypoint k
             raise InfeasibleError(f"waypoint {k} is singular to working precision") from exc
         except InfeasibleError as exc:  # the gate, on the arc's target
             raise InfeasibleError(f"arc {k + 1} ({ends[k]} to {ends[k + 1]}): {exc}") from exc
-    for k, arc_prob in enumerate(probs if waypoints else []):
-        _check_reach(arc_prob.target, f"the target of arc {k + 1} ({ends[k]} to {ends[k + 1]})")
+    for k, target in enumerate(targets if waypoints else []):
+        _check_reach(target, f"the target of arc {k + 1} ({ends[k]} to {ends[k + 1]})")
     arcs = []
     warm = None
     for arc_prob in probs:

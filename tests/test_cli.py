@@ -281,6 +281,26 @@ def test_solve_second_waypoint_fault_exit_two_before_any_shoot(tmp_path, capsys,
     assert shots == [] and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("target, waypoints, code, words", [
+    ([1.0, 1.0], [[1.0, 1e-15], [1.0, 1e300]], 2, ["waypoint 2 is singular"]),
+    ([1.0, 1e300], [[1.0, 1e-15]], 3, ["arc 2 (waypoint 1 to the target)", "divergence limit"]),
+    ([1.0, 1.0], [[1.0, 1e-15], [1e300, 1e300], [-1.0, 1.0]], 2,
+     ["arc 3 (waypoint 2 to waypoint 3)", "determinant is negative"]),
+], ids=["then-singular", "then-far", "then-infeasible"])
+def test_solve_arc_past_the_float_range_is_out_of_reach(tmp_path, capsys, monkeypatch,
+                                                        target, waypoints, code, words):
+    # an arc target B_k B_{k-1}^-1 that overflows is judged by the reach rule
+    # (exit 3), after every gate or singular-waypoint fault (exit 2), unwarned
+    shots = count_calls(monkeypatch, optimal_control, "_shoot_batch")
+    cfg = _write_cfg(tmp_path, "wp.json", {
+        **PATH2_CFG, "target": np.diag(target).tolist(),
+        "waypoints": [np.diag(w).tolist() for w in waypoints],
+    })
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    _assert_one_error_line(capsys, *words)
+    assert shots == [] and not (tmp_path / "o").exists()
+
+
 def test_solve_settings_checked_before_feasibility(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "inf.json", {
         "graph": {"nodes": 2, "edges": [[1, 2]]},

@@ -9,8 +9,7 @@ import pytest
 
 import netxform as nx
 from netxform.csvio import (read_initial_state, read_schedule_csv, write_columns_csv,
-                            write_matrix_trajectory_csv, write_schedule_csv,
-                            write_vector_trajectory_csv)
+                            write_schedule_csv, write_trajectory_csv)
 from netxform.graph import InputError
 
 
@@ -77,6 +76,18 @@ def test_wide_schedule_header_parses_in_linear_time(tmp_path):
     assert sched.mask.shape == (200, 200) and sched.mask.all()
 
 
+def test_wide_schedule_bad_cell_names_its_line_in_linear_time(tmp_path):
+    # the bad-line search reads the 40,001-cell header as one row only
+    p = tmp_path / "wide.csv"
+    names = [f"w_{i}_{j}" for i in range(1, 201) for j in range(1, 201)]
+    p.write_text(",".join(["t", *names]) + "\n" + ",".join(["0", *["0"] * len(names)]) + "\n"
+                 + ",".join(["1", *["0"] * (len(names) - 1), "x"]) + "\n")
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="line 3 must hold 40001 numbers"):
+        read_schedule_csv(p)
+    assert time.perf_counter() - start < 2.0
+
+
 MALFORMED = [
     ("t\n0.0\n1.0\n", "header has no w_i_j columns"),
     ("t,w_1_1,w_1_2\n0.0,1.0\n1.0,1.0,2.0\n", "line 2 must hold 3 numbers"),  # short row
@@ -89,6 +100,8 @@ MALFORMED = [
     # the first offending column in header order is named, malformed or repeated
     ("t,w_1_1,w_1_1,w_0_1\n0,1,1,1\n1,1,1,1\n", "repeated schedule column 'w_1_1'"),
     ("t,w_0_1,w_1_1,w_1_1\n0,1,1,1\n1,1,1,1\n", "bad schedule column 'w_0_1'"),
+    ("t,w_1_1,w_1_2\n0,1\n1,2\n", "line 2 must hold 3 numbers"),  # every row short
+    ("t,w_1_1\n0,1,2\n1,2,3\n", "line 2 must hold 2 numbers"),    # every row long
     ("t,w_1_1\n0.0,1.0\n", "schedule grid must be increasing"),      # a one-point segment
     ("t,w_1_1\n", "no schedule rows"),
     ("t\n0.0\n", "header has no w_i_j columns"),
@@ -183,26 +196,27 @@ def test_missing_file_raises_format_error(tmp_path):
         read_schedule_csv(tmp_path / "nope.csv")
 
 
-def test_matrix_trajectory_round_trip(tmp_path):
+@pytest.mark.parametrize("shape, prefix, header", [
+    ((9, 4), "x", ["x_1", "x_2", "x_3", "x_4"]),
+    ((5, 3, 3), "X", ["X_1_1", "X_1_2", "X_1_3", "X_2_1", "X_2_2", "X_2_3",
+                      "X_3_1", "X_3_2", "X_3_3"]),
+], ids=["vector", "matrix"])
+def test_trajectory_round_trip(tmp_path, shape, prefix, header):
+    # one column per entry, row-major and 1-based, in the bytes csv.writer gives
     rng = np.random.default_rng(3)
-    grid = np.linspace(0.0, 2.0, 5)
-    M_seq = rng.normal(size=(5, 3, 3))
-    path = tmp_path / "traj.csv"
-    write_matrix_trajectory_csv(path, grid, M_seq)
+    grid = np.linspace(0.0, 2.0, shape[0])
+    seq = rng.normal(size=shape)
+    path, ref = tmp_path / "traj.csv", tmp_path / "ref.csv"
+    write_trajectory_csv(path, grid, seq, prefix)
+    table = np.column_stack([grid, seq.reshape(shape[0], -1)])
+    with open(ref, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", *header])
+        w.writerows(map(repr, row) for row in table.tolist())
+    assert path.read_bytes() == ref.read_bytes()
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 0], grid)
-    assert np.array_equal(data[:, 1:].reshape(-1, 3, 3), M_seq)
-
-
-def test_vector_trajectory_round_trip(tmp_path):
-    rng = np.random.default_rng(4)
-    grid = np.linspace(0.0, 1.0, 9)
-    xs = rng.normal(size=(9, 4))
-    path = tmp_path / "nodes.csv"
-    write_vector_trajectory_csv(path, grid, xs)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(data[:, 0], grid)
-    assert np.array_equal(data[:, 1:], xs)
+    assert np.array_equal(data[:, 1:].reshape(shape), seq)
 
 
 def test_columns_csv_layout(tmp_path):

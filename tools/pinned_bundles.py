@@ -9,7 +9,7 @@ this checkout's `src/`, and writes the inputs and outputs under
 OUTDIR/<workload>. Prints each workload's shoot passes, counted as calls of
 `optimal_control._shoot_batch`. A change keeps the pins when `diff -r` of its
 OUTDIR and its parent's finds nothing and the printed counts are equal.
-Exits 1 when an operation does not exit 0.
+Exits 1 when an operation does not exit 0 or writes anything to stderr.
 """
 
 import contextlib
@@ -41,8 +41,9 @@ def run_pinned(name: str, seed: int, outdir: Path) -> int:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 rc = cli.main(op.argv(outdir))
-            if rc != 0:
-                raise RuntimeError(f"{name} {op.label} exited {rc}: {err.getvalue().strip()}")
+            first = next(iter(err.getvalue().strip().splitlines()), "")
+            if rc != 0 or first:  # a warning or a stray print on stderr fails the run too
+                raise RuntimeError(f"{name} {op.label} exited {rc}: {first}")
     finally:
         optimal_control._shoot_batch = shoot
     return passes[0]
