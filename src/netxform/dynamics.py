@@ -23,42 +23,44 @@ class DynamicsError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Dense linear algebra kept in-house: the pivoting order must be deterministic
-# (feasibility reports show det, and the swap targets need exact values for
-# triangular inputs).
+# Dense linear algebra kept in-house: an exact determinant, whatever the node
+# labels, and a solve whose pivoting order is deterministic.
 
-def _eliminate(M: np.ndarray, tol: float):
-    """Row-reduce the n-row M in place by partial pivoting on its first n
-    columns, each swap and update spanning the whole row (so a right-hand side
-    past them follows). A column whose largest remaining entry is at most tol
-    in magnitude is skipped. Returns the pivot columns and the permutation sign."""
-    pivots, sign = [], 1.0
-    for c in range(M.shape[0]):
-        r = len(pivots)
-        p = r + int(np.argmax(np.abs(M[r:, c])))
-        if abs(M[p, c]) <= tol:
-            continue
-        if p != r:
-            M[[r, p]] = M[[p, r]]
-            sign = -sign
-        M[r + 1:, c + 1:] -= np.outer(M[r + 1:, c] / M[r, c], M[r, c + 1:])
-        pivots.append(c)
-    return pivots, sign
+def _exact_det(A: np.ndarray):
+    """(sign, value) of det A for the finite float matrix A: the exact sign (-1, 0 or 1)
+    and the value correctly rounded, +-inf past the float range. A times its largest
+    denominator, a power of two, is an integer matrix, which Bareiss elimination takes exactly."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in A.tolist()]
+    scale = max((den for row in ratios for _, den in row), default=1)
+    M = [[num * (scale // den) for num, den in row] for row in ratios]
+    n, sign, prev = len(M), 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if M[i][k]), None)
+        if p is None:
+            return 0, 0.0
+        if p != k:
+            M[k], M[p], sign = M[p], M[k], -sign
+        for i in range(k + 1, n):
+            M[i] = [(a * M[k][k] - M[i][k] * b) // prev for a, b in zip(M[i], M[k])]
+        prev = M[k][k]
+    det = sign * prev  # det(scale A) = scale**n det A
+    sign = 1 if det > 0 else -1
+    try:
+        return sign, det / scale ** n  # int true division rounds correctly
+    except OverflowError:
+        return sign, sign * math.inf
 
 
 def determinant(A: np.ndarray) -> float:
-    """Determinant as the product of the pivots of _eliminate, with exact swap signs."""
-    A = _square_matrix(A, "determinant").copy()  # _eliminate works in place
-    n = A.shape[0]
-    pivots, sign = _eliminate(A, 0.0)
-    if len(pivots) < n:
-        return 0.0
-    # a product of Python floats overflows to inf without a numpy warning
-    return sign * math.prod(A.diagonal().tolist())
+    """det A correctly rounded (_exact_det), +-inf past the float range, nan when
+    an entry is not finite; a relabelling P A P^T leaves it unchanged."""
+    A = _square_matrix(A, "determinant")
+    return _exact_det(A)[1] if np.all(np.isfinite(A)) else math.nan
 
 
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b by pivoted elimination of [A | b]; raises on numerically singular A."""
+    """Solve A x = b by partially pivoted elimination of [A | b]; raises at the first
+    column whose largest remaining entry is at most tiny in magnitude."""
     A = _square_matrix(A, "solve_linear")
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
@@ -66,8 +68,13 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise InputError("solve_linear: dimension mismatch")
     tiny = n * np.finfo(float).eps * max(np.abs(A).max(), 1.0)
     M = np.hstack([A, b.reshape(n, -1)])
-    if len(_eliminate(M, tiny)[0]) < n:
-        raise DynamicsError("solve_linear: matrix singular to working precision")
+    for c in range(n):
+        p = c + int(np.argmax(np.abs(M[c:, c])))
+        if abs(M[p, c]) <= tiny:
+            raise DynamicsError("solve_linear: matrix singular to working precision")
+        if p != c:
+            M[[c, p]] = M[[p, c]]
+        M[c + 1:, c + 1:] -= np.outer(M[c + 1:, c] / M[c, c], M[c, c + 1:])
     A, B = M[:, :n], M[:, n:]
     X = np.zeros_like(B)
     for k in range(n - 1, -1, -1):
@@ -231,11 +238,12 @@ def _rk4(f, y0: np.ndarray, t0: float, tf: float, steps: int,
 
 
 def integrate_transition(sched: WeightSchedule, steps: int) -> TransitionTrajectory:
-    """Integrate Xdot = W(t) X from the identity over the schedule's interval."""
+    """Integrate Xdot = W(t) X from the identity; raises where det X first rounds to <= 0."""
     grid, X_seq = propagate_state(sched, np.eye(sched.n), steps)
     dets = np.array([determinant(X) for X in X_seq])
-    if np.any(dets <= 0.0):
-        raise DynamicsError("integrate_transition: determinant lost positivity")
+    for k in np.flatnonzero(dets <= 0.0)[:1]:
+        raise DynamicsError(f"integrate_transition: det X(t) = {dets[k]} is not a positive "
+                            f"float at t = {grid[k]}")
     return TransitionTrajectory(grid=grid, X_seq=X_seq, dets=dets)
 
 

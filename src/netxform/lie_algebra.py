@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import determinant
+from .dynamics import _exact_det
 from .graph import (Graph, InputError, _components, _square_matrix, _vertex_count, is_connected,
                     node_pairs)
 
@@ -51,36 +51,15 @@ class AlgebraElement:
     coeffs: np.ndarray
 
 
-def _det_sign(T: np.ndarray) -> int:
-    """The exact sign of det T (-1, 0 or 1) for the finite float matrix T: its
-    entries are integers over powers of two, so T times the largest denominator
-    is an integer matrix, which fraction-free (Bareiss) elimination takes exactly."""
-    ratios = [[v.as_integer_ratio() for v in row] for row in T.tolist()]
-    scale = max(den for row in ratios for _, den in row)
-    M = [[num * (scale // den) for num, den in row] for row in ratios]
-    n, sign, prev = len(M), 1, 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if M[i][k]), None)
-        if p is None:
-            return 0
-        if p != k:
-            M[k], M[p], sign = M[p], M[k], -sign
-        for i in range(k + 1, n):
-            M[i] = [(a * M[k][k] - M[i][k] * b) // prev for a, b in zip(M[i], M[k])]
-        prev = M[k][k]
-    return sign if prev > 0 else -sign
-
-
 def _shown_det(det: float, sign: int) -> float | None:
-    """det, or None when its float sign is not the exact sign: when it over-
-    or underflowed, or rounding in its elimination flipped or zeroed it."""
+    """det, or None where it left the float range: overflowed, or underflowed to zero."""
     return det if math.isfinite(det) and (det > 0) - (det < 0) == sign else None
 
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """The gate's verdict. `sign` is the exact sign of det T (-1, 0 or 1) for
-    the float matrix T (_det_sign); `determinant` is the float `determinant`."""
+    """The gate's verdict on the float matrix T: `sign` is the exact sign of
+    det T (-1, 0 or 1), and `determinant` is det T correctly rounded (_exact_det)."""
 
     determinant: float
     sign: int
@@ -132,7 +111,7 @@ def check_feasible(g: Graph, T: np.ndarray) -> FeasibilityReport:
         raise InputError(f"target has shape {T.shape}, expected ({g.n},{g.n})")
     connected = is_connected(g)
     finite = np.all(np.isfinite(T))
-    det, sign = (determinant(T), _det_sign(T)) if finite else (np.nan, 0)
+    sign, det = _exact_det(T) if finite else (0, math.nan)
     if not finite:
         reason = "target has non-finite entries"
     elif sign > 0 and connected:
@@ -144,5 +123,5 @@ def check_feasible(g: Graph, T: np.ndarray) -> FeasibilityReport:
         reason = "determinant is negative" + ("" if shown is None else f" ({shown})")
     else:
         reason = "graph is not connected"
-    return FeasibilityReport(determinant=float(det), sign=sign, connected=connected,
+    return FeasibilityReport(determinant=det, sign=sign, connected=connected,
                              reason=reason)

@@ -485,12 +485,12 @@ def solve_with_waypoints(prob: BvpProblem, waypoints) -> Solution:
     arc before, so the arcs telescope to T. Before the first shoot every arc of
     finite target is built, and so gated (InfeasibleError naming the arc), and
     only then, with waypoints, is each arc's target, never T, checked for reach."""
-    waypoints = [np.asarray(W, dtype=float) for W in waypoints]
+    n = prob.graph.n
+    waypoints = [numeric_array(W, f"waypoint {k}", (n, n)) for k, W in enumerate(waypoints, 1)]
     ends = ["I", *(f"waypoint {k}" for k in range(1, len(waypoints) + 1)), "the target"]
     times = np.linspace(prob.t0, prob.tf, len(waypoints) + 2)
     targets, probs = [], []
-    for k, (prev, B) in enumerate(zip([np.eye(prob.graph.n)] + waypoints,
-                                      waypoints + [prob.target])):
+    for k, (prev, B) in enumerate(zip([np.eye(n)] + waypoints, waypoints + [prob.target])):
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # the reach rule judges overflow
                 target = solve_linear(prev.T, B.T).T

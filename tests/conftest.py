@@ -6,7 +6,9 @@ criterion (tests named test_criterion_*), so the gate outcome is visible
 even when pytest captures stdout.
 """
 
+import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,6 +52,31 @@ def pytest_terminal_summary(terminalreporter):
 def consensus_map(n: int) -> np.ndarray:
     """Rank-one averaging map; determinant zero for n >= 2."""
     return np.full((n, n), 1.0 / n)
+
+
+def exact_determinant(A) -> Fraction:
+    """det A by elimination over the rationals on the float entries' exact values."""
+    M = [[Fraction(v) for v in row] for row in np.asarray(A, dtype=float).tolist()]
+    det = Fraction(1)
+    for k in range(len(M)):
+        p = next((i for i in range(k, len(M)) if M[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            M[k], M[p], det = M[p], M[k], -det
+        det *= M[k][k]
+        for i in range(k + 1, len(M)):
+            f = M[i][k] / M[k][k]
+            M[i] = [a - f * b for a, b in zip(M[i], M[k])]
+    return det
+
+
+def rounded(x: Fraction) -> float:
+    """x correctly rounded to a float (float() of a Fraction), +-inf past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def single_node_average_map(n: int) -> np.ndarray:

@@ -6,9 +6,12 @@ y + h/2 k and y + h/6 (k1 + 2 k2 + 2 k3 + k4) as written. The extremal
 reference takes its rates from the public extremal_rhs, which evaluates
 the plain formulas W = -(lam X^T) on the edge pattern, W X and -W^T lam,
 without the buffered kernel that the shoot runs. The elimination
-references are the two separate pivoting loops that determinant and
-solve_linear each ran before they shared one.
+reference is the pivoting loop solve_linear ran before it shared one with
+determinant, and determinant's reference is exact rational elimination,
+rounded once.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from netxform.dynamics import (DynamicsError, _rk4, determinant, integrate_trans
                                propagate_state, simulation_steps, solve_linear)
 from netxform.optimal_control import (DIVERGENCE_LIMIT, BvpProblem, _shoot_batch,
                                       extremal_rhs, shoot)
+
+from conftest import exact_determinant, rounded
 
 
 def assert_same_bits(a, b):
@@ -216,24 +221,6 @@ def test_replay_reads_each_stage_time_once(monkeypatch):
     assert_same_bits(xs, want)
 
 
-def reference_determinant(A):
-    A = np.array(A, dtype=float)
-    n = A.shape[0]
-    sign = 1.0
-    det = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if A[p, k] == 0.0:
-            return 0.0
-        if p != k:
-            A[[k, p]] = A[[p, k]]
-            sign = -sign
-        det *= A[k, k]
-        if k + 1 < n:
-            A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k] / A[k, k], A[k, k + 1:])
-    return sign * det
-
-
 def reference_solve_linear(A, b):
     """Returns None where the loop found A singular."""
     A = np.array(A, dtype=float)
@@ -289,7 +276,8 @@ def test_square_elimination_matches_the_reference_loops(kind):
             A = _elimination_input(rng, n, kind)
             b = rng.standard_normal((n,) if rng.integers(2) else (n, 2))
             with np.errstate(all="ignore"):
-                assert_same_bits(determinant(A), reference_determinant(A))
+                want_det = rounded(exact_determinant(A)) if np.isfinite(A).all() else math.nan
+                assert_same_bits(determinant(A), want_det)
                 want = reference_solve_linear(A, b)
                 if want is None:
                     raised += 1

@@ -183,16 +183,26 @@ def test_check_decides_from_the_determinant_sign(tmp_path, capsys, diagonal, cod
 
 
 def test_check_decides_from_the_exact_sign_where_elimination_rounds_wrong(tmp_path, capsys):
-    # det T > 0 exactly, but the float elimination of T gives a negative product
+    # det T > 0 exactly, but a float elimination of T rounds it to zero or below;
+    # check shows det T correctly rounded
     target = [[-1.130207332603566, -0.291056219922398, -0.26008849663367606],
               [-1.7811155797923373, 0.9619095466468647, 1.6987753437805524],
               [-0.8119357010735024, -1.0642840706810597, -1.4562486292186398]]
-    assert -1e-15 < nx.determinant(np.array(target)) < 0.0
     cfg = _write_cfg(tmp_path, "t.json",
                      {"graph": {"nodes": 3, "edges": [[1, 2], [2, 3]]}, "target": target})
     assert main(["check", "--config", cfg]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["feasible"] is True and report["det"] is None
+    assert report["feasible"] is True and report["det"] == 1.156870122315535e-16
+
+
+def test_check_shows_zero_for_an_exactly_singular_target(tmp_path, capsys):
+    # rounding leaves a float elimination of this integer matrix a nonzero last pivot
+    target = [[12, 6, -18], [33, 84, -72], [9, 27, -21]]
+    cfg = _write_cfg(tmp_path, "t.json",
+                     {"graph": {"nodes": 3, "edges": [[1, 2], [2, 3]]}, "target": target})
+    assert main(["check", "--config", cfg]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["det"] == 0.0 and report["reason"] == "determinant is zero"
 
 
 @pytest.mark.parametrize("diagonal", [

@@ -54,6 +54,16 @@ def test_determinant_matches_numpy_on_random_matrices():
         assert abs(determinant(A) - np.linalg.det(A)) < 1e-10
 
 
+def test_determinant_is_the_same_under_any_relabelling():
+    # P T P^T has the same exact det as T, and det is that value correctly rounded
+    rng = np.random.default_rng(5)
+    for k in range(500):
+        n = 3 + k % 4
+        T = rng.standard_normal((n, n))
+        perm = rng.permutation(n)
+        assert determinant(T[np.ix_(perm, perm)]) == determinant(T)
+
+
 def test_solve_linear_vector_and_matrix():
     rng = np.random.default_rng(1)
     A = rng.normal(size=(4, 4)) + 4 * np.eye(4)
@@ -179,6 +189,16 @@ def test_integrate_reports_positive_determinants():
     sched = random_conforming_schedule(rng)
     traj = integrate_transition(sched, 200)
     assert np.all(traj.dets > 0.0)
+
+
+def test_integrate_names_the_first_time_det_rounds_to_zero():
+    # X(t) is about 0.27^k I after k steps: det X is positive, but below the
+    # smallest float from step 114 on
+    sched = nx.constant_schedule(-320.0 * np.eye(5), 0.0, 1.0, nx.complete_graph(5).mask)
+    with pytest.raises(DynamicsError) as info:
+        integrate_transition(sched, 200)
+    assert str(info.value) == ("integrate_transition: det X(t) = 0.0 is not a positive float "
+                               "at t = 0.5700000000000001")
 
 
 def test_propagate_state_matches_transition_action():

@@ -16,7 +16,8 @@ import netxform as nx
 from netxform.graph import InputError
 from netxform.lie_algebra import index_matrix
 
-from conftest import SWAP_TARGET, consensus_map, single_node_average_map
+from conftest import (SWAP_TARGET, consensus_map, exact_determinant,
+                      single_node_average_map)
 
 
 # ---------------------------------------------------------------------------
@@ -276,23 +277,6 @@ def test_feasibility_follows_the_pivot_signs(target, sign):
                       parse_constant=lambda name: pytest.fail(f"{name} in the report"))
 
 
-def _exact_det_sign(T):
-    # the oracle: elimination over the rationals on the float entries' exact values
-    M = [[Fraction(v) for v in row] for row in T.tolist()]
-    n, sign = len(M), 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if M[i][k]), None)
-        if p is None:
-            return 0
-        if p != k:
-            M[k], M[p], sign = M[p], M[k], -sign
-        for i in range(k + 1, n):
-            f = M[i][k] / M[k][k]
-            M[i] = [a - f * b for a, b in zip(M[i], M[k])]
-        sign = sign if M[k][k] > 0 else -sign
-    return sign
-
-
 def _nearly_singular(seed, count, sizes):
     # rank n - 1 products plus noise of 1e-15, a few units in the last place
     rng = np.random.default_rng(seed)
@@ -307,20 +291,16 @@ def test_feasibility_sign_is_exact_on_nearly_singular_targets():
     targets = [*_nearly_singular(0, 3000, (3, 4, 5, 6)),
                *_nearly_singular(1, 12, tuple(range(7, 13))), exactly_singular]
     graphs = {n: nx.path_graph(n) for n in range(3, 13)}
-    float_sign_wrong = 0
     for T in targets:
         rep = nx.check_feasible(graphs[T.shape[0]], T)
-        sign = _exact_det_sign(T)
+        det = exact_determinant(T)
+        sign = (det > 0) - (det < 0)
         assert rep.sign == sign and rep.feasible is (sign > 0), T.tolist()
-        # det is shown exactly when the float determinant has the exact sign
-        float_sign_wrong += np.sign(rep.determinant) != sign
-        det = rep.to_json_dict()["det"]
-        assert det == (None if np.sign(rep.determinant) != sign else rep.determinant)
-    # the float elimination gets about 2.5% of these signs wrong, and the
-    # exactly singular one too
-    assert float_sign_wrong >= 30
+        # a float elimination gets about 2.5% of these signs wrong, and the
+        # exactly singular one too; the report shows det T correctly rounded
+        assert rep.determinant == rep.to_json_dict()["det"] == float(det), T.tolist()
     rep = nx.check_feasible(graphs[3], exactly_singular)
-    assert rep.determinant != 0.0 and rep.reason == "determinant is zero"
+    assert rep.determinant == 0.0 and rep.reason == "determinant is zero"
 
 
 def test_feasibility_report_json_fields():

@@ -881,6 +881,27 @@ def test_waypoints_reject_infeasible_waypoint():
         solve_with_waypoints(prob, [np.full((3, 3), 1.0 / 3)])
 
 
+BAD_WAYPOINTS = {
+    "3x3": (np.eye(3), "waypoint 1 must be of shape (2, 2), got shape (3, 3)"),
+    "nan": ([[np.nan, 0.0], [0.0, 1.0]], "waypoint 1 has non-finite entries"),
+    "strings": ([["1", "0"], ["0", "1"]], "waypoint 1 must hold numbers, not '1'"),
+    "1-D": ([1.0, 1.0], "waypoint 1 must be of shape (2, 2), got shape (2,)"),
+    "booleans": ([[True, False], [False, True]], "waypoint 1 must hold numbers, not True"),
+}
+
+
+@pytest.mark.parametrize("waypoint, text", BAD_WAYPOINTS.values(), ids=BAD_WAYPOINTS)
+def test_waypoints_must_be_numbers_of_the_graph_shape(monkeypatch, waypoint, text):
+    # the Python API checks its own waypoints, 1-based, before any shoot
+    monkeypatch.setattr(optimal_control, "_shoot_batch", lambda *a, **k: pytest.fail("shot"))
+    prob = BvpProblem(graph=nx.path_graph(2), target=np.eye(2))
+    for call in (lambda: solve_with_waypoints(prob, [waypoint]),
+                 lambda: nx.run_swap(nx.path_graph(2), (), [waypoint])):
+        with pytest.raises(InputError) as info:
+            call()
+        assert str(info.value) == text
+
+
 def test_waypoint_segments_split_the_horizon_evenly():
     T = np.array([[4.0]])
     prob = BvpProblem(graph=nx.build_graph(1, []), target=T, t0=0.0, tf=1.0)

@@ -6,7 +6,9 @@
 Builds densify5, swap4 and the sweep at seeds 1-3 with perfbench/run.py's
 `build_workload`, runs every operation once through `netxform.cli.main` of
 this checkout's `src/`, and writes the inputs and outputs under
-OUTDIR/<workload>. Prints each workload's shoot passes, counted as calls of
+OUTDIR/<workload>. An operation's non-empty stdout, such as a `check`
+report, goes to OUTDIR/<workload>/<op label>.stdout, so `diff -r` sees it
+too. Prints each workload's shoot passes, counted as calls of
 `optimal_control._shoot_batch`. A change keeps the pins when `diff -r` of its
 OUTDIR and its parent's finds nothing and the printed counts are equal.
 Exits 1 when an operation does not exit 0 or writes anything to stderr.
@@ -38,12 +40,14 @@ def run_pinned(name: str, seed: int, outdir: Path) -> int:
     optimal_control._shoot_batch = counted
     try:
         for op in ops:
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 rc = cli.main(op.argv(outdir))
             first = next(iter(err.getvalue().strip().splitlines()), "")
             if rc != 0 or first:  # a warning or a stray print on stderr fails the run too
                 raise RuntimeError(f"{name} {op.label} exited {rc}: {first}")
+            if out.getvalue():
+                (outdir / f"{op.label}.stdout").write_text(out.getvalue())
     finally:
         optimal_control._shoot_batch = shoot
     return passes[0]
