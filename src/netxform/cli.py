@@ -17,7 +17,7 @@ import numpy as np
 
 from . import csvio
 from .dynamics import DynamicsError, propagate_state, simulation_steps
-from .graph import InputError, graph_from_json_dict, numeric_array
+from .graph import InputError, graph_from_json_dict
 from .lie_algebra import check_feasible
 from .optimal_control import (BvpProblem, InfeasibleError, OptimalControlError,
                               homotopy_singularity_scan, solve_with_waypoints)
@@ -74,16 +74,12 @@ def _graph(cfg: dict, key: str):
         raise InputError(f"field {key!r}: {exc}") from exc
 
 
-def _graph_and_target(cfg: dict):
-    g = _graph(cfg, "graph")
-    return g, numeric_array(_require(cfg, "target"), "field 'target'", (g.n, g.n))
-
-
-def _waypoints(cfg: dict, n: int) -> list:
+def _waypoints(cfg: dict) -> list:
+    """The config's waypoints, unchecked: solve_with_waypoints checks each."""
     waypoints = cfg.get("waypoints", [])
     if not isinstance(waypoints, list):
         raise InputError("field 'waypoints' must be a list of matrices")
-    return [numeric_array(W, f"field 'waypoints[{k}]'", (n, n)) for k, W in enumerate(waypoints)]
+    return waypoints
 
 
 def write_solution_bundle(sol, outdir: Path) -> None:
@@ -108,21 +104,20 @@ def _finish(sol, out) -> int:
 
 
 def cmd_check(args) -> int:
-    g, target = _graph_and_target(_load_config(args.config))
-    report = check_feasible(g, target)
+    cfg = _load_config(args.config)
+    report = check_feasible(_graph(cfg, "graph"), _require(cfg, "target"))
     print(json.dumps(report.to_json_dict(), sort_keys=True))
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
-    g, target = _graph_and_target(cfg)
-    waypoints = _waypoints(cfg, g.n)
+    g, target, waypoints = _graph(cfg, "graph"), _require(cfg, "target"), _waypoints(cfg)
     prob = BvpProblem(graph=g, target=target,
                       **_settings(cfg, ("graph", "target", "waypoints")))
     sol = solve_with_waypoints(prob, waypoints)
     if not waypoints and not sol.converged:  # the advice helps only a failed direct solve
-        min_det, argmin_s = homotopy_singularity_scan(target)
+        min_det, argmin_s = homotopy_singularity_scan(prob.target)
         if min_det < 0.1:
             print(f"warning: direct homotopy from I to the target is nearly singular "
                   f"(min |det| = {min_det:.3e} at s = {argmin_s}); "
@@ -160,7 +155,7 @@ def cmd_scenario(args) -> int:
     else:
         settings = _settings(cfg, ("graph", "pairs", "waypoints", "initial_state"))
         g = _graph(cfg, "graph")
-        report = run_swap(g, _require(cfg, "pairs"), _waypoints(cfg, g.n),
+        report = run_swap(g, _require(cfg, "pairs"), _waypoints(cfg),
                           cfg.get("initial_state"), **settings)
     code = _finish(report.solution, args.out)
     outdir = Path(args.out)

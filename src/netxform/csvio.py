@@ -17,10 +17,10 @@ from .dynamics import WeightSchedule
 from .graph import InputError, _vertex_count, numeric_array
 
 
-def _write_table(path, grid, columns: dict) -> None:
-    """Write the grid as column t and each named 1-D array as one column, under
-    a header of the names. Neither a name the program writes nor a float's repr
-    needs quoting, so cells are joined directly, to the bytes csv.writer gives."""
+def write_columns_csv(path, grid, columns: dict) -> None:
+    """Every table written here: column t holds the grid, then one column per named
+    1-D array, under a header of the names. Neither a name the program writes nor a
+    float's repr needs quoting, so cells are joined directly, to csv.writer's bytes."""
     table = np.asarray(np.column_stack([grid, *columns.values()]), dtype=float)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["t", *columns]) + "\r\n")
@@ -31,7 +31,7 @@ def write_schedule_csv(path, sched: WeightSchedule) -> None:
     """Write a schedule, one row per grid time; header lists mask-true entries
     (row-major); off-pattern entries are never serialized."""
     names = [f"w_{i}_{j}" for i, j in np.argwhere(sched.mask) + 1]
-    _write_table(path, sched.grid, dict(zip(names, sched.W_seq[:, sched.mask].T)))
+    write_columns_csv(path, sched.grid, dict(zip(names, sched.W_seq[:, sched.mask].T)))
 
 
 _ROW_FORMAT = dict(delimiter=",", ndmin=2, comments=None, quotechar='"')
@@ -126,9 +126,4 @@ def write_trajectory_csv(path, grid, seq, prefix: str) -> None:
     <prefix>_i or <prefix>_i_j, row-major and 1-based."""
     seq = np.asarray(seq)
     names = ["_".join([prefix, *(str(i + 1) for i in ij)]) for ij in np.ndindex(seq.shape[1:])]
-    _write_table(path, grid, dict(zip(names, seq.reshape(len(seq), -1).T)))
-
-
-def write_columns_csv(path, grid, columns: dict) -> None:
-    """Named curves on a grid: header t,<name>,... (the scenario error curves)."""
-    _write_table(path, grid, columns)
+    write_columns_csv(path, grid, dict(zip(names, seq.reshape(len(seq), -1).T)))

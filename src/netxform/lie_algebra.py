@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import _exact_det
 from .graph import (Graph, InputError, _components, _square_matrix, _vertex_count, is_connected,
-                    node_pairs)
+                    node_pairs, numeric_array)
 
 
 def index_matrix(n: int, i: int, j: int) -> np.ndarray:
@@ -58,8 +58,8 @@ def _shown_det(det: float, sign: int) -> float | None:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """The gate's verdict on the float matrix T: `sign` is the exact sign of
-    det T (-1, 0 or 1), and `determinant` is det T correctly rounded (_exact_det)."""
+    """The gate's verdict on the finite matrix T: `sign` is the exact sign of det T
+    (-1, 0 or 1), `determinant` det T correctly rounded (_exact_det), never nan."""
 
     determinant: float
     sign: int
@@ -104,17 +104,13 @@ def generated_algebra_dimension(g: Graph) -> int:
     return int((np.bincount(_components(g)) ** 2).sum())
 
 
-def check_feasible(g: Graph, T: np.ndarray) -> FeasibilityReport:
-    """Existence gate for the boundary value problem: det(T) > 0 and connectivity."""
-    T = np.asarray(T, dtype=float)
-    if T.shape != (g.n, g.n):
-        raise InputError(f"target has shape {T.shape}, expected ({g.n},{g.n})")
+def check_feasible(g: Graph, T) -> FeasibilityReport:
+    """Existence gate for the boundary value problem: det(T) > 0 and connectivity.
+    T must hold n by n finite numbers (numeric_array), or InputError names the target."""
+    T = numeric_array(T, "target", (g.n, g.n))
     connected = is_connected(g)
-    finite = np.all(np.isfinite(T))
-    sign, det = _exact_det(T) if finite else (0, math.nan)
-    if not finite:
-        reason = "target has non-finite entries"
-    elif sign > 0 and connected:
+    sign, det = _exact_det(T)
+    if sign > 0 and connected:
         reason = "target has positive determinant and the graph is connected"
     elif sign == 0:
         reason = "determinant is zero"

@@ -15,7 +15,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .dynamics import DynamicsError, WeightSchedule, _rk4, determinant, solve_linear
+from .dynamics import DynamicsError, WeightSchedule, _rk4, solve_linear
 from .graph import Graph, InputError, _square_matrix, numeric_array
 from .lie_algebra import check_feasible
 
@@ -48,7 +48,6 @@ class BvpProblem:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
         for f in fields(self):
             if f.default is not MISSING:  # a setting: a finite number of its default's type
                 value, kind = getattr(self, f.name), type(f.default)
@@ -73,9 +72,10 @@ class BvpProblem:
         if h <= limit:
             raise InputError(f"solver settings need (tf - t0) / steps above 8 float "
                              f"spacings at max(|t0|, |tf|): {h:.3g} <= {limit:.3g}")
-        report = check_feasible(self.graph, self.target)
+        report = check_feasible(self.graph, self.target)  # it admits the target
         if not report.feasible:
             raise InfeasibleError(f"infeasible problem: {report.reason}")
+        object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
 
 
 @dataclass
@@ -469,13 +469,11 @@ def homotopy_singularity_scan(T: np.ndarray):
     shooting will be ill-conditioned and waypoints are advisable.
     """
     T = _square_matrix(T, "homotopy_singularity_scan")
-    eye = np.eye(T.shape[0])
-    best_val, best_s = np.inf, 0.0
-    for s in np.linspace(0.0, 1.0, SCAN_SAMPLES):
-        d = abs(determinant((1.0 - s) * eye + s * T))
-        if d < best_val:
-            best_val, best_s = d, float(s)
-    return float(best_val), best_s
+    s = np.linspace(0.0, 1.0, SCAN_SAMPLES)[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite T gives (nan, 0.0)
+        dets = np.abs(np.linalg.det((1.0 - s) * np.eye(T.shape[0]) + s * T))
+    k = int(np.argmin(dets))
+    return float(dets[k]), float(s[k, 0, 0])
 
 
 def solve_with_waypoints(prob: BvpProblem, waypoints) -> Solution:

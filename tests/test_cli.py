@@ -147,14 +147,27 @@ def test_check_malformed_graph_exit_one(tmp_path, capsys, graph):
     _assert_one_error_line(capsys, "graph")
 
 
-@pytest.mark.parametrize("target", [
+MALFORMED_TARGETS = [
     [[1, 0], [0, True]], [[1, 0], [0, float("-inf")]], [[1, 0], [0, "1"]],
     [[1, 0], [0, None]], [[1, 0], [0]], [1, 0, 0, 1],
-])
+]
+
+
+@pytest.mark.parametrize("target", MALFORMED_TARGETS)
 def test_check_malformed_target_exit_one(tmp_path, capsys, target):
     cfg = _write_cfg(tmp_path, "t.json", {**PATH2_CFG, "target": target})
     assert main(["check", "--config", cfg]) == 1
-    _assert_one_error_line(capsys, "'target'")
+    assert _assert_one_error_line(capsys).startswith("error: target ")
+
+
+@pytest.mark.parametrize("target", MALFORMED_TARGETS)
+def test_check_rejects_a_target_as_the_python_api_does(tmp_path, capsys, target):
+    # one admission: the command line prints the gate's own error
+    with pytest.raises(nx.InputError) as info:
+        nx.check_feasible(nx.path_graph(2), target)
+    cfg = _write_cfg(tmp_path, "t.json", {**PATH2_CFG, "target": target})
+    assert main(["check", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
 @pytest.mark.parametrize("fields", [
@@ -426,7 +439,7 @@ def test_solve_non_finite_waypoint_exit_one(tmp_path, capsys):
         "waypoints": [[[float("inf")]]],
     })
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "waypoints[0]" in capsys.readouterr().err
+    assert "waypoint 1 has non-finite entries" in capsys.readouterr().err
 
 
 def _eye3_with(value):
@@ -443,7 +456,7 @@ def test_solve_malformed_waypoints_exit_one(path3_cfg, tmp_path, capsys, waypoin
     cfg["waypoints"] = waypoints
     path = _write_cfg(tmp_path, "wp.json", cfg)
     assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 1
-    _assert_one_error_line(capsys, "waypoints")
+    _assert_one_error_line(capsys, "waypoints" if waypoints == 5 else "waypoint 1")
 
 
 def test_solve_singular_waypoint_exit_two(tmp_path, capsys):

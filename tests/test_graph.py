@@ -231,7 +231,7 @@ PATH2 = nx.BvpProblem(graph=nx.path_graph(2), target=np.eye(2))
     (lambda: build_graph(2.5, []), "graph nodes must hold whole numbers"),
     (lambda: build_graph(True, []), "graph nodes must hold numbers, not True"),
     (lambda: nx.check_feasible(nx.path_graph(3), np.eye(2)),
-     "target has shape (2, 2), expected (3,3)"),
+     "target must be of shape (3, 3), got shape (2, 2)"),
     (lambda: nx.determinant(np.ones((2, 3))), "determinant needs a square matrix, got (2, 3)"),
     (lambda: nx.solve_linear(np.eye(2), np.ones(3)), "solve_linear: dimension mismatch"),
     (lambda: nx.solve_linear(np.eye(2), np.float64(1.0)), "solve_linear: dimension mismatch"),

@@ -255,11 +255,21 @@ def test_feasibility_disconnected_rejected():
     np.full((3, 3), -np.inf),
 ])
 def test_feasibility_non_finite_target_rejected(target):
+    # malformed input, as from the command line, not an infeasible verdict
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = nx.check_feasible(nx.path_graph(3), target)
-    assert not rep.feasible and rep.connected
-    assert rep.reason == "target has non-finite entries"
+        with pytest.raises(InputError) as info:
+            nx.check_feasible(nx.path_graph(3), target)
+    assert str(info.value) == "target has non-finite entries"
+
+
+@pytest.mark.parametrize("entry", ["1", "a", True, None])
+@pytest.mark.parametrize("gate", [nx.check_feasible, lambda g, T: nx.BvpProblem(graph=g, target=T)],
+                         ids=["check_feasible", "BvpProblem"])
+def test_feasibility_target_must_hold_numbers(gate, entry):
+    # neither "1" nor True reads as 1, and None is no nan: each is malformed input
+    with pytest.raises(InputError, match="^target must hold numbers"):
+        gate(nx.path_graph(2), [[1, 0], [0, entry]])
 
 
 @pytest.mark.parametrize("target, sign", [

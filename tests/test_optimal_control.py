@@ -1,6 +1,8 @@
 """Shooting solver, extremal structure, and waypoint composition."""
 
 import re
+import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +13,7 @@ import netxform as nx
 from netxform import optimal_control
 from netxform.dynamics import DynamicsError, integrate_transition, simulation_steps
 from netxform.graph import InputError
-from netxform.optimal_control import (BvpProblem, InfeasibleError, OptimalControlError,
+from netxform.optimal_control import (BvpProblem, OptimalControlError,
                                       _newton_from, _shoot_batch,
                                       cost, extremal_rhs, hamiltonian,
                                       homotopy_singularity_scan, shoot,
@@ -19,7 +21,7 @@ from netxform.optimal_control import (BvpProblem, InfeasibleError, OptimalContro
                                       weights_from_costate)
 from netxform.scenarios import SWAP_WAYPOINT_4
 
-from conftest import PATH3_TARGET
+from conftest import PATH3_TARGET, exact_determinant
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +629,7 @@ def test_problem_rejects_infeasible_target():
 @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
 def test_problem_rejects_non_finite_target(entry):
     target = np.diag([entry, 1.0, 1.0])
-    with pytest.raises(InfeasibleError, match="target has non-finite entries"):
+    with pytest.raises(InputError, match="target has non-finite entries"):
         BvpProblem(graph=nx.path_graph(3), target=target)
 
 
@@ -969,3 +971,28 @@ def test_scan_swap_target_hits_zero_at_half():
 def test_scan_expansion_minimum_at_start():
     val, s = homotopy_singularity_scan(2.0 * np.eye(2))
     assert val == 1.0 and s == 0.0
+
+
+@pytest.mark.parametrize("entry", [np.inf, np.nan])
+def test_scan_of_a_non_finite_target_is_nan(entry):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, s = homotopy_singularity_scan(np.diag([entry, 1.0]))
+    assert np.isnan(val) and s == 0.0
+
+
+def test_scan_is_fast_at_twenty_nodes():
+    # far-corner entries of long denominators: one exact elimination per sample takes seconds
+    g = nx.path_graph(20)
+    T = nx.expm(0.3 * np.where(g.mask, np.random.default_rng(0).normal(size=(20, 20)), 0.0))
+    start = time.perf_counter()
+    homotopy_singularity_scan(T)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_scan_agrees_with_the_exact_determinant(n):
+    T = np.random.default_rng(n).normal(size=(n, n))
+    samples = np.linspace(0.0, 1.0, optimal_control.SCAN_SAMPLES)
+    exact = min(abs(exact_determinant((1.0 - s) * np.eye(n) + s * T)) for s in samples)
+    assert abs(homotopy_singularity_scan(T)[0] - float(exact)) <= 1e-12
